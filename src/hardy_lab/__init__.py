@@ -32,7 +32,6 @@ from .continuum import (
 from .errors import (
     DimensionTooSmallError,
     HardyLabError,
-    HypothesisNotMetError,
     InconclusiveTransienceError,
     InconsistentModelError,
     InvalidDensityError,

@@ -60,12 +60,19 @@ from .reporting import VerificationReport, _atomic_write, csv_text, json_text
 SUITES = ("all", "criticality", "nullcrit", "probe", "lambda0")
 
 
+def _spec_int(token, text):
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidParameterError(f"bad integer {token!r} in spec {text!r}") from None
+
+
 def _parse_model_spec(text):
     parts = text.split(":")
     if parts[0] == "tree" and len(parts) == 3:
-        return make_tree(int(parts[1]), int(parts[2]))
+        return make_tree(_spec_int(parts[1], text), _spec_int(parts[2], text))
     if parts[0] == "antitree" and len(parts) == 4 and parts[1] == "poly":
-        p, depth = int(parts[2]), int(parts[3])
+        p, depth = _spec_int(parts[2], text), _spec_int(parts[3], text)
         if p < 0:
             raise InvalidParameterError("antitree exponent must be nonnegative")
         return make_antitree(
@@ -82,9 +89,9 @@ def _parse_model_spec(text):
 def _parse_space_spec(text):
     parts = text.split(":")
     if parts[0] == "hyperbolic" and len(parts) == 2:
-        return cont.hyperbolic_space(int(parts[1]))
+        return cont.hyperbolic_space(_spec_int(parts[1], text))
     if parts[0] == "dr" and len(parts) == 3:
-        return cont.damek_ricci_space(int(parts[1]), int(parts[2]))
+        return cont.damek_ricci_space(_spec_int(parts[1], text), _spec_int(parts[2], text))
     if parts[0] == "file" and len(parts) >= 2:
         return cont.load_density(text.partition(":")[2])
     raise InvalidParameterError(
@@ -97,7 +104,11 @@ def _parse_gamma(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        pass
+    try:
         return float(text)
+    except ValueError:
+        raise InvalidParameterError(f"bad gamma {text!r}; expected a number") from None
 
 
 def _emit(text, out):
@@ -403,7 +414,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except HardyLabError as exc:
+    except (HardyLabError, OSError) as exc:
+        # OSError: a model, density or --out path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,10 +52,6 @@ class InconclusiveTransienceError(HardyLabError):
     """The stored data does not determine convergence of the area series."""
 
 
-class HypothesisNotMetError(HardyLabError):
-    """A check's structural hypothesis fails for this model."""
-
-
 class DimensionTooSmallError(HardyLabError):
     """A continuum formula needs a larger dimension than was supplied."""
 

@@ -27,6 +27,15 @@ from .hardy_weights import closed_form_weight
 from .reporting import VerificationReport
 
 
+def _area_window(model):
+    """area(depth) and the exact first and second differences of the areas
+    on the window [depth/2, depth]."""
+    areas = model.area_values(max(1, model.depth // 2), model.depth)
+    last, d1 = areas[-1], np.diff(areas)
+    del areas  # exact areas can be large; hold at most two arrays at once
+    return last, d1, np.diff(d1)
+
+
 def transience_test(model):
     """Decide whether sum 1/area converges, i.e. the model is transient.
 
@@ -43,13 +52,10 @@ def transience_test(model):
         return False
     if t.kind == "eventually-geometric":
         return t.kappa_inf > 1
-    lo = max(1, model.depth // 2)
-    areas = [model.area(r) for r in range(lo, model.depth + 1)]
-    d1 = [areas[i + 1] - areas[i] for i in range(len(areas) - 1)]
-    if d1 and all(x <= 0 for x in d1):
+    _, d1, d2 = _area_window(model)
+    if d1.size and np.all(d1 <= 0):
         return False
-    d2 = [d1[i + 1] - d1[i] for i in range(len(d1) - 1)]
-    if d2 and all(x > 0 for x in d1) and min(d2) > 0:
+    if d2.size and np.all(d1 > 0) and d2.min() > 0:
         return True
     raise InconclusiveTransienceError(
         "the stored window neither plateaus nor grows convexly; transience "
@@ -66,17 +72,14 @@ def _quadratic_tail_bound(model):
     integrand bounds the sum by the integral from 0 to infinity of
     1 / (A + (B + C/2) x + (C/2) x**2).
     """
-    lo = max(1, model.depth // 2)
-    areas = [model.area(r) for r in range(lo, model.depth + 1)]
-    d1 = [areas[i + 1] - areas[i] for i in range(len(areas) - 1)]
-    d2 = [d1[i + 1] - d1[i] for i in range(len(d1) - 1)]
-    if not d2 or not all(x > 0 for x in d1) or not min(d2) > 0:
+    last, d1, d2 = _area_window(model)
+    if not d2.size or not np.all(d1 > 0) or not d2.min() > 0:
         raise InconclusiveTransienceError(
             "no convex growth in the stored window, cannot bound the tail"
         )
-    a = float(min(d2)) / 2.0
+    a = float(d2.min()) / 2.0
     b = float(d1[-1]) + a
-    c = float(areas[-1])
+    c = float(last)
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         root = math.sqrt(-disc)
@@ -116,34 +119,35 @@ def _log_green(model):
 
     Works top down: log G(r) = logaddexp(log G(r+1), -log area(r+1)), which
     never under- or overflows and keeps adjacent values accurate enough to
-    take ratios of (the weight construction only ever uses ratios).
+    take ratios of (the weight construction only ever uses ratios).  The
+    recursion runs as one accumulate over the reversed terms.
     """
     if not transience_test(model):
         raise NoGreenFunctionError(
             f"{model.label} is recurrent; no minimal positive Green function"
         )
     depth = model.depth
-    la = model.log_area_floats(depth).astype(np.longdouble)
-    logg = np.empty(depth, dtype=np.longdouble)
+    la = model.log_area_floats(depth)
+    # terms[0] is log G(depth - 1); terms[k] = -log area(depth - k) after it
+    terms = np.empty(depth, dtype=np.longdouble)
+    np.negative(la[depth - 1: 0: -1], out=terms[1:])
     t = model.tail
     if t.kind == "eventually-geometric":
         if t.start > depth:
             raise NeedsTailError("geometric behaviour starts beyond the stored depth")
         kap = float(t.kappa_inf)
         # sum_{n >= depth} 1/area(n) = kappa / (area(depth) (kappa - 1))
-        logg[depth - 1] = -la[depth] + math.log(kap / (kap - 1.0))
+        terms[0] = -np.longdouble(la[depth]) + math.log(kap / (kap - 1.0))
         method, bound, notes = "closed-form-geometric", 0.0, ()
     else:
-        logg[depth - 1] = -la[depth]
+        terms[0] = -np.longdouble(la[depth])
         method = "truncated-with-bound"
         bound = _quadratic_tail_bound(model)
         notes = (
             "values are lower bounds; the stated bound assumes the stored "
             "window's convex growth persists",
         )
-    for r in range(depth - 2, -1, -1):
-        logg[r] = np.logaddexp(logg[r + 1], -la[r + 1])
-    return logg, method, bound, notes
+    return np.logaddexp.accumulate(terms, out=terms)[::-1], method, bound, notes
 
 
 def green_function(model, r_max):
@@ -262,10 +266,17 @@ def compare_to_green(model, r_max, tol=1e-10):
     margins = w_opt - w_g
     margins[0] = np.nan
 
-    kap_end = model.kappa(model.depth - 1)
-    r0 = model.depth - 1
-    while r0 > 1 and model.kappa(r0 - 1) == kap_end:
-        r0 -= 1
+    end = model.depth - 1
+    kap_end = model.kappa(end)
+    # equal ratios round to equal floats, so only float ties need the exact
+    # cross-product check
+    kap = model.kappa_floats(end)
+    kp, km = model.exact_degrees(end)
+    same = kap[1:end] == kap[end]
+    ties = np.flatnonzero(same) + 1
+    same[ties - 1] = kp[ties] * km[end] == kp[end] * km[ties]
+    breaks = np.flatnonzero(~same)
+    r0 = int(breaks[-1]) + 2 if breaks.size else 1
     t = model.tail
     hypothesis_met = (
         t.kind == "eventually-geometric"

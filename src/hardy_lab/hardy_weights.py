@@ -36,6 +36,9 @@ from .reporting import VerificationReport
 
 DEFAULT_DPS = 40
 
+# radii per block of the array closed form
+_CLOSED_FORM_BLOCK = 8192
+
 
 def tree_bottom_of_spectrum(d):
     """Bottom of the spectrum (sqrt(d) - 1)**2 of the forward-regular tree."""
@@ -127,6 +130,12 @@ def fitzsimmons_weight(model, gamma, r_max, dps=DEFAULT_DPS):
     return w
 
 
+def _pair_defect(x):
+    # one expression for scalars and arrays, so both round identically
+    s = np.sqrt(1.0 - x * x)
+    return 2.0 * x * x / ((1.0 + s) * (2.0 + np.sqrt(1.0 + x) + np.sqrt(1.0 - x)))
+
+
 def sqrt_pair_defect(x):
     """2 - sqrt(1 + x) - sqrt(1 - x) for 0 <= x <= 1, without cancellation.
 
@@ -137,8 +146,54 @@ def sqrt_pair_defect(x):
     """
     if not 0.0 <= x <= 1.0:
         raise InvalidParameterError("x must lie in [0, 1]")
-    s = math.sqrt(1.0 - x * x)
-    return 2.0 * x * x / ((1.0 + s) * (2.0 + math.sqrt(1.0 + x) + math.sqrt(1.0 - x)))
+    return float(_pair_defect(float(x)))
+
+
+def _origin_weight(model, gamma):
+    a1 = float(model.area(1))
+    return float(model.k_plus(0)) * (1.0 - 1.0 / math.sqrt(float(gamma) * a1))
+
+
+def _closed_form(model, gamma, r_lo, r_hi):
+    """The closed form divided by k_minus(r), and its floor, on r_lo..r_hi.
+
+    Needs 1 <= r_lo <= r_hi.  Returns (brackets, floors, applicable), entry
+    i belonging to radius r_lo + i: ``brackets`` is w(r) / k_minus(r) in the
+    grouping documented at general_closed_form, ``floors`` is
+    (sqrt(kappa(r)) - 1)**2 + sqrt(kappa(r)) / (4 r**2), and ``applicable``
+    tells whether kappa(r - 1) <= kappa(r).  Radius 1 has no floor (NaN,
+    not applicable).  The kappa difference is the cross product
+    k_plus(r) k_minus(r-1) - k_plus(r-1) k_minus(r), exact on the arrays
+    of exact_degrees, over k_minus(r) k_minus(r-1), rounded once.
+    """
+    kap = model.kappa_floats(r_hi)
+    kp, km = model.exact_degrees(r_hi)
+    n = r_hi - r_lo + 1
+    brackets = np.empty(n)
+    floors = np.full(n, np.nan)
+    applicable = np.zeros(n, dtype=bool)
+    if r_lo == 1:
+        k1 = float(kap[1])
+        a1 = float(model.area(1))
+        brackets[0] = 1.0 + k1 - math.sqrt(2.0 * k1) - math.sqrt(float(gamma) * a1)
+    # blocks keep the temporaries small at depth 1e5
+    for lo in range(max(r_lo, 2), r_hi + 1, _CLOSED_FORM_BLOCK):
+        hi = min(lo + _CLOSED_FORM_BLOCK - 1, r_hi)
+        p, q = kp[lo - 1: hi + 1], km[lo - 1: hi + 1]
+        cross = p[1:] * q[:-1] - p[:-1] * q[1:]
+        diff = np.asarray(cross / (q[1:] * q[:-1]), dtype=float)
+        sk_prev = np.sqrt(kap[lo - 1: hi])
+        sk = np.sqrt(kap[lo: hi + 1])
+        r = np.arange(lo, hi + 1, dtype=float)
+        x = 1.0 / r
+        square = (sk - 1.0) ** 2
+        out = slice(lo - r_lo, hi - r_lo + 1)
+        brackets[out] = (square
+                         + sk * _pair_defect(x)
+                         + diff * np.sqrt(1.0 - x) / (sk + sk_prev))
+        floors[out] = square + sk / (4.0 * r * r)
+        applicable[out] = cross >= 0
+    return brackets, floors, applicable
 
 
 def general_closed_form(model, gamma, r):
@@ -158,29 +213,15 @@ def general_closed_form(model, gamma, r):
 
     where the kappa difference is taken exactly when the data is exact;
     for kappa near 1 the naive form would keep only half the digits.
+    closed_form_weight evaluates the same arrays over a whole range.
     """
     gamma = _check_gamma(gamma)
     if r == 0:
         if not gamma > 0:
             raise InvalidParameterError("the weight at the origin needs gamma > 0")
-        a1 = float(model.area(1))
-        return float(model.k_plus(0)) * (1.0 - 1.0 / math.sqrt(float(gamma) * a1))
-    if r == 1:
-        kap = float(model.kappa(1))
-        a1 = float(model.area(1))
-        return float(model.k_minus(1)) * (
-            1.0 + kap - math.sqrt(2.0 * kap) - math.sqrt(float(gamma) * a1)
-        )
-    kap = model.kappa(r)
-    kap_prev = model.kappa(r - 1)
-    diff = float(kap - kap_prev)
-    sk = math.sqrt(float(kap))
-    sk_prev = math.sqrt(float(kap_prev))
-    x = 1.0 / r
-    term = ((sk - 1.0) ** 2
-            + sk * sqrt_pair_defect(x)
-            + diff * math.sqrt(1.0 - x) / (sk + sk_prev))
-    return float(model.k_minus(r)) * term
+        return _origin_weight(model, gamma)
+    brackets, _, _ = _closed_form(model, gamma, r, r)
+    return float(model.k_minus(r)) * float(brackets[0])
 
 
 def tree_weight(d, gamma, r):
@@ -311,12 +352,8 @@ def weight_floor(model, r):
     """
     if r < 2:
         raise InvalidParameterError("the floor is defined for radii >= 2")
-    kap = model.kappa(r)
-    kap_prev = model.kappa(r - 1)
-    applicable = bool(kap_prev <= kap)
-    sk = math.sqrt(float(kap))
-    value = float(model.k_minus(r)) * ((sk - 1.0) ** 2 + sk / (4.0 * r * r))
-    return value, applicable
+    _, floors, applicable = _closed_form(model, 0, r, r)
+    return float(model.k_minus(r)) * float(floors[0]), bool(applicable[0])
 
 
 @dataclass(frozen=True)
@@ -350,13 +387,13 @@ def closed_form_weight(model, gamma, r_max):
         raise InvalidParameterError("r_max must be at least 2")
     r_min = 0 if gamma > 0 else 1
     values = np.zeros(r_max + 1)
-    for r in range(r_min, r_max + 1):
-        values[r] = general_closed_form(model, gamma, r)
+    if gamma > 0:
+        values[0] = _origin_weight(model, gamma)
+    brackets, floor_brackets, applicable = _closed_form(model, gamma, 1, r_max)
+    km = model.k_minus_floats(r_max)[1:]
+    values[1:] = km * brackets
     floors = np.full(r_max + 1, np.nan)
-    for r in range(2, r_max + 1):
-        value, applicable = weight_floor(model, r)
-        if applicable:
-            floors[r] = value
+    floors[1:][applicable] = km[applicable] * floor_brackets[applicable]
     notes = []
     if gamma > 0:
         admissible = gamma_intervals(model).joint_contains(gamma)

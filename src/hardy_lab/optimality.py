@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NeedsTailError
 from .greens import transience_test
-from .hardy_weights import closed_form_weight, u_gamma, _check_gamma
+from .hardy_weights import _check_gamma, _closed_form, closed_form_weight, u_gamma
 from .radial_model import expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
@@ -91,8 +91,14 @@ def criticality_energy(model, n, gamma=0):
     ld = np.longdouble
     kap = np.empty(n, dtype=ld)
     kap[0] = np.nan
-    for r in range(1, n):
-        kap[r] = _longdouble_exact(model.kappa(r))
+    kp, km = model.exact_degrees(n - 1)
+    if kp.dtype == object:
+        kap[1:] = [_longdouble_exact(Fraction(p) / Fraction(q))
+                   for p, q in zip(kp[1:], km[1:])]
+    else:
+        # integers below 2**53 convert exactly, so this rounds once, like
+        # the reduced Fraction does
+        np.divide(kp[1:], km[1:], out=kap[1:], dtype=ld)
     phi = cutoff_profile(n, dtype=ld)
     idx = np.arange(1, n, dtype=ld)
 
@@ -194,32 +200,20 @@ def check_cutoff_decay(n_small=10 ** 3, n_large=10 ** 6, lo=0.4, hi=0.6):
 def ground_weight_mass_terms(model, r_max, gamma=0):
     """Terms u(r) w(r) vol(r) = r w(r) / k_minus(r) for r = 1..r_max.
 
-    Uses the closed form of the weight; the terms are positive, so double
-    precision is plenty.  Entry 0 of the returned array is the origin term
+    Uses the closed form of the weight, through the same arrays as
+    closed_form_weight; the terms are positive, so double precision is
+    plenty.  Entry 0 of the returned array is the origin term
     gamma w(0) vol(0), which is 0 when gamma = 0.
     """
     gamma = _check_gamma(gamma)
     if r_max > model.depth - 1:
         raise NeedsTailError(f"mass terms to {r_max} need depth > {r_max}")
-    kap = np.array(model.kappa_floats(r_max))
-    r = np.arange(2, r_max + 1, dtype=float)
     terms = np.zeros(r_max + 1)
-    area1 = float(model.area(1))
-    sqrt_ga = math.sqrt(float(gamma) * area1)
     if gamma > 0:
-        terms[0] = float(gamma) * area1 - sqrt_ga
-    terms[1] = 1.0 + kap[1] - math.sqrt(2.0 * kap[1]) - sqrt_ga
-    if r_max >= 2:
-        # cancellation-free grouping, same as general_closed_form
-        x = 1.0 / r
-        s = np.sqrt(1.0 - x * x)
-        defect = 2.0 * x * x / (
-            (1.0 + s) * (2.0 + np.sqrt(1.0 + x) + np.sqrt(1.0 - x))
-        )
-        sk, sk_prev = np.sqrt(kap[2:]), np.sqrt(kap[1:-1])
-        terms[2:] = r * ((sk - 1.0) ** 2
-                         + sk * defect
-                         + (kap[2:] - kap[1:-1]) * np.sqrt(1.0 - x) / (sk + sk_prev))
+        area1 = float(model.area(1))
+        terms[0] = float(gamma) * area1 - math.sqrt(float(gamma) * area1)
+    brackets, _, _ = _closed_form(model, gamma, 1, r_max)
+    terms[1:] = np.arange(1, r_max + 1, dtype=float) * brackets
     return terms
 
 
@@ -516,14 +510,11 @@ def check_bounded_oscillation(model, r_max, bound=100.0):
     """
     if r_max > model.depth - 1:
         raise NeedsTailError(f"ratios to {r_max} need depth > {r_max}")
-    ratios = []
-    for r in range(1, r_max + 1):
-        kap = model.kappa(r)
-        if isinstance(kap, float):
-            ratios.append((1.0 + 1.0 / r) / kap)
-        else:
-            ratios.append(float((1 + Fraction(1, r)) / kap))
-    lo, hi = min(ratios), max(ratios)
+    kp, km = model.exact_degrees(r_max)
+    r = np.arange(1, r_max + 1, dtype=kp.dtype)
+    # (1 + 1/r) / kappa(r) as one exact quotient, rounded once
+    ratios = np.asarray(((r + 1) * km[1:]) / (r * kp[1:]), dtype=float)
+    lo, hi = float(ratios.min()), float(ratios.max())
     ok = lo >= 1.0 / bound and hi <= bound
     notes = []
     if model.tail.kind != "eventually-geometric":
@@ -596,15 +587,18 @@ def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
     depth = model.depth
     kap0 = model.kappa(1)
     km0 = model.k_minus(1)
-    for r in range(2, depth):
-        if model.kappa(r) != kap0 or model.k_minus(r) != km0:
-            return VerificationReport(
-                check="spectral-bottom-bound",
-                status="hypothesis-not-met",
-                residuals={},
-                params={"model": model.label, "first_inhomogeneous_radius": r},
-                notes=("kappa or k_minus varies; the constant-ratio bound does not apply",),
-            )
+    # kappa and k_minus are constant exactly when k_plus and k_minus are
+    kp, km = model.exact_degrees(depth - 1)
+    varies = np.flatnonzero((kp[2:] != kp[1]) | (km[2:] != km[1]))
+    if varies.size:
+        return VerificationReport(
+            check="spectral-bottom-bound",
+            status="hypothesis-not-met",
+            residuals={},
+            params={"model": model.label,
+                    "first_inhomogeneous_radius": int(varies[0]) + 2},
+            notes=("kappa or k_minus varies; the constant-ratio bound does not apply",),
+        )
     shift = float(km0) * (math.sqrt(float(kap0)) - 1.0) ** 2
     radii = sorted(set(min(int(R), depth - 1) for R in section_radii))
     bottoms = []

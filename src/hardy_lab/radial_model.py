@@ -15,6 +15,7 @@ from modelling error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,6 +37,9 @@ TAIL_KINDS = ("finite", "eventually-geometric", "unspecified")
 MAX_VERTEX_EXPANSION = 100_000
 MAX_EDGE_EXPANSION = 2_000_000
 
+# Integers below this are exact in float64.
+_EXACT_FLOAT_LIMIT = 2 ** 53
+
 
 def _as_radius(r):
     try:
@@ -51,8 +55,15 @@ def _is_exact(x):
     return isinstance(x, (int, Fraction)) or isinstance(x, np.integer)
 
 
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def _log_of_exact(v):
     # math.log takes arbitrary-size ints, which keeps huge sphere volumes usable
+    if type(v) is int:
+        return math.log(v)
     if isinstance(v, Fraction):
         return math.log(v.numerator) - math.log(v.denominator)
     if _is_exact(v):
@@ -97,6 +108,16 @@ class RadialModel:
     and ``area(r)`` for 0 <= r <= depth.  Reading past the stored depth
     raises NeedsTailError; rebuild the model deeper instead of guessing.
     Use the ``make_*`` constructors rather than instantiating directly.
+
+    The per-radius accessors return the stored values exactly.  The bulk
+    views are built on first use, each in one pass over the radii asked
+    for, cached read-only and rebuilt only when a longer range is asked
+    for: the degrees as floats and in an exact form (see
+    ``exact_degrees``), and the log-areas.  ``kappa_floats`` divides the
+    cached degrees on each call.  Nothing is built in the constructor.
+    Exact volumes and areas are never cached, because on a tree they grow
+    like d**r; the log-areas take ``math.log`` of each exact area as it is
+    formed.
     """
 
     def __init__(self, *, k_plus_of, k_minus_of, vol_of, area_of=None,
@@ -112,7 +133,7 @@ class RadialModel:
         self._tail = tail
         self._label = label
         self._family = family
-        self._float_cache = {}
+        self._arrays = {}
 
     @property
     def depth(self):
@@ -184,57 +205,118 @@ class RadialModel:
             return Fraction(kp) / Fraction(km)
         return kp / km
 
-    # -- bulk float views (cached, grow on demand, returned read-only) -----
+    # -- bulk views (cached, grow on demand, returned read-only) ------------
 
-    def _cached(self, name, of, r_hi):
-        arr = self._float_cache.get(name)
-        if arr is None or arr.shape[0] < r_hi + 1:
-            arr = np.fromiter((float(of(r)) for r in range(r_hi + 1)),
-                              dtype=float, count=r_hi + 1)
-            arr.flags.writeable = False
-            self._float_cache[name] = arr
-        return arr[: r_hi + 1]
+    def _cached(self, name, size, build):
+        """The arrays cached under ``name``, rebuilt by build(size) if shorter."""
+        arrays = self._arrays.get(name)
+        if arrays is None or arrays[0].shape[0] < size:
+            arrays = self._arrays[name] = build(size)
+        return arrays
+
+    def _build_degrees(self, n):
+        """k_plus(0..n-1) and k_minus(0..n), as floats and in exact form."""
+        kp = [self._k_plus_of(r) for r in range(n)]
+        km = [0] + [self._k_minus_of(r) for r in range(1, n + 1)]
+        types = set(map(type, itertools.chain(kp, km)))
+        if any(issubclass(t, np.integer) for t in types):
+            # numpy integers become Python ints, whose products never wrap
+            kp = [int(x) if isinstance(x, np.integer) else x for x in kp]
+            km = [int(x) if isinstance(x, np.integer) else x for x in km]
+            types = set(map(type, itertools.chain(kp, km)))
+        kp_f = _frozen(np.array(kp, dtype=float))
+        km_f = _frozen(np.array(km, dtype=float))
+        has_float = any(issubclass(t, float) for t in types)
+        small_ints = (types == {int}
+                      and max(max(kp), max(km), n) ** 2 < _EXACT_FLOAT_LIMIT)
+        if has_float or small_ints:
+            return kp_f, km_f, kp_f, km_f
+        return (kp_f, km_f, _frozen(np.array(kp, dtype=object)),
+                _frozen(np.array(km, dtype=object)))
 
     def k_plus_floats(self, r_hi):
         """k_plus(0..r_hi) as a float array."""
         r_hi = _as_radius(r_hi)
         self._need(r_hi, self._depth - 1, "k_plus")
-        return self._cached("k_plus", self._k_plus_of, r_hi)
+        return self._cached("degrees", r_hi + 1, self._build_degrees)[0][: r_hi + 1]
 
     def k_minus_floats(self, r_hi):
         """k_minus(0..r_hi) as a float array (entry 0 is 0)."""
         r_hi = _as_radius(r_hi)
         self._need(r_hi, self._depth, "k_minus")
-        return self._cached(
-            "k_minus", lambda r: 0.0 if r == 0 else self._k_minus_of(r), r_hi
-        )
+        return self._cached("degrees", max(r_hi, 1), self._build_degrees)[1][: r_hi + 1]
+
+    def exact_degrees(self, r_hi):
+        """k_plus(0..r_hi) and k_minus(0..r_hi) in arrays with exact products.
+
+        A product of two entries, or of an entry and a radius up to r_hi + 1,
+        and the difference of two such products are exact in these arrays,
+        so kappa ratios compare and subtract exactly through cross products.
+        They are the float views when every degree is an integer small
+        enough for those products to stay below 2**53 (or when the data
+        itself is float, which has no exactness to keep), and object arrays
+        of the stored ints and Fractions otherwise.
+        """
+        r_hi = _as_radius(r_hi)
+        self._need(r_hi, self._depth - 1, "k_plus")
+        kp, km = self._cached("degrees", r_hi + 1, self._build_degrees)[2:]
+        return kp[: r_hi + 1], km[: r_hi + 1]
 
     def kappa_floats(self, r_hi):
-        """kappa(1..r_hi) as a float array; entry 0 is NaN."""
-        r_hi = _as_radius(r_hi)
-        self._need(r_hi, self._depth - 1, "kappa")
-        with np.errstate(divide="ignore"):
-            out = self.k_plus_floats(r_hi) / self.k_minus_floats(r_hi)
-        out = np.array(out)
-        out[0] = np.nan
-        out.flags.writeable = False
-        return out
+        """kappa(1..r_hi) as a float array, each rounded once; entry 0 is NaN."""
+        kp, km = self.exact_degrees(r_hi)
+        kappa = np.empty(r_hi + 1)
+        kappa[0] = np.nan
+        if kp.dtype == object:
+            # one correctly rounded division per radius, as float(Fraction)
+            kappa[1:] = np.fromiter(map(operator.truediv, kp[1:], km[1:]),
+                                    dtype=float, count=r_hi)
+        else:
+            np.divide(kp[1:], km[1:], out=kappa[1:])
+        return _frozen(kappa)
 
-    def log_vol_floats(self, r_hi):
-        """Natural log of vol(0..r_hi).  Exact volumes never overflow here."""
-        r_hi = _as_radius(r_hi)
-        self._need(r_hi, self._depth, "vol")
-        return self._cached("log_vol", lambda r: _log_of_exact(self._vol_of(r)), r_hi)
+    def _exact_areas(self, r_lo, r_hi):
+        """Yield area(r_lo..r_hi) exactly, one radius at a time.
+
+        Where k_minus(r - 1) = 1 the area is the previous one times
+        k_plus(r - 1), so trees never rebuild d**r from scratch; elsewhere
+        it comes from the stored data.
+        """
+        area = None
+        for r in range(r_lo, r_hi + 1):
+            step = None
+            if type(area) is int and self._k_minus_of(r - 1) == 1:
+                step = self._k_plus_of(r - 1)
+            area = area * step if type(step) is int else self._area_of(r)
+            yield area
+
+    def area_values(self, r_lo, r_hi):
+        """area(r_lo..r_hi) as an object array of exact values (r_lo >= 1).
+
+        Computed on each call and not cached: exact areas can be huge.
+        """
+        r_lo, r_hi = _as_radius(r_lo), _as_radius(r_hi)
+        if r_lo < 1:
+            raise InvalidParameterError("area values start at radius 1")
+        self._need(r_hi, self._depth, "area")
+        return np.fromiter(self._exact_areas(r_lo, r_hi), dtype=object)
+
+    def _build_log_areas(self, n):
+        log_area = np.empty(n)
+        log_area[0] = -math.inf
+        log_area[1:] = np.fromiter(map(_log_of_exact, self._exact_areas(1, n - 1)),
+                                   dtype=float, count=n - 1)
+        return (_frozen(log_area),)
 
     def log_area_floats(self, r_hi):
-        """Natural log of area(0..r_hi); entry 0 is -inf."""
+        """Natural log of area(0..r_hi); entry 0 is -inf.
+
+        Each entry is math.log of the exact area, so it matches
+        ``math.log(model.area(r))`` bit for bit.
+        """
         r_hi = _as_radius(r_hi)
         self._need(r_hi, self._depth, "area")
-        return self._cached(
-            "log_area",
-            lambda r: -math.inf if r == 0 else _log_of_exact(self._area_of(r)),
-            r_hi,
-        )
+        return self._cached("log_area", r_hi + 1, self._build_log_areas)[0][: r_hi + 1]
 
     def radial_data(self, r_max=None):
         """Rows (r, k_plus, k_minus, vol) for r = 0..r_max.

@@ -1,0 +1,228 @@
+"""The array paths against their per-radius definitions.
+
+Each reference below is the per-radius loop the array code replaced, in
+exact Fraction arithmetic where the data is exact.  Integer models are
+chosen on both sides of the 2**53 cross-product limit, so the object-array
+route is exercised as well as the float64 one.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hardy_lab import (
+    Tail,
+    check_bounded_oscillation,
+    check_lambda0_bound,
+    closed_form_weight,
+    compare_to_green,
+    ground_weight_mass_terms,
+    load_model,
+    make_antitree,
+    make_custom,
+    make_tree,
+    save_model,
+    sqrt_pair_defect,
+)
+
+
+def poly_antitree(p, depth):
+    return make_antitree(lambda r: (r + 1) ** p, depth, label=f"antitree(poly,{p})")
+
+
+def varying_tree(depth):
+    return make_custom([2 + r % 3 for r in range(depth)], [0] + [1] * depth,
+                       tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
+
+
+# -- log-areas -----------------------------------------------------------------
+
+@pytest.mark.parametrize("model", [
+    make_tree(2, 1500),
+    make_tree(3, 900),
+    poly_antitree(2, 1500),
+    varying_tree(1200),
+], ids=["tree2", "tree3", "antitree-poly2", "custom-varying"])
+def test_log_areas_are_bit_identical_to_per_radius_logs(model):
+    la = model.log_area_floats(model.depth)
+    assert la[0] == -math.inf
+    for r in range(1, model.depth + 1):
+        assert la[r] == math.log(model.area(r)), r
+
+
+def test_log_areas_survive_a_file_round_trip(tmp_path):
+    model = varying_tree(600)
+    path = tmp_path / "varying.model"
+    save_model(model, path)
+    back = load_model(path)
+    la = back.log_area_floats(back.depth)
+    assert np.array_equal(la, model.log_area_floats(model.depth))
+    for r in range(1, back.depth + 1):
+        assert la[r] == math.log(back.area(r))
+
+
+# -- closed form and floor -----------------------------------------------------
+
+def square(x):
+    # correctly rounded, unlike glibc's pow(x, 2) behind ``x ** 2``, which
+    # misrounds about 0.1% of inputs; the kappa ~ 1 cancellation on
+    # antitrees amplifies that one ulp to several ulp of w
+    return x * x
+
+
+def scalar_closed_form(model, gamma, r):
+    gamma = Fraction(gamma)
+    if r == 0:
+        a1 = float(model.area(1))
+        return float(model.k_plus(0)) * (1.0 - 1.0 / math.sqrt(float(gamma) * a1))
+    if r == 1:
+        kap = float(model.kappa(1))
+        a1 = float(model.area(1))
+        return float(model.k_minus(1)) * (
+            1.0 + kap - math.sqrt(2.0 * kap) - math.sqrt(float(gamma) * a1))
+    kap, kap_prev = model.kappa(r), model.kappa(r - 1)
+    sk, sk_prev = math.sqrt(float(kap)), math.sqrt(float(kap_prev))
+    x = 1.0 / r
+    term = (square(sk - 1.0) + sk * sqrt_pair_defect(x)
+            + float(kap - kap_prev) * math.sqrt(1.0 - x) / (sk + sk_prev))
+    return float(model.k_minus(r)) * term
+
+
+def scalar_floor(model, r):
+    kap, kap_prev = model.kappa(r), model.kappa(r - 1)
+    if not kap_prev <= kap:
+        return math.nan
+    sk = math.sqrt(float(kap))
+    return float(model.k_minus(r)) * (square(sk - 1.0) + sk / (4.0 * r * r))
+
+
+@pytest.mark.parametrize("model, gamma", [
+    (make_tree(2, 1200), 0),
+    (make_tree(3, 1200), Fraction(1, 3)),
+    (poly_antitree(1, 1200), 0),
+    (poly_antitree(2, 10_001), 0),
+    (varying_tree(1200), 0),
+], ids=["tree2", "tree3-gamma", "antitree-poly1", "antitree-poly2-deep", "custom-varying"])
+def test_closed_form_matches_per_radius_formula(model, gamma):
+    r_max = model.depth - 1
+    profile = closed_form_weight(model, gamma, r_max)
+    r_min = 0 if gamma > 0 else 1
+    expected = np.array([scalar_closed_form(model, gamma, r) if r >= r_min else 0.0
+                         for r in range(r_max + 1)])
+    assert np.all(np.abs(profile.values - expected) <= 4 * np.spacing(np.abs(expected)))
+    floors = np.array([math.nan, math.nan]
+                      + [scalar_floor(model, r) for r in range(2, r_max + 1)])
+    np.testing.assert_array_equal(profile.floor_values, floors)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_mass_terms_are_r_w_over_k_minus(p):
+    model = poly_antitree(p, 10_001)
+    r_max = 10_000
+    terms = ground_weight_mass_terms(model, r_max)
+    w = closed_form_weight(model, 0, r_max).values
+    r = np.arange(1, r_max + 1)
+    expected = r * w[1:] / model.k_minus_floats(r_max)[1:]
+    assert terms[0] == 0.0
+    assert np.all(np.abs(terms[1:] - expected) <= 1e-15 * np.abs(expected))
+
+
+# -- kappa scans ---------------------------------------------------------------
+
+def scalar_first_inhomogeneous(model):
+    for r in range(2, model.depth):
+        if model.kappa(r) != model.kappa(1) or model.k_minus(r) != model.k_minus(1):
+            return r
+    return None
+
+
+def scalar_kappa_constant_from(model):
+    kap_end = model.kappa(model.depth - 1)
+    r0 = model.depth - 1
+    while r0 > 1 and model.kappa(r0 - 1) == kap_end:
+        r0 -= 1
+    return r0
+
+
+def scalar_ratio_range(model, r_max):
+    ratios = [float((1 + Fraction(1, r)) / model.kappa(r)) for r in range(1, r_max + 1)]
+    return min(ratios), max(ratios)
+
+
+def assert_scans_match(model):
+    lam = check_lambda0_bound(model, section_radii=(16, 32))
+    first = scalar_first_inhomogeneous(model)
+    if first is None:
+        assert lam.status != "hypothesis-not-met"
+    else:
+        assert lam.status == "hypothesis-not-met"
+        assert lam.params["first_inhomogeneous_radius"] == first
+
+    comparison = compare_to_green(model, min(16, model.depth - 2))
+    assert comparison.kappa_constant_from == scalar_kappa_constant_from(model)
+
+    r_max = model.depth - 1
+    osc = check_bounded_oscillation(model, r_max)
+    lo, hi = scalar_ratio_range(model, r_max)
+    assert (osc.residuals["min_ratio"], osc.residuals["max_ratio"]) == (lo, hi)
+    assert osc.status == ("pass" if lo >= 1 / 100 and hi <= 100 else "fail")
+
+
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=5, max_size=30))
+def test_scans_match_scalar_loops_on_random_models(degrees):
+    k_plus = [kp for kp, _ in degrees]
+    k_minus = [0] + [km for _, km in degrees]
+    model = make_custom(k_plus, k_minus,
+                        tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
+    assert_scans_match(model)
+
+
+def test_scans_see_a_change_at_the_last_stored_radius():
+    depth = 40
+    model = make_custom([2] * (depth - 1) + [3], [0] + [1] * depth,
+                        tail=Tail("eventually-geometric", kappa_inf=Fraction(3)))
+    assert scalar_first_inhomogeneous(model) == depth - 1
+    assert scalar_kappa_constant_from(model) == depth - 1
+    assert_scans_match(model)
+
+
+def test_scans_stay_exact_when_ratios_round_to_one_float():
+    # kappa(2) = 1 + 2**-60 rounds to 1.0, like the kappa = 1 around it
+    model = make_custom([1, 1, 2 ** 60 + 1, 1, 1], [0, 1, 2 ** 60, 1, 1, 1],
+                        tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
+    assert model.kappa_floats(4)[2] == 1.0
+    assert model.exact_degrees(4)[0].dtype == object
+    assert scalar_kappa_constant_from(model) == 3
+    assert_scans_match(model)
+    profile = closed_form_weight(model, 0, 4)
+    assert profile.values[2] == scalar_closed_form(model, 0, 2)
+    assert not np.isnan(profile.floor_values[2])
+    assert np.isnan(profile.floor_values[3])
+
+
+def test_scans_stay_exact_past_int64_on_deep_antitree():
+    model = poly_antitree(2, 100_000)
+    kp, km = model.exact_degrees(model.depth - 1)
+    # cross products reach about 1e20: past 2**53 and past int64
+    assert kp.dtype == object
+    assert kp[-1] * km[-2] > 2 ** 64
+    assert_scans_match(model)
+
+
+def test_numpy_integer_data_stays_exact():
+    # k_plus(1) k_minus(2) = 2**80 would wrap in int64 arithmetic
+    k_plus = [1, 2 ** 40, 2 ** 40 + 1, 2 ** 40, 1]
+    k_minus = [0, 1, 2 ** 40, 2 ** 40, 1, 1]
+    tail = Tail("eventually-geometric", kappa_inf=Fraction(2))
+    plain = make_custom(k_plus, k_minus, tail=tail)
+    numpy_ints = make_custom(np.array(k_plus, dtype=np.int64),
+                             np.array(k_minus, dtype=np.int64), tail=tail)
+    np.testing.assert_array_equal(closed_form_weight(numpy_ints, 0, 4).values,
+                                  closed_form_weight(plain, 0, 4).values)
+    assert (compare_to_green(numpy_ints, 3).kappa_constant_from
+            == scalar_kappa_constant_from(plain))
+    assert_scans_match(plain)

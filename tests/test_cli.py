@@ -186,3 +186,25 @@ def test_usage_errors_exit_2(capsys):
 
     code, _, err = run(capsys, "verify", "--model", "tree:2:50")
     assert code == 2  # criticality needs two scales to fit the depth
+
+
+def test_malformed_model_spec_exits_2(capsys):
+    code, out, err = run(capsys, "weight", "--model", "tree:x:10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tree:x:10" in err
+
+
+def test_malformed_gamma_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--model", "tree:2:100", "--gamma", "abc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "abc" in err
+
+
+def test_missing_model_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "nonexistent.model"
+    code, out, err = run(capsys, "verify", "--model", f"file:{missing}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nonexistent.model" in err
