@@ -159,7 +159,6 @@ def cmd_model(args):
     tail = model.tail
     lines = [
         f"label {model.label}",
-        f"family {model.family[0]}",
         f"depth {model.depth}",
         f"tail {tail.kind}" + (
             f" kappa_inf={tail.kappa_inf} start={tail.start}"

@@ -453,11 +453,19 @@ def load_density(path):
         if not value:
             raise InvalidParameterError(f"{path}: bad line {ln!r}")
         fields[key] = value.strip()
+
+    def integer(key):
+        try:
+            return int(fields[key])
+        except (KeyError, ValueError):
+            raise InvalidParameterError(f"{path}: kind {kind} needs an integer "
+                                        f"'{key}' line, got {fields.get(key)!r}") from None
+
     kind = fields.get("kind")
     if kind == "hyperbolic":
-        return hyperbolic_space(int(fields["dim"]))
+        return hyperbolic_space(integer("dim"))
     if kind == "damek-ricci":
-        return damek_ricci_space(int(fields["p"]), int(fields["q"]))
+        return damek_ricci_space(integer("p"), integer("q"))
     if kind in ("model", "harmonic"):
         name = fields.get("curve")
         if name not in BUILTIN_CURVES:
@@ -466,6 +474,6 @@ def load_density(path):
             )
         curve = BUILTIN_CURVES[name]
         if kind == "model":
-            return riemannian_model(curve, int(fields["dim"]))
+            return riemannian_model(curve, integer("dim"))
         return harmonic_manifold(curve, label=f"harmonic({name})")
     raise InvalidParameterError(f"{path}: unknown kind {kind!r}")

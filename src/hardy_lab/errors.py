@@ -25,7 +25,11 @@ class InconsistentModelError(HardyLabError):
 
 
 class NoCanonicalRealizationError(HardyLabError):
-    """The model has no built-in vertex-level realization."""
+    """The radial data has no vertex-level realization.
+
+    Raised for data with a non-integer degree or volume, and for integer
+    data with k_plus(r) > vol(r + 1), which no simple graph carries.
+    """
 
 
 class SizeLimitExceededError(HardyLabError):

@@ -33,6 +33,7 @@ from .errors import (
     SeriesDivergenceRiskError,
 )
 from .reporting import VerificationReport
+from .spectral_ops import radial_laplacian
 
 DEFAULT_DPS = 40
 
@@ -101,10 +102,7 @@ def fitzsimmons_ratio(model, values, r):
     vr = values[r]
     if not vr > 0:
         raise NotPositiveError(f"profile must be positive at radius {r}, got {vr}")
-    num = model.k_plus(r) * (vr - values[r + 1])
-    if r > 0:
-        num += model.k_minus(r) * (vr - values[r - 1])
-    return num / vr
+    return radial_laplacian(model, values, r) / vr
 
 
 def fitzsimmons_weight(model, gamma, r_max, dps=DEFAULT_DPS):
@@ -417,13 +415,6 @@ def closed_form_weight(model, gamma, r_max):
 
 # -- superharmonicity checks --------------------------------------------------
 
-def _laplacian_on_sequence(model, seq, r):
-    val = model.k_plus(r) * (seq[r] - seq[r + 1])
-    if r > 0:
-        val += model.k_minus(r) * (seq[r] - seq[r - 1])
-    return val
-
-
 def check_superharmonic_ground(model, gamma, r_max, tol=1e-12):
     """Verify that the ground profile u is superharmonic up to r_max.
 
@@ -445,7 +436,7 @@ def check_superharmonic_ground(model, gamma, r_max, tol=1e-12):
     bad_low = False
     bad_high = False
     for r in range(r_min, r_max + 1):
-        defect = _laplacian_on_sequence(model, u, r)
+        defect = radial_laplacian(model, u, r)
         ratio = defect / u[r]
         worst_ratio = min(worst_ratio, float(ratio))
         violated = defect < 0 if exact else float(ratio) < -tol

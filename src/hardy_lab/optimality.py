@@ -580,9 +580,10 @@ def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
     For models with kappa(r) and k_minus(r) constant over the stored range
     the bottom of the spectrum is at least shift = k_minus (sqrt(kappa)-1)**2.
     Dirichlet section bottoms decrease towards the true bottom, so the check
-    asserts they are decreasing and all stay above shift - tol.  On trees
-    the ball form is additionally certified at vertex level through the
-    per-level elimination pivots, at sizes far beyond dense reach.
+    asserts they are decreasing and all stay above shift - tol.  When the
+    data is a tree's (k_minus = 1 and integer outward degrees), the ball
+    form is additionally certified at vertex level through the per-level
+    elimination pivots, at sizes far beyond dense reach.
     """
     depth = model.depth
     kap0 = model.kappa(1)
@@ -615,11 +616,11 @@ def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
         "final_gap": bottoms[-1] - shift,
     }
     vertex_ok = True
-    if model.family[0] == "tree":
-        d = model.family[1]
-        ball_radius = max(radii)
+    ball_radius = max(radii)
+    k_plus = [model.k_plus(r) for r in range(ball_radius + 1)]
+    if km0 == 1 and not any(k % 1 for k in k_plus):
         vertex_bottom = tree_ball_bottom_eigenvalue(
-            d, np.zeros(ball_radius + 1), tol=1e-11
+            k_plus, np.zeros(ball_radius + 1), tol=1e-11
         )
         residuals["vertex_ball_bottom"] = vertex_bottom
         vertex_ok = vertex_bottom >= shift - tol

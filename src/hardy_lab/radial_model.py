@@ -52,7 +52,12 @@ def _as_radius(r):
 
 
 def _is_exact(x):
-    return isinstance(x, (int, Fraction)) or isinstance(x, np.integer)
+    return isinstance(x, (int, Fraction))
+
+
+def _plain(x):
+    # numpy integers become Python ints, whose products never wrap
+    return int(x) if isinstance(x, np.integer) else x
 
 
 def _frozen(arr):
@@ -62,12 +67,8 @@ def _frozen(arr):
 
 def _log_of_exact(v):
     # math.log takes arbitrary-size ints, which keeps huge sphere volumes usable
-    if type(v) is int:
-        return math.log(v)
     if isinstance(v, Fraction):
         return math.log(v.numerator) - math.log(v.denominator)
-    if _is_exact(v):
-        return math.log(int(v))
     return math.log(v)
 
 
@@ -121,7 +122,7 @@ class RadialModel:
     """
 
     def __init__(self, *, k_plus_of, k_minus_of, vol_of, area_of=None,
-                 depth, tail, label, family):
+                 depth, tail, label):
         depth = _as_radius(depth)
         if depth < 2:
             raise InvalidParameterError("model depth must be at least 2")
@@ -132,7 +133,6 @@ class RadialModel:
         self._depth = depth
         self._tail = tail
         self._label = label
-        self._family = family
         self._arrays = {}
 
     @property
@@ -146,11 +146,6 @@ class RadialModel:
     @property
     def label(self):
         return self._label
-
-    @property
-    def family(self):
-        """("tree", d), ("antitree",) or ("custom",)."""
-        return self._family
 
     def __repr__(self):
         return (f"RadialModel({self._label!r}, depth={self._depth}, "
@@ -219,11 +214,6 @@ class RadialModel:
         kp = [self._k_plus_of(r) for r in range(n)]
         km = [0] + [self._k_minus_of(r) for r in range(1, n + 1)]
         types = set(map(type, itertools.chain(kp, km)))
-        if any(issubclass(t, np.integer) for t in types):
-            # numpy integers become Python ints, whose products never wrap
-            kp = [int(x) if isinstance(x, np.integer) else x for x in kp]
-            km = [int(x) if isinstance(x, np.integer) else x for x in km]
-            types = set(map(type, itertools.chain(kp, km)))
         kp_f = _frozen(np.array(kp, dtype=float))
         km_f = _frozen(np.array(km, dtype=float))
         has_float = any(issubclass(t, float) for t in types)
@@ -359,7 +349,6 @@ def make_tree(d, depth):
         depth=depth,
         tail=tail,
         label=f"tree(d={d})",
-        family=("tree", d),
     )
 
 
@@ -404,7 +393,6 @@ def make_antitree(sphere_sizes, depth, label=None):
         depth=depth,
         tail=Tail("unspecified"),
         label=label or "antitree",
-        family=("antitree",),
     )
 
 
@@ -423,8 +411,8 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
     for exact inputs and to 1e-12 relative tolerance once floats appear;
     a violation raises InconsistentModelError carrying the first bad radius.
     """
-    kp = tuple(k_plus)
-    km = tuple(k_minus)
+    kp = tuple(map(_plain, k_plus))
+    km = tuple(map(_plain, k_minus))
     depth = len(km) - 1
     if depth < 2:
         raise InvalidParameterError("need radial data for radii 0..2 at least")
@@ -450,7 +438,7 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
         vv = tuple(x if not (isinstance(x, Fraction) and x.denominator == 1) else int(x)
                    for x in v)
     else:
-        vv = tuple(vol)
+        vv = tuple(map(_plain, vol))
         if len(vv) != depth + 1:
             raise InvalidParameterError(
                 f"expected {depth + 1} volumes for depth {depth}, got {len(vv)}"
@@ -478,7 +466,6 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
         depth=depth,
         tail=tail or Tail("unspecified"),
         label=label,
-        family=("custom",),
     )
 
 
@@ -509,57 +496,52 @@ class VertexGraph:
 def expand_vertex_graph(model, radius, max_vertices=MAX_VERTEX_EXPANSION):
     """Materialize the ball of the given radius as an explicit graph.
 
-    Only the tree and antitree families have a canonical vertex-level
-    realization; generic radial data is compatible with many different
-    graphs and is refused.  The vertex count is checked against
-    ``max_vertices`` before anything is allocated.
+    One wiring rule serves all integer radial data: between spheres r and
+    r + 1, stub s = 0..area(r + 1) - 1 joins inner vertex s // k_plus(r) to
+    outer vertex s % vol(r + 1).  With k_plus(r) <= vol(r + 1) the graph is
+    simple and every vertex has the stored k_plus and k_minus; trees and
+    antitrees come out in their usual numbering.  Non-integer data, and data
+    with k_plus(r) > vol(r + 1), has no such realization and is refused.
+    Vertex and edge counts are checked against ``max_vertices`` and
+    MAX_EDGE_EXPANSION before anything is allocated.
     """
     radius = _as_radius(radius)
     if radius > model.depth:
         raise NeedsTailError(
             f"ball of radius {radius} exceeds the stored depth {model.depth}"
         )
-    fam = model.family[0]
-    if fam not in ("tree", "antitree"):
+    sizes = [model.vol(r) for r in range(radius + 1)]
+    k_plus = [model.k_plus(r) for r in range(radius)]
+    k_minus = [model.k_minus(r) for r in range(radius + 1)]
+    if any(x % 1 for x in sizes + k_plus + k_minus):
         raise NoCanonicalRealizationError(
-            "custom radial data does not determine a vertex-level graph"
+            "radial data with a non-integer degree or volume determines no graph"
         )
-    sizes = [int(model.vol(r)) for r in range(radius + 1)]
+    sizes, k_plus = list(map(int, sizes)), list(map(int, k_plus))
+    if any(kp > v for kp, v in zip(k_plus, sizes[1:])):
+        raise NoCanonicalRealizationError(
+            "some k_plus(r) exceeds vol(r + 1): no simple graph has this data")
     n = sum(sizes)
     if n > max_vertices:
         raise SizeLimitExceededError(
             f"ball of radius {radius} has {n} vertices, cap is {max_vertices}"
+        )
+    n_edges = sum(kp * v for kp, v in zip(k_plus, sizes))
+    if n_edges > MAX_EDGE_EXPANSION:
+        raise SizeLimitExceededError(
+            f"ball of radius {radius} has {n_edges} edges, cap is {MAX_EDGE_EXPANSION}"
         )
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     radius_of = np.repeat(np.arange(radius + 1), sizes)
     sphere_slices = tuple(
         slice(int(offsets[r]), int(offsets[r + 1])) for r in range(radius + 1)
     )
-
-    if fam == "tree":
-        d = model.family[1]
-        heads = np.arange(offsets[1], offsets[radius + 1], dtype=np.int64)
-        tails = np.empty_like(heads)
-        pos = 0
-        for r in range(1, radius + 1):
-            cnt = sizes[r]
-            # vertex j on sphere r hangs below vertex j // d on sphere r - 1
-            tails[pos: pos + cnt] = offsets[r - 1] + np.arange(cnt, dtype=np.int64) // d
-            pos += cnt
-        edges = np.stack([tails, heads], axis=1)
-    else:
-        n_edges = sum(sizes[r] * sizes[r + 1] for r in range(radius))
-        if n_edges > MAX_EDGE_EXPANSION:
-            raise SizeLimitExceededError(
-                f"ball of radius {radius} has {n_edges} edges, cap is {MAX_EDGE_EXPANSION}"
-            )
-        chunks = []
-        for r in range(radius):
-            inner = np.arange(offsets[r], offsets[r + 1], dtype=np.int64)
-            outer = np.arange(offsets[r + 1], offsets[r + 2], dtype=np.int64)
-            ii, oo = np.meshgrid(inner, outer, indexing="ij")
-            chunks.append(np.stack([ii.ravel(), oo.ravel()], axis=1))
-        edges = np.concatenate(chunks, axis=0)
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    for r in range(radius):
+        stub = np.arange(k_plus[r] * sizes[r], dtype=np.int64)
+        chunks.append(np.stack([offsets[r] + stub // k_plus[r],
+                                offsets[r + 1] + stub % sizes[r + 1]], axis=1))
+    edges = np.concatenate(chunks)
 
     return VertexGraph(
         radius=radius,
@@ -619,7 +601,7 @@ def _parse_value(token, where):
 
 
 def load_model(path):
-    """Read a model written by save_model.  Loaded models are family custom."""
+    """Read a model written by save_model, as a make_custom model."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
     lines = [ln.strip() for ln in raw_lines]

@@ -9,6 +9,7 @@ what makes windows at radius 10**4 and beyond numerically routine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +24,20 @@ _SAFE_MIN = 2.2250738585072014e-308
 def radial_laplacian(model, values, r):
     """Apply the positive radial difference operator to a profile at radius r.
 
-    Returns k_plus(r) (v(r) - v(r + 1)) + k_minus(r) (v(r) - v(r - 1)) with
-    v(-1) read as 0 (the k_minus(0) = 0 convention makes that term vanish
-    at the origin anyway).  Needs the profile one radius past r.
+    Returns k_plus(r) (v(r) - v(r + 1)) + k_minus(r) (v(r) - v(r - 1)), the
+    inward term dropped at the origin (k_minus(0) = 0).  Needs the profile
+    one radius past r.  The arithmetic stays in the number type of the
+    profile and the model data (float, Fraction or mpmath), so exact
+    profiles on exact models give exact results.
     """
-    vals = np.asarray(values, dtype=float)
-    if r < 0 or r + 1 >= vals.shape[0]:
+    if r < 0 or r + 1 >= len(values):
         raise InvalidParameterError(
-            f"profile of length {vals.shape[0]} cannot be differenced at radius {r}"
+            f"profile of length {len(values)} cannot be differenced at radius {r}"
         )
-    kp = float(model.k_plus(r))
-    km = float(model.k_minus(r))
-    inward = 0.0 if r == 0 else km * (vals[r] - vals[r - 1])
-    return kp * (vals[r] - vals[r + 1]) + inward
+    out = model.k_plus(r) * (values[r] - values[r + 1])
+    if r > 0:
+        out += model.k_minus(r) * (values[r] - values[r - 1])
+    return out
 
 
 def radial_energy(model, values):
@@ -234,57 +236,65 @@ def ball_form_matrix(graph, weight_values, inner_radius):
     return h
 
 
-def tree_ball_pivots(d, weight_values):
-    """Leaf-elimination pivots certifying the tree ball form, one per level.
+def tree_ball_pivots(k_plus, weight_values):
+    """Leaf-elimination pivots certifying a tree ball form, one per level.
 
-    On the tree where every vertex has d forward neighbors, eliminating the
-    ball's vertices sphere by sphere from the outside produces the same
-    pivot for every vertex of a level:
+    On a tree whose vertices at level r have k_plus(r) forward neighbors and
+    one inward neighbor (k_minus = 1), eliminating the ball's vertices
+    sphere by sphere from the outside produces the same pivot for every
+    vertex of a level:
 
-        delta[R] = d + 1 - w(R)
-        delta[r] = d + 1 - w(r) - d / delta[r + 1]     (0 < r < R)
-        delta[0] = d - w(0) - d / delta[1]
+        delta[R] = k_plus(R) + 1 - w(R)
+        delta[r] = k_plus(r) + 1 - w(r) - k_plus(r) / delta[r + 1]   (0 < r < R)
+        delta[0] = k_plus(0) - w(0) - k_plus(0) / delta[1]
 
-    All pivots positive proves the ball matrix positive definite, with
-    vol(r) = d**r vertices per level covered by one number each.  If a pivot
-    fails to stay positive the elimination stops and the remaining inner
-    entries are NaN.
+    ``k_plus`` is a scalar d for the tree with constant branching or one
+    value per level 0..R.  All pivots positive proves the ball matrix
+    positive definite, with vol(r) vertices per level covered by one number
+    each.  If a pivot fails to stay positive the elimination stops and the
+    remaining inner entries are NaN.
     """
     w = np.asarray(weight_values, dtype=float)
     radius = w.shape[0] - 1
     if radius < 1:
         raise InvalidParameterError("need weights for at least radii 0 and 1")
-    delta = np.full(radius + 1, np.nan)
-    delta[radius] = (d + 1) - w[radius]
+    # Python floats round like float64 and index faster in this loop
+    kp = np.broadcast_to(np.asarray(k_plus, dtype=float), w.shape).tolist()
+    wl = w.tolist()
+    delta = [math.nan] * (radius + 1)
+    delta[radius] = (kp[radius] + 1) - wl[radius]
     for r in range(radius - 1, -1, -1):
         if delta[r + 1] <= 0.0:
             break
-        degree = d if r == 0 else d + 1
-        delta[r] = degree - w[r] - d / delta[r + 1]
-    return delta
+        degree = kp[r] if r == 0 else kp[r] + 1
+        delta[r] = degree - wl[r] - kp[r] / delta[r + 1]
+    return np.array(delta)
 
 
-def tree_ball_is_positive(d, weight_values):
+def tree_ball_is_positive(k_plus, weight_values):
     """True when every elimination pivot of the tree ball is positive."""
-    delta = tree_ball_pivots(d, weight_values)
+    delta = tree_ball_pivots(k_plus, weight_values)
     return bool(np.all(np.isfinite(delta)) and np.all(delta > 0.0))
 
 
-def tree_ball_bottom_eigenvalue(d, weight_values, tol=1e-11):
+def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     """Bottom eigenvalue of the tree ball form via bisection on the pivots.
 
     The shifted matrix is positive definite exactly for shifts below the
     bottom eigenvalue, and a failed elimination implies a singular leading
     block, which by interlacing also rules the shift out.  Works at ball
-    sizes where a dense matrix is impossible.
+    sizes where a dense matrix is impossible.  ``k_plus`` is as in
+    tree_ball_pivots.
     """
     w = np.asarray(weight_values, dtype=float)
-    # Gershgorin: diagonals lie in [d - max w, d + 1 - min w], row radii <= d + 1
-    hi = float((d + 1) - w.min() + (d + 1))
-    lo = float(d - w.max() - (d + 1))
+    kp = np.broadcast_to(np.asarray(k_plus, dtype=float), w.shape)
+    # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
+    # row radii <= max k_plus + 1
+    hi = float((kp.max() + 1) - w.min() + (kp.max() + 1))
+    lo = float(kp.min() - w.max() - (kp.max() + 1))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if tree_ball_is_positive(d, w + mid):
+        if tree_ball_is_positive(kp, w + mid):
             lo = mid
         else:
             hi = mid

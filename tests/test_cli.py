@@ -208,3 +208,37 @@ def test_missing_model_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "nonexistent.model" in err
+
+
+@pytest.mark.parametrize("spec", ["tree:3:150", "antitree:poly:1:150"])
+def test_saved_model_verifies_like_its_source(tmp_path, capsys, spec):
+    path = tmp_path / "saved.model"
+    code, _, _ = run(capsys, "model", "--model", spec, "--out", str(path))
+    assert code == 0
+    source, saved = tmp_path / "source.json", tmp_path / "saved.json"
+    for model, out in ((spec, source), (f"file:{path}", saved)):
+        code, _, _ = run(capsys, "verify", "--model", model, "--json",
+                         "--out", str(out))
+        assert code == 0
+    assert saved.read_bytes() == source.read_bytes()
+    _, printed_source, _ = run(capsys, "model", "--model", spec)
+    _, printed_saved, _ = run(capsys, "model", "--model", f"file:{path}")
+    assert printed_saved == printed_source
+
+
+def test_density_file_without_dim_exits_2(tmp_path, capsys):
+    density = tmp_path / "space.txt"
+    density.write_text("radial-density v1\nkind hyperbolic\n")
+    code, out, err = run(capsys, "continuum", "--space", f"file:{density}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'dim'" in err
+
+
+def test_density_file_with_non_integer_dim_exits_2(tmp_path, capsys):
+    density = tmp_path / "space.txt"
+    density.write_text("radial-density v1\nkind hyperbolic\ndim x\n")
+    code, out, err = run(capsys, "continuum", "--space", f"file:{density}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'x'" in err

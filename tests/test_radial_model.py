@@ -166,9 +166,37 @@ def test_expand_guards():
         expand_vertex_graph(make_tree(2, 4), 5)
     with pytest.raises(SizeLimitExceededError):
         expand_vertex_graph(make_tree(2, 40), 30)
-    custom = make_custom([2, 2, 2], [0, 1, 1, 1])
+    custom = make_custom([3, 3, 3], [0, 2, 2, 2])
     with pytest.raises(NoCanonicalRealizationError):
         expand_vertex_graph(custom, 2)
+
+
+def test_expand_custom_integer_data_uses_the_stub_rule():
+    # saved and reloaded trees realize like their source
+    g = expand_vertex_graph(make_custom([2, 2, 2], [0, 1, 1, 1]), 2)
+    assert np.array_equal(g.edges, expand_vertex_graph(make_tree(2, 3), 2).edges)
+    # integer data that no simple graph carries: k_plus(0) = 5 > vol(1) = 1
+    with pytest.raises(NoCanonicalRealizationError):
+        expand_vertex_graph(make_custom([5, 5, 5], [0, 5, 5, 5]), 2)
+
+
+def test_numpy_integer_data_stays_exact():
+    # k_plus(1) k_minus(2) = 25000000340000001131 wraps in int64 arithmetic
+    a, b = 5000000029, 5000000039
+    m = make_custom(np.array([1, a, a], dtype=np.int64),
+                    np.array([0, 1, b, 1], dtype=np.int64))
+    assert m.kappa(2) - m.kappa(1) == Fraction(-25000000335000001102, b)
+    assert m.kappa(2) < m.kappa(1)
+    assert all(type(m.k_plus(r)) is int for r in range(3))
+
+
+def test_numpy_integer_volumes_are_checked_exactly():
+    # k_minus(1) vol(1) = 2**64 + 2**32 wraps to 2**32 = k_plus(0) vol(0) in int64
+    big = 2 ** 32
+    with pytest.raises(InconsistentModelError):
+        make_custom(np.array([big, 1], dtype=np.int64),
+                    np.array([0, big, 1], dtype=np.int64),
+                    vol=np.array([1, big + 1, big + 1], dtype=np.int64))
 
 
 def test_tail_validation():

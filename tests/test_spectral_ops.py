@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,10 +14,12 @@ from hardy_lab import (
     expand_vertex_graph,
     hardy_form_matrix,
     make_antitree,
+    make_custom,
     make_tree,
     radial_energy,
     radial_laplacian,
     smallest_eigenvalue,
+    tree_ball_bottom_eigenvalue,
     tree_ball_is_positive,
     tree_ball_pivots,
     tree_bottom_of_spectrum,
@@ -26,28 +30,67 @@ from hardy_lab import (
 finite_floats = st.floats(min_value=-5, max_value=5, allow_nan=False)
 
 
-@given(st.lists(finite_floats, min_size=8, max_size=8))
-def test_radial_laplacian_matches_vertex_laplacian_on_tree(vals):
-    model = make_tree(2, 10)
-    graph = expand_vertex_graph(model, 7)
+def varying_trees(depth):
+    """Trees whose branching k_plus(r) in 1..3 varies with the level."""
+    return st.lists(st.integers(1, 3), min_size=depth, max_size=depth).map(
+        lambda kp: make_custom(kp, [0] + [1] * depth, label="varying tree"))
+
+
+def random_antitrees(depth):
+    """Antitrees with random sphere sizes 1..4 beyond the origin."""
+    return st.lists(st.integers(1, 4), min_size=depth, max_size=depth).map(
+        lambda sizes: make_antitree([1] + sizes, depth))
+
+
+def biregular_model(depth):
+    # k_minus = 2 from radius 2 on: vol(r) = 3 * 2**(r - 1)
+    return make_custom([3] + [4] * (depth - 1), [0, 1] + [2] * (depth - 1))
+
+
+def assert_realizes(model, graph):
+    """The graph is simple, joins consecutive spheres only and has degrees k±."""
+    inner, outer = graph.edges[:, 0], graph.edges[:, 1]
+    assert np.all(graph.radius_of[outer] == graph.radius_of[inner] + 1)
+    assert len(set(map(tuple, graph.edges.tolist()))) == graph.n_edges
+    out_deg = np.bincount(inner, minlength=graph.n_vertices)
+    in_deg = np.bincount(outer, minlength=graph.n_vertices)
+    for r, sphere in enumerate(graph.sphere_slices):
+        assert np.all(in_deg[sphere] == model.k_minus(r))
+        expected = model.k_plus(r) if r < graph.radius else 0
+        assert np.all(out_deg[sphere] == expected)
+
+
+def assert_laplacians_match(model, radius, vals):
+    graph = expand_vertex_graph(model, radius)
+    assert_realizes(model, graph)
     radial = np.asarray(vals)
     lifted = radial[graph.radius_of]
     lap = vertex_laplacian(graph, lifted)
-    for r in range(7):
-        idx = graph.sphere_slices[r].start
-        assert lap[idx] == pytest.approx(radial_laplacian(model, radial, r), abs=1e-12)
+    for r in range(radius):
+        sphere = graph.sphere_slices[r]
+        assert lap[sphere] == pytest.approx(
+            np.full(sphere.stop - sphere.start, radial_laplacian(model, radial, r)),
+            abs=1e-12)
 
 
-@given(st.lists(finite_floats, min_size=6, max_size=6))
-def test_radial_laplacian_matches_vertex_laplacian_on_antitree(vals):
-    model = make_antitree(lambda r: r + 1, 8)
-    graph = expand_vertex_graph(model, 5)
-    radial = np.asarray(vals)
-    lifted = radial[graph.radius_of]
-    lap = vertex_laplacian(graph, lifted)
-    for r in range(5):
-        idx = graph.sphere_slices[r].start
-        assert lap[idx] == pytest.approx(radial_laplacian(model, radial, r), abs=1e-12)
+@given(st.lists(finite_floats, min_size=8, max_size=8), varying_trees(10))
+def test_radial_laplacian_matches_vertex_laplacian_on_tree(vals, varying):
+    assert_laplacians_match(make_tree(2, 10), 7, vals)
+    assert_laplacians_match(varying, 7, vals)
+    assert_laplacians_match(biregular_model(10), 7, vals)
+
+
+@given(st.lists(finite_floats, min_size=6, max_size=6), random_antitrees(8))
+def test_radial_laplacian_matches_vertex_laplacian_on_antitree(vals, random_sizes):
+    assert_laplacians_match(make_antitree(lambda r: r + 1, 8), 5, vals)
+    assert_laplacians_match(random_sizes, 5, vals)
+
+
+def test_radial_laplacian_keeps_exact_numbers():
+    model = make_antitree(lambda r: r + 1, 6)
+    profile = [Fraction(1, r + 2) for r in range(6)]
+    # k_plus(2) (1/4 - 1/5) + k_minus(2) (1/4 - 1/3) = 4/20 - 2/12
+    assert radial_laplacian(model, profile, 2) == Fraction(1, 30)
 
 
 @given(st.lists(finite_floats, min_size=9, max_size=9))
@@ -125,16 +168,33 @@ def test_ball_form_matrix_small_tree_by_hand():
 
 @given(st.floats(min_value=-0.4, max_value=0.6, allow_nan=False))
 def test_tree_ball_pivot_certificate_matches_dense(shift):
-    d = 2
     radius = 6
-    lam = tree_bottom_of_spectrum(d)
+    lam = tree_bottom_of_spectrum(2)
     w = np.full(radius + 2, lam + shift)
-    graph = expand_vertex_graph(make_tree(d, radius + 3), radius + 1)
-    H = ball_form_matrix(graph, w[: radius + 2], radius)
-    dense_bottom = float(np.linalg.eigvalsh(H)[0])
-    claim = tree_ball_is_positive(d, w[: radius + 1])
-    if abs(dense_bottom) > 1e-9:
-        assert claim == (dense_bottom > 0)
+    branching = [2, 1, 3, 2, 1, 2, 3, 1, 2, 2]
+    cases = [(2, make_tree(2, radius + 3)),
+             (branching[: radius + 1], make_custom(branching, [0] + [1] * 10))]
+    for k_plus, model in cases:
+        graph = expand_vertex_graph(model, radius + 1)
+        H = ball_form_matrix(graph, w[: radius + 2], radius)
+        dense_bottom = float(np.linalg.eigvalsh(H)[0])
+        claim = tree_ball_is_positive(k_plus, w[: radius + 1])
+        if abs(dense_bottom) > 1e-9:
+            assert claim == (dense_bottom > 0)
+
+
+def test_tree_ball_bottom_matches_dense_on_varying_trees():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        radius = int(rng.integers(2, 6))
+        branching = [int(k) for k in rng.integers(1, 4, size=radius + 1)]
+        model = make_custom(branching, [0] + [1] * (radius + 1))
+        w = rng.uniform(-0.5, 0.5, size=radius + 2)
+        graph = expand_vertex_graph(model, radius + 1)
+        dense_bottom = float(np.linalg.eigvalsh(
+            ball_form_matrix(graph, w, radius))[0])
+        certified = tree_ball_bottom_eigenvalue(branching, w[: radius + 1])
+        assert certified == pytest.approx(dense_bottom, abs=1e-10)
 
 
 def test_tree_ball_pivots_all_positive_at_safe_shift():
