@@ -101,7 +101,7 @@ from .radial_model import (
     make_tree,
     save_model,
 )
-from .reporting import VerificationReport, write_csv, write_json
+from .reporting import VerificationReport
 from .spectral_ops import (
     TridiagonalForm,
     ball_form_matrix,

@@ -104,10 +104,6 @@ def _parse_gamma(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return float(text)
-    except ValueError:
         raise InvalidParameterError(f"bad gamma {text!r}; expected a number") from None
 
 

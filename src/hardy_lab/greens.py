@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     NoGreenFunctionError,
     NotPositiveError,
 )
-from .hardy_weights import closed_form_weight
+from .hardy_weights import _mpf_of, closed_form_weight
 from .reporting import VerificationReport
 
 
@@ -70,24 +71,36 @@ def _quadratic_tail_bound(model):
     second difference in the window, persistence of convexity gives
     area(depth + j) >= A + B j + C j (j + 1) / 2, and the decreasing
     integrand bounds the sum by the integral from 0 to infinity of
-    1 / (A + (B + C/2) x + (C/2) x**2).
+    1 / (c + b x + a x**2) with c = A, b = B + C/2, a = C/2.
+
+    The discriminant's sign is decided exactly.  The integral is evaluated
+    at 30 digits in mpmath, whose exponent range holds the areas of any
+    stored depth, in forms free of cancellation: with root**2 = |disc|,
+    2 atan(root / b) / root for disc < 0, and for disc > 0
+    log((b + root) / (b - root)) / root written as
+    log1p(2 root (b + root) / (4 a c)) / root.  A bound below the double
+    range rounds to 0.
     """
     last, d1, d2 = _area_window(model)
     if not d2.size or not np.all(d1 > 0) or not d2.min() > 0:
         raise InconclusiveTransienceError(
             "no convex growth in the stored window, cannot bound the tail"
         )
-    a = float(d2.min()) / 2.0
-    b = float(d1[-1]) + a
-    c = float(last)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        root = math.sqrt(-disc)
-        return 2.0 / root * (math.pi / 2.0 - math.atan(b / root))
-    if disc == 0.0:
-        return 2.0 / b
-    root = math.sqrt(disc)
-    return math.log((b + root) / (b - root)) / root
+    a = Fraction(d2.min()) / 2
+    b = d1[-1] + a
+    c = Fraction(last)
+    disc = b * b - 4 * a * c
+    with mpmath.workdps(30):
+        a, b, c = _mpf_of(a), _mpf_of(b), _mpf_of(c)
+        if disc < 0:
+            root = mpmath.sqrt(_mpf_of(-disc))
+            bound = 2 * mpmath.atan2(root, b) / root
+        elif disc == 0:
+            bound = 2 / b
+        else:
+            root = mpmath.sqrt(_mpf_of(disc))
+            bound = mpmath.log1p(2 * root * (b + root) / (4 * a * c)) / root
+    return float(bound)
 
 
 @dataclass(frozen=True)
@@ -177,29 +190,29 @@ def green_function(model, r_max):
     )
 
 
-def green_function_exact(model, r):
-    """G(r) as an exact Fraction, for exact data with a geometric tail.
+def green_function_exact(model, r_max):
+    """G(0..r_max) as a list of exact Fractions, for a geometric tail.
 
-    Sums the stored 1/area(n) terms as rationals and closes the tail with
-    the exact geometric series value 1/(area(depth) (kappa_inf - 1)).  This
-    is the reference the floating route is tested against; on the d-ary
-    tree it collapses to 1/(area(r) (d - 1)).
+    Starts from the exact geometric series value
+    G(depth) = 1/(area(depth) (kappa_inf - 1)) and adds the stored terms in
+    one pass down, G(r) = G(r + 1) + 1/area(r + 1).  This is the reference
+    the floating route is tested against; on the d-ary tree it collapses to
+    G(r) = 1/(area(r) (d - 1)).
     """
     t = model.tail
     if t.kind != "eventually-geometric" or not t.kappa_inf > 1:
         raise NoGreenFunctionError(
             "the exact route needs a geometric tail with kappa_inf > 1"
         )
-    if not (0 <= r <= model.depth - 1):
-        raise NeedsTailError("r must lie inside the stored range")
-    total = Fraction(0)
-    for n in range(r + 1, model.depth + 1):
-        area = model.area(n)
-        if isinstance(area, float):
-            raise InvalidParameterError("exact Green values need exact area data")
-        total += Fraction(1, 1) / Fraction(area)
-    total += 1 / (Fraction(model.area(model.depth)) * (t.kappa_inf - 1))
-    return total
+    if not (0 <= r_max <= model.depth - 1):
+        raise NeedsTailError("r_max must lie inside the stored range")
+    g = 1 / (Fraction(model.area(model.depth)) * (t.kappa_inf - 1))
+    values = []
+    for r in range(model.depth - 1, -1, -1):
+        g += Fraction(1, 1) / Fraction(model.area(r + 1))
+        if r <= r_max:
+            values.append(g)
+    return values[::-1]
 
 
 def green_weight(model, r_max):
@@ -300,7 +313,7 @@ def compare_to_green(model, r_max, tol=1e-10):
         status = "fail"
 
     notes = []
-    if profile.tail_error_bound > 0.0:
+    if profile.tail_method == "truncated-with-bound":
         notes.append(
             "green values truncated; margins carry the profile's tail uncertainty"
         )

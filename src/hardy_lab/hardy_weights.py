@@ -32,6 +32,7 @@ from .errors import (
     NotPositiveError,
     SeriesDivergenceRiskError,
 )
+from .radial_model import _as_exact
 from .reporting import VerificationReport
 from .spectral_ops import radial_laplacian
 
@@ -49,48 +50,29 @@ def tree_bottom_of_spectrum(d):
 
 
 def _check_gamma(gamma):
-    if isinstance(gamma, float):
-        if not (math.isfinite(gamma) and gamma >= 0):
-            raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
-        return gamma
-    gamma = Fraction(gamma)
+    # exact like the radial data: a float gamma is taken at its binary value
+    gamma = Fraction(_as_exact(gamma, "gamma"))
     if gamma < 0:
         raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
     return gamma
 
 
 def u_gamma(model, gamma, r_max):
-    """Ground profile values u(0) = gamma, u(r) = r / area(r), exact if possible.
+    """Ground profile values u(0) = gamma, u(r) = r / area(r), as Fractions.
 
-    Returns a list indexed by radius up to r_max.  Entries are Fractions for
-    exact models (so ratios of consecutive values stay exact regardless of
-    how fast the area grows) and floats otherwise.
+    Returns a list indexed by radius up to r_max.  Being exact, ratios of
+    consecutive values stay exact regardless of how fast the area grows.
     """
     gamma = _check_gamma(gamma)
     if r_max < 1:
         raise InvalidParameterError("r_max must be at least 1")
-    out = [gamma]
-    for r in range(1, r_max + 1):
-        a = model.area(r)
-        if isinstance(a, float):
-            out.append(r / a)
-        else:
-            out.append(Fraction(r, 1) / Fraction(a))
-    return out
+    return [gamma] + [Fraction(r, 1) / Fraction(model.area(r))
+                      for r in range(1, r_max + 1)]
 
 
 def _mpf_of(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
-
-
-def _ratio_mpf(num, den):
-    # exact ratios of consecutive ground values are small rationals even
-    # when the values themselves overflow or underflow doubles
-    if isinstance(num, float) or isinstance(den, float):
-        return mpmath.mpf(num / den)
-    return _mpf_of(Fraction(num) / Fraction(den))
+    """A Fraction as an mpmath number at the working precision."""
+    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
 def fitzsimmons_ratio(model, values, r):
@@ -117,12 +99,14 @@ def fitzsimmons_weight(model, gamma, r_max, dps=DEFAULT_DPS):
     u = u_gamma(model, gamma, r_max + 1)
     r_min = 0 if gamma > 0 else 1
     w = np.zeros(r_max + 1)
+    # exact ratios of consecutive ground values are small rationals even
+    # when the values themselves overflow or underflow doubles
     with mpmath.workdps(dps):
         for r in range(r_min, r_max + 1):
-            up = _ratio_mpf(u[r + 1], u[r])
+            up = _mpf_of(u[r + 1] / u[r])
             term = model.k_plus(r) * (1 - mpmath.sqrt(up))
             if r > 0:
-                down = _ratio_mpf(u[r - 1], u[r])
+                down = _mpf_of(u[r - 1] / u[r])
                 term += model.k_minus(r) * (1 - mpmath.sqrt(down))
             w[r] = float(term)
     return w
@@ -209,7 +193,7 @@ def general_closed_form(model, gamma, r):
         + (kappa(r) - kappa(r-1)) sqrt(1 - 1/r)
           / (sqrt(kappa(r)) + sqrt(kappa(r-1)))
 
-    where the kappa difference is taken exactly when the data is exact;
+    where the kappa difference is taken exactly;
     for kappa near 1 the naive form would keep only half the digits.
     closed_form_weight evaluates the same arrays over a whole range.
     """
@@ -297,9 +281,9 @@ class GammaIntervals:
 
     ``ground`` keeps u superharmonic near the origin, ``sqrt_ground`` keeps
     sqrt(u) superharmonic there (equivalently the weight nonnegative), and
-    ``joint`` is their intersection.  Ends are exact Fractions when the
-    model data is exact, except the sqrt_ground upper end which involves a
-    square root.  An interval with upper < lower is empty.
+    ``joint`` is their intersection.  Ends are exact Fractions, except the
+    sqrt_ground upper end which involves a square root.  An interval with
+    upper < lower is empty.
     """
 
     ground: tuple
@@ -317,15 +301,10 @@ class GammaIntervals:
 
 def gamma_intervals(model):
     """Admissible gamma ranges determined by the data at radii 1 and 2."""
-    a1 = model.area(1)
+    a1 = Fraction(model.area(1))
     kap1 = model.kappa(1)
-    exact = not isinstance(a1, float) and not isinstance(kap1, float)
-    if exact:
-        lo = Fraction(1) / Fraction(a1)
-        ground_hi = (Fraction(kap1) - 1) / Fraction(a1)
-    else:
-        lo = 1.0 / a1
-        ground_hi = (kap1 - 1.0) / a1
+    lo = 1 / a1
+    ground_hi = (kap1 - 1) / a1
     k1 = float(kap1)
     sqrt_hi = (1.0 + k1 - math.sqrt(2.0 * k1)) ** 2 / float(a1)
     # the ground end never exceeds the sqrt end, but take the min defensively
@@ -415,22 +394,21 @@ def closed_form_weight(model, gamma, r_max):
 
 # -- superharmonicity checks --------------------------------------------------
 
-def check_superharmonic_ground(model, gamma, r_max, tol=1e-12):
+def check_superharmonic_ground(model, gamma, r_max):
     """Verify that the ground profile u is superharmonic up to r_max.
 
     The defect (difference operator applied to u) is evaluated in exact
-    arithmetic whenever the model data is exact, so the verdict at equality
-    cases (antitrees sit exactly on the boundary) does not hinge on float
-    rounding.  For gamma = 0 the origin is excluded: u vanishes there and
-    the check starts at radius 1.  Also reports the equivalent kappa-form
-    margin min over r >= 2 of kappa(r) - 1/r - (1 - 1/r) kappa(r - 1).
+    arithmetic, so the verdict at equality cases (antitrees sit exactly on
+    the boundary) does not hinge on float rounding.  For gamma = 0 the
+    origin is excluded: u vanishes there and the check starts at radius 1.
+    Also reports the equivalent kappa-form margin min over r >= 2 of
+    kappa(r) - 1/r - (1 - 1/r) kappa(r - 1).
     """
     gamma = _check_gamma(gamma)
     if r_max < 2:
         raise InvalidParameterError("r_max must be at least 2")
     u = u_gamma(model, gamma, r_max + 1)
     r_min = 0 if gamma > 0 else 1
-    exact = all(not isinstance(x, float) for x in u)
 
     worst_ratio = math.inf
     bad_low = False
@@ -439,7 +417,7 @@ def check_superharmonic_ground(model, gamma, r_max, tol=1e-12):
         defect = radial_laplacian(model, u, r)
         ratio = defect / u[r]
         worst_ratio = min(worst_ratio, float(ratio))
-        violated = defect < 0 if exact else float(ratio) < -tol
+        violated = defect < 0
         if violated and r >= 2:
             bad_high = True
         elif violated:
@@ -447,9 +425,7 @@ def check_superharmonic_ground(model, gamma, r_max, tol=1e-12):
 
     kappa_margin = math.inf
     for r in range(2, r_max + 1):
-        margin = model.kappa(r) - Fraction(1, r) - (1 - Fraction(1, r)) * model.kappa(r - 1) \
-            if exact else \
-            float(model.kappa(r)) - 1.0 / r - (1.0 - 1.0 / r) * float(model.kappa(r - 1))
+        margin = model.kappa(r) - Fraction(1, r) - (1 - Fraction(1, r)) * model.kappa(r - 1)
         kappa_margin = min(kappa_margin, float(margin))
 
     # For r >= 2 the defect sign is gamma-free and equivalent to the kappa
@@ -480,8 +456,6 @@ def check_superharmonic_ground(model, gamma, r_max, tol=1e-12):
             "model": model.label,
             "gamma": gamma,
             "r_max": r_max,
-            "tol": tol,
-            "exact": exact,
         },
         notes=tuple(notes),
     )

@@ -8,9 +8,10 @@ on the distance to the root.  The boundary area
     area(r) = k_minus(r) * vol(r) = k_plus(r - 1) * vol(r - 1)
 
 ties the three sequences together; constructors reject data that breaks the
-identity.  Radial data is kept exact (ints and Fractions) wherever the
-inputs are exact, so downstream checks can separate genuine numerical error
-from modelling error.
+identity.  Radial data is always exact: every entry is an int or a
+Fraction, floats are taken at their exact binary value on entry, so
+downstream checks can separate genuine numerical error from modelling
+error.
 """
 
 from __future__ import annotations
@@ -51,13 +52,22 @@ def _as_radius(r):
     return r
 
 
-def _is_exact(x):
-    return isinstance(x, (int, Fraction))
+def _as_exact(x, name, r=None):
+    """x as an int, or as a Fraction when it is not whole.
 
-
-def _plain(x):
-    # numpy integers become Python ints, whose products never wrap
-    return int(x) if isinstance(x, np.integer) else x
+    Takes ints, numpy integers, Fractions and finite floats; a float is
+    taken at its exact binary value, and numpy integers become Python ints,
+    whose products never wrap.  NaN, infinities and anything that is not a
+    number raise InvalidParameterError naming ``name`` (at radius r).
+    """
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)) and math.isfinite(x):
+        x = Fraction(float(x))
+    elif not isinstance(x, Fraction):
+        where = name if r is None else f"{name}({r})"
+        raise InvalidParameterError(f"{where} must be a finite number, got {x!r}")
+    return int(x) if x.denominator == 1 else x
 
 
 def _frozen(arr):
@@ -87,6 +97,9 @@ class Tail:
     start: int = 1
 
     def __post_init__(self):
+        if self.kappa_inf is not None:
+            object.__setattr__(self, "kappa_inf",
+                               Fraction(_as_exact(self.kappa_inf, "kappa_inf")))
         if self.kind not in TAIL_KINDS:
             raise InvalidParameterError(
                 f"tail kind must be one of {TAIL_KINDS}, got {self.kind!r}"
@@ -187,18 +200,14 @@ class RadialModel:
         return self._area_of(r)
 
     def kappa(self, r):
-        """Degree ratio k_plus(r) / k_minus(r), exact when the data is exact."""
+        """Degree ratio k_plus(r) / k_minus(r) as an exact Fraction."""
         r = _as_radius(r)
         if r == 0:
             raise UndefinedAtOriginError(
                 "kappa(0) is undefined because the origin has no inward sphere"
             )
         self._need(r, self._depth - 1, "kappa")
-        kp = self._k_plus_of(r)
-        km = self._k_minus_of(r)
-        if _is_exact(kp) and _is_exact(km):
-            return Fraction(kp) / Fraction(km)
-        return kp / km
+        return Fraction(self._k_plus_of(r)) / Fraction(self._k_minus_of(r))
 
     # -- bulk views (cached, grow on demand, returned read-only) ------------
 
@@ -216,10 +225,7 @@ class RadialModel:
         types = set(map(type, itertools.chain(kp, km)))
         kp_f = _frozen(np.array(kp, dtype=float))
         km_f = _frozen(np.array(km, dtype=float))
-        has_float = any(issubclass(t, float) for t in types)
-        small_ints = (types == {int}
-                      and max(max(kp), max(km), n) ** 2 < _EXACT_FLOAT_LIMIT)
-        if has_float or small_ints:
+        if types == {int} and max(max(kp), max(km), n) ** 2 < _EXACT_FLOAT_LIMIT:
             return kp_f, km_f, kp_f, km_f
         return (kp_f, km_f, _frozen(np.array(kp, dtype=object)),
                 _frozen(np.array(km, dtype=object)))
@@ -243,9 +249,8 @@ class RadialModel:
         and the difference of two such products are exact in these arrays,
         so kappa ratios compare and subtract exactly through cross products.
         They are the float views when every degree is an integer small
-        enough for those products to stay below 2**53 (or when the data
-        itself is float, which has no exactness to keep), and object arrays
-        of the stored ints and Fractions otherwise.
+        enough for those products to stay below 2**53, and object arrays of
+        the stored ints and Fractions otherwise.
         """
         r_hi = _as_radius(r_hi)
         self._need(r_hi, self._depth - 1, "k_plus")
@@ -396,23 +401,26 @@ def make_antitree(sphere_sizes, depth, label=None):
     )
 
 
-def _positive(name, value, r):
-    bad = value <= 0 if not isinstance(value, float) else (not value > 0)
-    if bad or (isinstance(value, float) and not math.isfinite(value)):
-        raise InvalidParameterError(f"{name}({r}) must be positive, got {value!r}")
+def _exact_positive(name, values, r0=0):
+    """The entries of ``values`` (radii r0, r0 + 1, ...) as exact positive numbers."""
+    out = tuple(_as_exact(x, name, r) for r, x in enumerate(values, r0))
+    for r, x in enumerate(out, r0):
+        if x <= 0:
+            raise InvalidParameterError(f"{name}({r}) must be positive, got {x}")
+    return out
 
 
 def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
     """Model from explicit sequences, validated for area compatibility.
 
-    ``k_minus[0]`` must be 0.  With ``vol=None`` the volumes are derived
-    from vol(0) = 1 through the compatibility identity.  Supplied volumes
-    are checked against k_minus(r) vol(r) = k_plus(r-1) vol(r-1), exactly
-    for exact inputs and to 1e-12 relative tolerance once floats appear;
-    a violation raises InconsistentModelError carrying the first bad radius.
+    Entries may be ints, numpy integers, Fractions or finite floats; each is
+    stored exactly (see ``_as_exact``).  ``k_minus[0]`` must be 0.  With
+    ``vol=None`` the volumes are derived from vol(0) = 1 through the
+    compatibility identity.  Supplied volumes are checked exactly against
+    k_minus(r) vol(r) = k_plus(r-1) vol(r-1); a violation raises
+    InconsistentModelError carrying the first bad radius.
     """
-    kp = tuple(map(_plain, k_plus))
-    km = tuple(map(_plain, k_minus))
+    kp, km = tuple(k_plus), tuple(k_minus)
     depth = len(km) - 1
     if depth < 2:
         raise InvalidParameterError("need radial data for radii 0..2 at least")
@@ -420,39 +428,27 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
         raise InvalidParameterError(
             f"expected {depth} outward degrees for depth {depth}, got {len(kp)}"
         )
-    if km[0] != 0:
+    if _as_exact(km[0], "k_minus", 0) != 0:
         raise InvalidParameterError("k_minus(0) must be 0: the origin has no inward edges")
-    for r in range(depth):
-        _positive("k_plus", kp[r], r)
-    for r in range(1, depth + 1):
-        _positive("k_minus", km[r], r)
+    kp = _exact_positive("k_plus", kp)
+    km = (0,) + _exact_positive("k_minus", km[1:], 1)
 
     if vol is None:
-        exact = all(_is_exact(x) for x in kp) and all(_is_exact(x) for x in km)
-        v = [Fraction(1) if exact else 1.0]
+        v = [Fraction(1)]
         for r in range(1, depth + 1):
-            if exact:
-                v.append(v[-1] * Fraction(kp[r - 1]) / Fraction(km[r]))
-            else:
-                v.append(v[-1] * kp[r - 1] / km[r])
-        vv = tuple(x if not (isinstance(x, Fraction) and x.denominator == 1) else int(x)
-                   for x in v)
+            v.append(v[-1] * kp[r - 1] / km[r])
+        vv = tuple(int(x) if x.denominator == 1 else x for x in v)
     else:
-        vv = tuple(map(_plain, vol))
+        vv = tuple(vol)
         if len(vv) != depth + 1:
             raise InvalidParameterError(
                 f"expected {depth + 1} volumes for depth {depth}, got {len(vv)}"
             )
-        for r in range(depth + 1):
-            _positive("vol", vv[r], r)
+        vv = _exact_positive("vol", vv)
         for r in range(1, depth + 1):
             lhs = km[r] * vv[r]
             rhs = kp[r - 1] * vv[r - 1]
-            if any(isinstance(x, float) for x in (km[r], vv[r], kp[r - 1], vv[r - 1])):
-                ok = math.isclose(lhs, rhs, rel_tol=1e-12)
-            else:
-                ok = lhs == rhs
-            if not ok:
+            if lhs != rhs:
                 raise InconsistentModelError(
                     r,
                     f"area mismatch at radius {r}: "
@@ -554,14 +550,6 @@ def expand_vertex_graph(model, radius, max_vertices=MAX_VERTEX_EXPANSION):
 
 # -- plain-text serialization ----------------------------------------------
 
-def _format_value(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def save_model(model, path, r_max=None):
     """Write radial data to ``path`` in the line-based v1 format.
 
@@ -576,28 +564,31 @@ def save_model(model, path, r_max=None):
         lines.append(f"label {model.label}")
     t = model.tail
     if t.kind == "eventually-geometric":
-        lines.append(f"tail geometric {_format_value(t.kappa_inf)} {t.start}")
+        lines.append(f"tail geometric {t.kappa_inf} {t.start}")
     else:
         lines.append(f"tail {t.kind}")
     last = rows[-1][0]
     for r, kp, km, v in rows:
         # the saved file ends at this radius, so the final outward degree
         # is out of range for the loaded model even when we know it here
-        kp_s = "-" if kp is None or r == last else _format_value(kp)
-        lines.append(f"{r} {kp_s} {_format_value(km)} {_format_value(v)}")
+        kp_s = "-" if kp is None or r == last else str(kp)
+        lines.append(f"{r} {kp_s} {km} {v}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _parse_value(token, where):
     try:
-        f = Fraction(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        try:
-            return float(token)
-        except ValueError:
-            raise InvalidParameterError(f"cannot parse number {token!r} in {where}") from None
-    return int(f) if f.denominator == 1 else f
+        raise InvalidParameterError(f"cannot parse number {token!r} in {where}") from None
+
+
+def _parse_int(token, where):
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidParameterError(f"cannot parse integer {token!r} in {where}") from None
 
 
 def load_model(path):
@@ -624,15 +615,15 @@ def load_model(path):
             elif tokens[1:] == ["finite"]:
                 tail = Tail("finite")
             elif len(tokens) in (3, 4) and tokens[1] == "geometric":
-                kappa_inf = Fraction(_parse_value(tokens[2], "tail line"))
-                start = int(tokens[3]) if len(tokens) == 4 else 1
+                kappa_inf = _parse_value(tokens[2], "tail line")
+                start = _parse_int(tokens[3], "tail line") if len(tokens) == 4 else 1
                 tail = Tail("eventually-geometric", kappa_inf=kappa_inf, start=start)
             else:
                 raise InvalidParameterError(f"{path}: bad tail line {ln!r}")
             continue
         if len(tokens) != 4:
             raise InvalidParameterError(f"{path}: expected 4 columns, got {ln!r}")
-        r = int(tokens[0])
+        r = _parse_int(tokens[0], f"row {expected_r}")
         if r != expected_r:
             raise InvalidParameterError(
                 f"{path}: rows must cover consecutive radii, expected {expected_r} got {r}"

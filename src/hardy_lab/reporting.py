@@ -72,10 +72,6 @@ class VerificationReport:
                 raise InvalidParameterError(f"residual {key!r} is not finite")
         object.__setattr__(self, "notes", tuple(self.notes))
 
-    @property
-    def passed(self):
-        return self.status == "pass"
-
     def to_dict(self):
         return {
             "check": self.check,
@@ -123,10 +119,6 @@ def json_text(obj):
     return json.dumps(convert(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_json(obj, path):
-    _atomic_write(path, json_text(obj))
-
-
 def format_cell(value):
     if value is None:
         return ""
@@ -149,7 +141,3 @@ def csv_text(header, rows):
             )
         lines.append(",".join(format_cell(c) for c in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header, rows):
-    _atomic_write(path, csv_text(header, rows))

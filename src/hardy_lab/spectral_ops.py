@@ -26,9 +26,9 @@ def radial_laplacian(model, values, r):
 
     Returns k_plus(r) (v(r) - v(r + 1)) + k_minus(r) (v(r) - v(r - 1)), the
     inward term dropped at the origin (k_minus(0) = 0).  Needs the profile
-    one radius past r.  The arithmetic stays in the number type of the
-    profile and the model data (float, Fraction or mpmath), so exact
-    profiles on exact models give exact results.
+    one radius past r.  The model data is exact, so the arithmetic stays
+    in the number type of the profile (float, Fraction or mpmath) and exact
+    profiles give exact results.
     """
     if r < 0 or r + 1 >= len(values):
         raise InvalidParameterError(

@@ -210,6 +210,36 @@ def test_missing_model_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and "nonexistent.model" in err
 
 
+@pytest.mark.parametrize("bad_line", ["x 2 0 1", "tail geometric 2 x"])
+def test_bad_integer_in_model_file_exits_2(tmp_path, capsys, bad_line):
+    rows = ["0 2 0 1", "1 2 1 2", "2 - 1 4"]
+    if bad_line.startswith("tail"):
+        lines = ["radial-model v1", bad_line] + rows
+    else:
+        lines = ["radial-model v1", "tail unspecified", bad_line] + rows[1:]
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "model", "--model", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'x'" in err
+
+
+@pytest.mark.parametrize("depth", [120, 600, 1200])
+def test_unspecified_tail_tree_file_verifies(tmp_path, capsys, depth):
+    # the Green tail bound once cancelled, overflowed or hit NaN at these depths
+    path = tmp_path / "tree.model"
+    lines = ["radial-model v1", "tail unspecified"]
+    lines += [f"{r} 2 {min(r, 1)} {2 ** r}" for r in range(depth)]
+    lines.append(f"{depth} - 1 {2 ** depth}")
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify", "--model", f"file:{path}", "--json")
+    assert code == 0
+    green = next(r for r in json.loads(out) if r["check"] == "weight-dominates-green")
+    assert math.isfinite(green["residuals"]["tail_error_bound"])
+    assert any("truncated" in note for note in green["notes"])
+
+
 @pytest.mark.parametrize("spec", ["tree:3:150", "antitree:poly:1:150"])
 def test_saved_model_verifies_like_its_source(tmp_path, capsys, spec):
     path = tmp_path / "saved.model"
