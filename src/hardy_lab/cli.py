@@ -54,7 +54,7 @@ from .optimality import (
     inflation_refutation,
     optimality_probe,
 )
-from .radial_model import load_model, make_antitree, make_tree, save_model
+from .radial_model import _decimal_text, load_model, make_antitree, make_tree, save_model
 from .reporting import VerificationReport, _atomic_write, csv_text, json_text
 
 SUITES = ("all", "criticality", "nullcrit", "probe", "lambda0")
@@ -163,8 +163,11 @@ def cmd_model(args):
         "r k_plus k_minus vol area",
     ]
     for r, kp, km, vol in model.radial_data(r_max):
-        kp_txt = "-" if kp is None else str(kp)
-        lines.append(f"{r} {kp_txt} {km} {vol} {model.area(r)}")
+        kp_txt = "-" if kp is None else _decimal_text(kp, f"k_plus({r})")
+        lines.append(
+            f"{r} {kp_txt} {_decimal_text(km, f'k_minus({r})')} "
+            f"{_decimal_text(vol, f'vol({r})')} {_decimal_text(model.area(r), f'area({r})')}"
+        )
     _emit("\n".join(lines) + "\n", None)
     return 0
 

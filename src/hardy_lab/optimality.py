@@ -27,7 +27,8 @@ from .hardy_weights import _check_gamma, _closed_form, closed_form_weight, u_gam
 from .radial_model import expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
-    count_eigenvalues_below,
+    _pivot_sweep,
+    _sturm_rows,
     hardy_form_matrix,
     radial_laplacian,
     smallest_eigenvalue,
@@ -267,14 +268,21 @@ def optimality_probe(model, weight_values, lam, window, r_max,
                      bases=None, threshold=-1e-9):
     """Try to refute improving the weight by lam on windows [b, b + window].
 
-    For each base the Dirichlet section on [1, r_max] is re-assembled with
-    the inflated weight and its Sturm count below ``threshold`` is taken.
+    For each base the Dirichlet section on [1, r_max] with the inflated
+    weight is tested for a Sturm count below ``threshold`` of at least 1.
     The section excludes the origin because the gamma = 0 weight only
     claims the inequality for functions vanishing there; restricting to
     that subspace keeps a negative count a sound refutation for every
     gamma.  A count >= 1 refutes that improvement.  A count of 0 refutes
     nothing (the failure may only show past r_max), so the overall status
     is always inconclusive; the counts are the informative part.
+
+    The inflated section differs from the uninflated one only on the window
+    rows, so one uninflated sweep supplies the pivot at every base row and
+    each base resumes from it: the window rows with the inflated weight,
+    then the uninflated rows.  Every sweep stops at the first negative
+    pivot; the pivots before it are those of the full count, so each base
+    gets the same decision as the count >= 1 test.
     """
     if lam <= 0:
         raise InvalidParameterError("the inflation lam must be positive")
@@ -294,16 +302,32 @@ def optimality_probe(model, weight_values, lam, window, r_max,
         raise InvalidParameterError(
             "every window must fit strictly inside [1, r_max)"
         )
+    # row i of the section is radius 1 + i
+    diag, coupling, pivmin = _sturm_rows(hardy_form_matrix(model, w, 1, r_max))
     refuted = []
     unrefuted = []
+    row, q = 0, 1.0
+    prefix_negative = False
     for b in bases:
-        inflated = np.array(w[: r_max + 1])
-        inflated[b: b + window + 1] += lam
-        form = hardy_form_matrix(model, inflated, 1, r_max)
-        if count_eigenvalues_below(form, threshold) >= 1:
-            refuted.append(b)
-        else:
-            unrefuted.append(b)
+        start, stop = b - 1, b + window
+        if not prefix_negative:
+            prefix_negative, q = _pivot_sweep(
+                zip(diag[row:start], coupling[row:start]), threshold, q, pivmin
+            )
+            row = start
+        negative = prefix_negative
+        if not negative:
+            inflated = np.array(w[: b + window + 1])
+            inflated[b:] += lam
+            window_diag = hardy_form_matrix(model, inflated, b, b + window).diagonal
+            negative, p = _pivot_sweep(
+                zip(memoryview(window_diag), coupling[start:stop]), threshold, q, pivmin
+            )
+            if not negative:
+                negative, _ = _pivot_sweep(
+                    zip(diag[stop:], coupling[stop:]), threshold, p, pivmin
+                )
+        (refuted if negative else unrefuted).append(b)
     notes = [
         "a refuted base is conclusive; an unrefuted base only means the "
         "section was too short to decide",
@@ -361,15 +385,28 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0,
     b_values = sorted(set(int(b) for b in b_values))
     if b_values[0] <= r_lo:
         raise InvalidParameterError("annulus ends must exceed r_lo")
+    if b_values[-1] > b_max:
+        raise InvalidParameterError("annulus ends must not exceed b_max")
     w = closed_form_weight(model, gamma, b_max).values
     inflated = np.array(w)
     inflated[r_lo:] *= 1.0 + lam
+    # the annuli share their left end, so each is a prefix of the last one;
+    # the last one's pivmin is at least a shorter annulus's own, which can
+    # only matter for a positive pivot below max coupling * 2.2e-308
+    diag, coupling, pivmin = _sturm_rows(
+        hardy_form_matrix(model, inflated, r_lo, b_values[-1])
+    )
     first_refuted = None
     checked = 0
+    row, q = 0, 1.0
     for b in b_values:
         checked += 1
-        form = hardy_form_matrix(model, inflated, r_lo, b)
-        if count_eigenvalues_below(form, threshold) >= 1:
+        stop = b - r_lo + 1
+        negative, q = _pivot_sweep(
+            zip(diag[row:stop], coupling[row:stop]), threshold, q, pivmin
+        )
+        row = stop
+        if negative:
             first_refuted = b
             break
     refuted = first_refuted is not None

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -550,13 +551,36 @@ def expand_vertex_graph(model, radius, max_vertices=MAX_VERTEX_EXPANSION):
 
 # -- plain-text serialization ----------------------------------------------
 
+def _decimal_text(value, what):
+    """Decimal text of an exact int or Fraction, as ``str`` writes it.
+
+    Python refuses to write an int of more than
+    ``sys.get_int_max_str_digits()`` decimal digits (0 means no limit;
+    releases before 3.10.7 have neither the limit nor the function).  That
+    is checked here first, so a value past it raises SizeLimitExceededError
+    naming ``what`` instead of a bare ValueError.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        parts = (value.numerator, value.denominator) if isinstance(value, Fraction) else (value,)
+        for part in parts:
+            # 10**limit has more than 3 * limit bits, so smaller ints pass at once
+            if abs(part).bit_length() > 3 * limit and abs(part) >= 10 ** limit:
+                raise SizeLimitExceededError(
+                    f"{what} has more than {limit} decimal digits, the most "
+                    "Python writes (sys.get_int_max_str_digits())"
+                )
+    return str(value)
+
+
 def save_model(model, path, r_max=None):
     """Write radial data to ``path`` in the line-based v1 format.
 
     Layout: a "radial-model v1" header, an optional "label ..." line, a
     "tail ..." line, then one "r k_plus k_minus vol" row per radius.  The
     outward degree of the outermost stored sphere is unknown and written
-    as "-".
+    as "-".  A value too long to write raises SizeLimitExceededError
+    before the file is opened.
     """
     rows = model.radial_data(r_max)
     lines = ["radial-model v1"]
@@ -564,15 +588,17 @@ def save_model(model, path, r_max=None):
         lines.append(f"label {model.label}")
     t = model.tail
     if t.kind == "eventually-geometric":
-        lines.append(f"tail geometric {t.kappa_inf} {t.start}")
+        lines.append(f"tail geometric {_decimal_text(t.kappa_inf, 'kappa_inf')} {t.start}")
     else:
         lines.append(f"tail {t.kind}")
     last = rows[-1][0]
     for r, kp, km, v in rows:
         # the saved file ends at this radius, so the final outward degree
         # is out of range for the loaded model even when we know it here
-        kp_s = "-" if kp is None or r == last else str(kp)
-        lines.append(f"{r} {kp_s} {km} {v}")
+        kp_s = "-" if kp is None or r == last else _decimal_text(kp, f"k_plus({r})")
+        lines.append(
+            f"{r} {kp_s} {_decimal_text(km, f'k_minus({r})')} {_decimal_text(v, f'vol({r})')}"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -137,22 +137,56 @@ def dense_matrix(form):
     return m
 
 
+def _sturm_rows(form):
+    """Rows of a form for pivot sweeps: (diagonal, coupling, pivmin).
+
+    The diagonal and the squared off-diagonals come back as memoryviews,
+    whose items are Python floats: they round like float64 and iterate far
+    faster than numpy scalars.  ``coupling[i]`` joins rows i - 1 and i, and
+    ``coupling[0]`` is 0.0, so row 0 takes the same step as every other row
+    (d - x - 0.0 / 1.0 is d - x).  pivmin is the guard LAPACK's ?stebz uses.
+    """
+    diag = np.ascontiguousarray(form.diagonal, dtype=float)
+    coupling = np.zeros(form.n)
+    np.multiply(form.offdiagonal, form.offdiagonal, out=coupling[1:])
+    pivmin = max(float(coupling.max(initial=0.0)), 1.0) * _SAFE_MIN
+    return memoryview(diag), memoryview(coupling), pivmin
+
+
+def _pivot_sweep(rows, x, q, pivmin):
+    """Run the Sturm pivot recursion of the shift x from pivot q.
+
+    ``rows`` yields (diagonal, squared coupling) pairs.  A pivot below
+    pivmin counts as negative (one whose magnitude is below pivmin is
+    replaced by -pivmin).  Returns (True, that pivot) at the first negative
+    pivot, leaving an iterator just past its row so that a second call
+    resumes there, or (False, last pivot) when the rows run out.
+    """
+    for d, e in rows:
+        q = d - x - e / q
+        if q < pivmin:
+            return True, (-pivmin if abs(q) < pivmin else q)
+    return False, q
+
+
 def count_eigenvalues_below(form, x):
-    """Number of eigenvalues of the form strictly below x, by Sturm counting."""
-    diag = form.diagonal
+    """Number of eigenvalues of the form strictly below x, by Sturm counting.
+
+    The count is the number of negative pivots of the LDL^T factorization
+    of the form minus x.
+    """
     if form.n == 0:
         return 0
-    off2 = form.offdiagonal * form.offdiagonal
-    pivmin = max(float(off2.max(initial=0.0)), 1.0) * _SAFE_MIN
+    diag, coupling, pivmin = _sturm_rows(form)
+    rows = zip(diag, coupling)
+    x = float(x)
     count = 0
     q = 1.0
-    for i in range(diag.shape[0]):
-        q = diag[i] - x - (off2[i - 1] / q if i else 0.0)
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
+    while True:
+        negative, q = _pivot_sweep(rows, x, q, pivmin)
+        if not negative:
+            return count
+        count += 1
 
 
 def eigenvalue_bounds(form):
@@ -170,14 +204,17 @@ def smallest_eigenvalue(form, tol=None):
 
     The count is monotone in the shift, so bisection inside the Gershgorin
     interval converges unconditionally; default tolerance is 1e-11 times the
-    interval width (at least 1e-11 absolute).
+    interval width (at least 1e-11 absolute).  Each step only asks whether
+    the count is at least 1, so its sweep stops at the first negative pivot:
+    the pivots before it are those of the full count, and so is the decision.
     """
     lo, hi = eigenvalue_bounds(form)
     if tol is None:
         tol = 1e-11 * max(1.0, hi - lo)
+    diag, coupling, pivmin = _sturm_rows(form)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if count_eigenvalues_below(form, mid) >= 1:
+        if _pivot_sweep(zip(diag, coupling), mid, 1.0, pivmin)[0]:
             hi = mid
         else:
             lo = mid

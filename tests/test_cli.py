@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -272,3 +273,33 @@ def test_density_file_with_non_integer_dim_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "'x'" in err
+
+
+def huge_tree():
+    """A depth-3 tree whose vol(2) = d**2 has more digits than Python writes."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter writes ints of any length")
+    return f"tree:{10 ** (limit // 2 + 1)}:3", limit
+
+
+def test_model_with_unwritable_volume_exits_2_without_a_file(tmp_path, capsys):
+    spec, limit = huge_tree()
+    path = tmp_path / "huge.model"
+    code, out, err = run(capsys, "model", "--model", spec, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: vol(2) has more than {limit} decimal digits")
+    assert not path.exists()
+
+
+def test_model_table_with_unwritable_volume_exits_2(capsys):
+    spec, limit = huge_tree()
+    code, out, err = run(capsys, "model", "--model", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: vol(2) has more than {limit} decimal digits")
+    d = spec.split(":")[1]
+    code, out, _ = run(capsys, "model", "--model", spec, "--r-max", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == f"1 {d} 1 {d} {d}"

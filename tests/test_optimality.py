@@ -111,6 +111,9 @@ def test_inflation_guards(tree2):
         inflation_refutation(tree2, lam=0.0)
     with pytest.raises(NeedsTailError):
         inflation_refutation(tree2, lam=0.1, b_max=tree2.depth)
+    # refused even though the annulus ending at 50 would refute first
+    with pytest.raises(InvalidParameterError, match="must not exceed b_max"):
+        inflation_refutation(tree2, lam=0.1, b_max=100, b_values=[50, 200])
 
 
 def test_probe_reports_counts_never_passes(tree2):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from hardy_lab import (
     make_tree,
     save_model,
 )
+from hardy_lab.radial_model import _decimal_text
 
 
 def test_tree_radial_data():
@@ -206,3 +208,18 @@ def test_tail_validation():
         Tail("unspecified", kappa_inf=Fraction(2))
     with pytest.raises(InvalidParameterError):
         Tail("nonsense")
+
+
+def test_decimal_text_refuses_exactly_what_str_refuses():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter writes ints of any length")
+    widest = 10 ** limit - 1
+    for value in (widest, -widest, Fraction(widest, 7), 2 ** (3 * limit)):
+        assert _decimal_text(value, "v") == str(value)
+    for value in (widest + 1, -widest - 1, Fraction(1, widest + 1), 2 ** (4 * limit)):
+        with pytest.raises(ValueError):
+            str(value)
+        with pytest.raises(SizeLimitExceededError, match=f"v has more than {limit}"):
+            _decimal_text(value, "v")
+

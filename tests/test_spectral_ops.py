@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hardy_lab import (
     SizeLimitExceededError,
     ball_form_matrix,
+    closed_form_weight,
     count_eigenvalues_below,
     dense_matrix,
     eigenvalue_bounds,
@@ -209,3 +210,33 @@ def test_dense_cap():
     w = np.zeros(14)
     with pytest.raises(SizeLimitExceededError):
         ball_form_matrix(graph, w, 12)
+
+
+@st.composite
+def integer_models(draw, depth):
+    """Integer radial data with k_minus(r + 1) <= vol(r), so it is realizable."""
+    k_plus, k_minus, vol = [], [0], [1]
+    for _ in range(depth):
+        k = draw(st.integers(1, 3))
+        area = k * vol[-1]
+        m = draw(st.sampled_from(
+            [m for m in range(1, min(vol[-1], 3) + 1) if area % m == 0]))
+        k_plus.append(k)
+        k_minus.append(m)
+        vol.append(area // m)
+    return make_custom(k_plus, k_minus, label="random integer model")
+
+
+@given(st.one_of(integer_models(7), varying_trees(7), random_antitrees(7)),
+       st.integers(2, 5))
+def test_vertex_ball_bottom_below_radial_section_bottom(model, radius):
+    # radial functions are a subspace of the ball's functions, and the optimal
+    # gamma = 0 weight claims the inequality for functions vanishing at the
+    # origin, so both forms are taken off the origin
+    graph = expand_vertex_graph(model, radius + 1)
+    w = closed_form_weight(model, 0, radius).values
+    vertex = float(np.linalg.eigvalsh(ball_form_matrix(graph, w, radius)[1:, 1:])[0])
+    radial = float(np.linalg.eigvalsh(
+        dense_matrix(hardy_form_matrix(model, w, 1, radius)))[0])
+    assert vertex <= radial + 1e-10
+    assert vertex >= -1e-10 and radial >= -1e-10

@@ -1,0 +1,229 @@
+"""Early-exit Sturm sweeps against the full count they replaced.
+
+``reference_count`` is the numpy-scalar Sturm count that every spectral
+decision used before the sweeps stopped at the first negative pivot.  The
+bisection, the probes and the inflation annuli must reach exactly the same
+decisions, bit for bit, as loops over this count.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hardy_lab import (
+    closed_form_weight,
+    count_eigenvalues_below,
+    eigenvalue_bounds,
+    hardy_form_matrix,
+    inflation_refutation,
+    make_antitree,
+    make_custom,
+    make_tree,
+    optimality_probe,
+    smallest_eigenvalue,
+)
+from hardy_lab.spectral_ops import TridiagonalForm
+
+SAFE_MIN = 2.2250738585072014e-308
+
+
+def reference_count(form, x):
+    """Full Sturm count over numpy scalars, one guarded pivot per row."""
+    diag = form.diagonal
+    if form.n == 0:
+        return 0
+    off2 = form.offdiagonal * form.offdiagonal
+    pivmin = max(float(off2.max(initial=0.0)), 1.0) * SAFE_MIN
+    count = 0
+    q = 1.0
+    for i in range(diag.shape[0]):
+        q = diag[i] - x - (off2[i - 1] / q if i else 0.0)
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def reference_bottom(form):
+    lo, hi = eigenvalue_bounds(form)
+    tol = 1e-11 * max(1.0, hi - lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if reference_count(form, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def integer_forms(rng, n):
+    """Small-integer forms: exact cancellations make zero pivots common."""
+    diag = rng.integers(-2, 3, size=n).astype(float)
+    off = rng.integers(-1, 2, size=n - 1).astype(float)
+    return TridiagonalForm(diagonal=diag, offdiagonal=off, r_lo=0)
+
+
+def test_zero_pivots_fire_the_guard():
+    # row 1: 1 - 1/1 = 0 exactly, so the guard turns the pivot negative
+    form = TridiagonalForm(diagonal=np.array([1.0, 1.0, 3.0]),
+                           offdiagonal=np.array([1.0, 1.0]), r_lo=0)
+    assert reference_count(form, 0.0) == count_eigenvalues_below(form, 0.0) == 1
+    # zero couplings: the count is the number of diagonal entries <= x
+    split = TridiagonalForm(diagonal=np.array([0.5, -1.0, 0.5, 2.0]),
+                            offdiagonal=np.zeros(3), r_lo=0)
+    for x in (-1.0, 0.5, 2.0, 3.0):
+        assert count_eigenvalues_below(split, x) == reference_count(split, x)
+    assert count_eigenvalues_below(split, 0.5) == 3
+
+
+def test_count_matches_reference_on_random_forms():
+    rng = np.random.default_rng(20)
+    for trial in range(200):
+        n = int(rng.integers(1, 25))
+        if trial % 2:
+            form = integer_forms(rng, n)
+            shifts = [float(x) for x in range(-4, 5)]
+        else:
+            off = rng.normal(size=n - 1)
+            off[rng.random(n - 1) < 0.3] = 0.0
+            form = TridiagonalForm(diagonal=rng.normal(size=n), offdiagonal=off,
+                                   r_lo=0)
+            shifts = [float(rng.normal()) for _ in range(4)]
+        shifts += [float(d) for d in form.diagonal[:3]]
+        for x in shifts:
+            assert count_eigenvalues_below(form, x) == reference_count(form, x)
+
+
+def test_bisection_equals_reference_on_random_forms():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            form = integer_forms(rng, n)
+        else:
+            off = rng.normal(size=n - 1)
+            if trial % 3 == 1:
+                off[rng.random(n - 1) < 0.5] = 0.0
+            form = TridiagonalForm(diagonal=rng.normal(size=n), offdiagonal=off,
+                                   r_lo=0)
+        assert smallest_eigenvalue(form) == reference_bottom(form)
+
+
+def test_bisection_equals_reference_on_a_hardy_section():
+    model = make_antitree(lambda r: r + 1, 400)
+    w = closed_form_weight(model, 0, 300).values
+    form = hardy_form_matrix(model, w, 1, 300)
+    assert smallest_eigenvalue(form) == reference_bottom(form)
+
+
+def sections(depth):
+    """Random radial data: free degree pairs (volumes may be fractions) or antitrees."""
+    degrees = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                       min_size=depth, max_size=depth)
+    return st.one_of(
+        degrees.map(lambda pairs: make_custom([kp for kp, _ in pairs],
+                                              [0] + [km for _, km in pairs])),
+        st.lists(st.integers(1, 4), min_size=depth, max_size=depth).map(
+            lambda sizes: make_antitree([1] + sizes, depth)),
+    )
+
+
+def reference_probe(model, w, lam, window, r_max, bases, threshold=-1e-9):
+    unrefuted = []
+    for b in bases:
+        inflated = np.array(w[: r_max + 1])
+        inflated[b: b + window + 1] += lam
+        if reference_count(hardy_form_matrix(model, inflated, 1, r_max), threshold) == 0:
+            unrefuted.append(b)
+    return unrefuted
+
+
+def assert_probe_matches(model, w, lam, window, r_max, bases):
+    rep = optimality_probe(model, w, lam, window, r_max, bases=bases)
+    unrefuted = reference_probe(model, w, lam, window, r_max, sorted(set(bases)))
+    refuted = [b for b in sorted(set(bases)) if b not in unrefuted]
+    assert rep.params["unrefuted_bases"] == unrefuted
+    assert rep.params["first_refuted"] == (refuted[0] if refuted else None)
+    assert rep.residuals["refuted_count"] == len(refuted)
+
+
+@given(sections(48), st.floats(0.9, 1.0),
+       st.floats(-4, 0.5).map(lambda e: 10 ** e), st.integers(0, 5))
+def test_probe_matches_per_base_counts(model, scale, lam, window):
+    r_max = 40
+    w = scale * closed_form_weight(model, 0, r_max).values
+    # every allowed base, the last one (b + window = r_max - 1) included
+    bases = list(range(1, r_max - window))
+    assert_probe_matches(model, w, lam, window, r_max, bases)
+
+
+def test_probe_matches_per_base_counts_on_mixed_sections():
+    # each case refutes some bases and leaves others, so both resumes run
+    cases = [(make_tree(2, 300), (0.003, 0.01)), (make_tree(3, 300), (0.01,)),
+             (make_antitree(lambda r: r + 1, 300), (0.1, 1.0)),
+             (make_antitree(lambda r: (r + 1) ** 2, 300), (0.3,))]
+    r_max, window = 200, 8
+    for model, lams in cases:
+        w = closed_form_weight(model, 0, r_max).values
+        for lam in lams:
+            bases = list(range(1, r_max - window))
+            rep = optimality_probe(model, w, lam, window, r_max, bases=bases)
+            assert 0 < len(rep.params["unrefuted_bases"]) < len(bases)
+            assert_probe_matches(model, w, lam, window, r_max, bases)
+
+
+def test_probe_with_a_negative_uninflated_prefix():
+    model = make_tree(2, 80)
+    r_max, window = 60, 3
+    w = closed_form_weight(model, 0, r_max).values
+    w[20] += 3.0
+    prefix = hardy_form_matrix(model, w, 1, 20)
+    assert reference_count(prefix, -1e-9) >= 1  # negative before base 22
+    bases = [1, 5, 17, 22, 40, r_max - window - 1]
+    assert_probe_matches(model, w, 0.05, window, r_max, bases)
+
+
+def reference_inflation(model, lam, r_lo, b_max, b_values, threshold=-1e-9):
+    inflated = np.array(closed_form_weight(model, 0, b_max).values)
+    inflated[r_lo:] *= 1.0 + lam
+    for checked, b in enumerate(b_values, start=1):
+        if reference_count(hardy_form_matrix(model, inflated, r_lo, b), threshold) >= 1:
+            return b, checked
+    return None, len(b_values)
+
+
+def default_annuli(r_lo, b_max):
+    b_values = []
+    b = max(8, 2 * r_lo)
+    while b < b_max:
+        b_values.append(b)
+        b *= 2
+    return b_values + [b_max]
+
+
+def assert_inflation_matches(model, lam, r_lo, b_max, b_values=None):
+    rep = inflation_refutation(model, lam, r_lo=r_lo, b_max=b_max, b_values=b_values)
+    annuli = (sorted(set(b_values)) if b_values is not None
+              else default_annuli(r_lo, b_max))
+    first, checked = reference_inflation(model, lam, r_lo, b_max, annuli)
+    assert rep.params["first_refuted"] == first
+    assert rep.residuals["sections_checked"] == checked
+    assert rep.status == ("pass" if first is not None else "inconclusive")
+
+
+def test_inflation_matches_per_annulus_counts_on_trees():
+    for d in (1, 2, 3):
+        model = make_tree(d, 600)
+        for lam in (1e-12, 0.02, 0.1, 0.5):
+            for r_lo in (1, 2, 5):
+                assert_inflation_matches(model, lam, r_lo, 512)
+                assert_inflation_matches(model, lam, r_lo, 500,
+                                         b_values=[500, 9, 130, 31, 32, 33, 64])
+
+
+@given(sections(80), st.floats(0.0005, 0.5), st.integers(1, 6),
+       st.lists(st.integers(7, 70), min_size=1, max_size=6))
+def test_inflation_matches_per_annulus_counts(model, lam, r_lo, b_values):
+    assert_inflation_matches(model, lam, r_lo, 70)
+    assert_inflation_matches(model, lam, r_lo, 70, b_values=b_values)
