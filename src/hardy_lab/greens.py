@@ -37,6 +37,26 @@ def _area_window(model):
     return last, d1, np.diff(d1)
 
 
+def _transience(model):
+    """transience_test's verdict, and the area window it read (or None)."""
+    t = model.tail
+    if t.kind == "finite":
+        return False, None
+    if t.kind == "eventually-geometric":
+        return t.kappa_inf > 1, None
+    window = _area_window(model)
+    _, d1, d2 = window
+    if d1.size and np.all(d1 <= 0):
+        return False, window
+    # strictly convex growth: every first and every second difference > 0
+    if d2.size and np.all(d1 > 0) and d2.min() > 0:
+        return True, window
+    raise InconclusiveTransienceError(
+        "the stored window neither plateaus nor grows convexly; transience "
+        "cannot be extrapolated from this data"
+    )
+
+
 def transience_test(model):
     """Decide whether sum 1/area converges, i.e. the model is transient.
 
@@ -48,27 +68,15 @@ def transience_test(model):
     positive) is read as at-least-quadratic (transient).  Anything else
     raises InconclusiveTransienceError.
     """
-    t = model.tail
-    if t.kind == "finite":
-        return False
-    if t.kind == "eventually-geometric":
-        return t.kappa_inf > 1
-    _, d1, d2 = _area_window(model)
-    if d1.size and np.all(d1 <= 0):
-        return False
-    if d2.size and np.all(d1 > 0) and d2.min() > 0:
-        return True
-    raise InconclusiveTransienceError(
-        "the stored window neither plateaus nor grows convexly; transience "
-        "cannot be extrapolated from this data"
-    )
+    return _transience(model)[0]
 
 
-def _quadratic_tail_bound(model):
+def _quadratic_tail_bound(window):
     """Bound sum over n > depth of 1/area(n), assuming window convexity persists.
 
-    With A = area(depth), B the last first difference and C the smallest
-    second difference in the window, persistence of convexity gives
+    ``window`` is an _area_window that _transience read as strictly convex
+    growth.  With A = area(depth), B the last first difference and C the
+    smallest second difference in it, persistence of convexity gives
     area(depth + j) >= A + B j + C j (j + 1) / 2, and the decreasing
     integrand bounds the sum by the integral from 0 to infinity of
     1 / (c + b x + a x**2) with c = A, b = B + C/2, a = C/2.
@@ -81,11 +89,7 @@ def _quadratic_tail_bound(model):
     log1p(2 root (b + root) / (4 a c)) / root.  A bound below the double
     range rounds to 0.
     """
-    last, d1, d2 = _area_window(model)
-    if not d2.size or not np.all(d1 > 0) or not d2.min() > 0:
-        raise InconclusiveTransienceError(
-            "no convex growth in the stored window, cannot bound the tail"
-        )
+    last, d1, d2 = window
     a = Fraction(d2.min()) / 2
     b = d1[-1] + a
     c = Fraction(last)
@@ -127,15 +131,17 @@ class GreenProfile:
         return int(self.values.shape[0] - 1)
 
 
-def _log_green(model):
-    """log G(r) for r = 0..depth-1 in extended precision, plus tail metadata.
+def _log_green(model, r_max):
+    """log G(r) for r = 0..depth-1 in extended precision, and the
+    GreenProfile on 0..r_max with its tail metadata.
 
     Works top down: log G(r) = logaddexp(log G(r+1), -log area(r+1)), which
     never under- or overflows and keeps adjacent values accurate enough to
     take ratios of (the weight construction only ever uses ratios).  The
     recursion runs as one accumulate over the reversed terms.
     """
-    if not transience_test(model):
+    transient, window = _transience(model)
+    if not transient:
         raise NoGreenFunctionError(
             f"{model.label} is recurrent; no minimal positive Green function"
         )
@@ -155,12 +161,17 @@ def _log_green(model):
     else:
         terms[0] = -np.longdouble(la[depth])
         method = "truncated-with-bound"
-        bound = _quadratic_tail_bound(model)
+        bound = _quadratic_tail_bound(window)
         notes = (
             "values are lower bounds; the stated bound assumes the stored "
             "window's convex growth persists",
         )
-    return np.logaddexp.accumulate(terms, out=terms)[::-1], method, bound, notes
+    logg = np.logaddexp.accumulate(terms, out=terms)[::-1]
+    log_values = np.asarray(logg[: r_max + 1], dtype=float)
+    with np.errstate(under="ignore"):
+        values = np.exp(log_values)
+    return logg, GreenProfile(values=values, log_values=log_values, tail_method=method,
+                              tail_error_bound=bound, notes=notes)
 
 
 def green_function(model, r_max):
@@ -177,17 +188,7 @@ def green_function(model, r_max):
         raise NeedsTailError(
             f"green values to radius {r_max} need stored areas past depth {model.depth}"
         )
-    logg, method, bound, notes = _log_green(model)
-    log_values = np.asarray(logg[: r_max + 1], dtype=float)
-    with np.errstate(under="ignore"):
-        values = np.exp(log_values)
-    return GreenProfile(
-        values=values,
-        log_values=log_values,
-        tail_method=method,
-        tail_error_bound=bound,
-        notes=notes,
-    )
+    return _log_green(model, r_max)[1]
 
 
 def green_function_exact(model, r_max):
@@ -206,10 +207,11 @@ def green_function_exact(model, r_max):
         )
     if not (0 <= r_max <= model.depth - 1):
         raise NeedsTailError("r_max must lie inside the stored range")
-    g = 1 / (Fraction(model.area(model.depth)) * (t.kappa_inf - 1))
+    areas = model.area_values(1, model.depth)  # areas[r] = area(r + 1)
+    g = 1 / (Fraction(areas[-1]) * (t.kappa_inf - 1))
     values = []
     for r in range(model.depth - 1, -1, -1):
-        g += Fraction(1, 1) / Fraction(model.area(r + 1))
+        g += Fraction(1, 1) / Fraction(areas[r])
         if r <= r_max:
             values.append(g)
     return values[::-1]
@@ -225,25 +227,17 @@ def green_weight(model, r_max):
     """
     if r_max > model.depth - 2:
         raise NeedsTailError(f"the weight at {r_max} needs depth > {r_max + 1}")
-    logg, method, bound, notes = _log_green(model)
+    logg, profile = _log_green(model, r_max)
     if not np.all(np.isfinite(logg[: r_max + 2])):
         raise NotPositiveError("Green recursion produced non-finite logs")
+    kp = model.k_plus_floats(r_max).tolist()
+    km = model.k_minus_floats(r_max).tolist()
     w = np.empty(r_max + 1)
     for r in range(r_max + 1):
-        term = float(model.k_plus(r)) * -math.expm1(0.5 * float(logg[r + 1] - logg[r]))
+        term = kp[r] * -math.expm1(0.5 * float(logg[r + 1] - logg[r]))
         if r > 0:
-            term += float(model.k_minus(r)) * -math.expm1(0.5 * float(logg[r - 1] - logg[r]))
+            term += km[r] * -math.expm1(0.5 * float(logg[r - 1] - logg[r]))
         w[r] = term
-    log_values = np.asarray(logg[: r_max + 1], dtype=float)
-    with np.errstate(under="ignore"):
-        values = np.exp(log_values)
-    profile = GreenProfile(
-        values=values,
-        log_values=log_values,
-        tail_method=method,
-        tail_error_bound=bound,
-        notes=notes,
-    )
     return w, profile
 
 

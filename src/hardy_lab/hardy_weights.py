@@ -281,38 +281,33 @@ class GammaIntervals:
 
     ``ground`` keeps u superharmonic near the origin, ``sqrt_ground`` keeps
     sqrt(u) superharmonic there (equivalently the weight nonnegative), and
-    ``joint`` is their intersection.  Ends are exact Fractions, except the
-    sqrt_ground upper end which involves a square root.  An interval with
-    upper < lower is empty.
+    ``joint`` is their intersection, which is ``ground``: for every k > 0,
+    k - 1 <= (1 + k - sqrt(2 k))**2, with equality only at k = 2 (with
+    y = sqrt(2 k) - 1 the difference is (y - 1)**2 (y**2 + 2 y + 3) / 4).
+    Ends are exact Fractions, except the sqrt_ground upper end which
+    involves a square root.  An interval with upper < lower is empty.
     """
 
     ground: tuple
     sqrt_ground: tuple
     joint: tuple
 
-    def joint_contains(self, gamma, rel_slack=1e-12):
+    def joint_contains(self, gamma):
         lo, hi = self.joint
-        if isinstance(gamma, Fraction) and isinstance(lo, Fraction) and isinstance(hi, Fraction):
-            return lo <= gamma <= hi
-        g, lo, hi = float(gamma), float(lo), float(hi)
-        slack = rel_slack * max(1.0, abs(lo), abs(hi))
-        return lo - slack <= g <= hi + slack
+        return lo <= gamma <= hi
 
 
 def gamma_intervals(model):
     """Admissible gamma ranges determined by the data at radii 1 and 2."""
     a1 = Fraction(model.area(1))
     kap1 = model.kappa(1)
-    lo = 1 / a1
-    ground_hi = (kap1 - 1) / a1
+    lo, ground_hi = 1 / a1, (kap1 - 1) / a1
     k1 = float(kap1)
     sqrt_hi = (1.0 + k1 - math.sqrt(2.0 * k1)) ** 2 / float(a1)
-    # the ground end never exceeds the sqrt end, but take the min defensively
-    joint_hi = ground_hi if float(ground_hi) <= sqrt_hi else sqrt_hi
     return GammaIntervals(
         ground=(lo, ground_hi),
         sqrt_ground=(lo, sqrt_hi),
-        joint=(lo, joint_hi),
+        joint=(lo, ground_hi),
     )
 
 
@@ -423,10 +418,14 @@ def check_superharmonic_ground(model, gamma, r_max):
         elif violated:
             bad_low = True
 
-    kappa_margin = math.inf
-    for r in range(2, r_max + 1):
-        margin = model.kappa(r) - Fraction(1, r) - (1 - Fraction(1, r)) * model.kappa(r - 1)
-        kappa_margin = min(kappa_margin, float(margin))
+    # kappa(r) - 1/r - (1 - 1/r) kappa(r - 1) as num / (r q(r) q(r - 1)), p = k_plus,
+    # q = k_minus; the triple products pass 2**53, so they are taken on Python ints
+    # (float views hold ints below 2**27) or Fractions, and each quotient rounded once
+    p, q = (a if a.dtype == object else a.astype(np.int64).astype(object)
+            for a in model.exact_degrees(r_max))
+    r = np.arange(2, r_max + 1, dtype=object)
+    num = r * p[2:] * q[1:-1] - q[2:] * q[1:-1] - (r - 1) * p[1:-1] * q[2:]
+    kappa_margin = float(min(num / (r * q[2:] * q[1:-1])))
 
     # For r >= 2 the defect sign is gamma-free and equivalent to the kappa
     # margin; a violation there means the model, not the run, is out of
@@ -479,12 +478,13 @@ def check_superharmonic_sqrt_ground(model, gamma, r_max, tol=1e-12, dps=DEFAULT_
     r_min = 0 if gamma > 0 else 1
     min_weight = float(np.min(w[r_min:]))
 
-    kappa_margin = math.inf
-    for r in range(2, r_max + 1):
-        kap = float(model.kappa(r))
-        kap_prev = float(model.kappa(r - 1))
-        lhs = (1.0 + kap - math.sqrt(kap * (1.0 + 1.0 / r))) ** 2 / (1.0 - 1.0 / r)
-        kappa_margin = min(kappa_margin, lhs - kap_prev)
+    kap = model.kappa_floats(r_max).tolist()
+    # scalar ** 2 (libm pow) on purpose: numpy's x * x rounds some inputs differently
+    kappa_margin = min(
+        (1.0 + kap[r] - math.sqrt(kap[r] * (1.0 + 1.0 / r))) ** 2 / (1.0 - 1.0 / r)
+        - kap[r - 1]
+        for r in range(2, r_max + 1)
+    )
 
     notes = []
     if gamma == 0:

@@ -169,8 +169,16 @@ def helper_sum(n):
     """
     if n < 3:
         raise InvalidParameterError("n must be at least 3")
+    # r sqrt(1 + 1/r) log1p(1/r)**2, rounded as written; in place, so at
+    # most three arrays of n exist at once
     r = np.arange(1, n, dtype=float)
-    terms = r * np.sqrt(1.0 + 1.0 / r) * np.log1p(1.0 / r) ** 2
+    inv = 1.0 / r
+    terms = 1.0 + inv
+    np.sqrt(terms, out=terms)
+    terms *= r
+    np.log1p(inv, out=inv)
+    np.square(inv, out=inv)
+    terms *= inv
     return float(np.sum(terms)) / math.log(n) ** 2
 
 
@@ -654,8 +662,8 @@ def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
     }
     vertex_ok = True
     ball_radius = max(radii)
-    k_plus = [model.k_plus(r) for r in range(ball_radius + 1)]
-    if km0 == 1 and not any(k % 1 for k in k_plus):
+    k_plus = kp[: ball_radius + 1]
+    if km0 == 1 and not any(k_plus % 1):
         vertex_bottom = tree_ball_bottom_eigenvalue(
             k_plus, np.zeros(ball_radius + 1), tol=1e-11
         )

@@ -16,9 +16,11 @@ error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,30 +126,27 @@ class RadialModel:
     raises NeedsTailError; rebuild the model deeper instead of guessing.
     Use the ``make_*`` constructors rather than instantiating directly.
 
-    The per-radius accessors return the stored values exactly.  The bulk
-    views are built on first use, each in one pass over the radii asked
-    for, cached read-only and rebuilt only when a longer range is asked
-    for: the degrees as floats and in an exact form (see
-    ``exact_degrees``), and the log-areas.  ``kappa_floats`` divides the
-    cached degrees on each call.  Nothing is built in the constructor.
-    Exact volumes and areas are never cached, because on a tree they grow
-    like d**r; the log-areas take ``math.log`` of each exact area as it is
-    formed.
+    The per-radius accessors return the stored values exactly, and area(r)
+    is always k_minus(r) * vol(r).  The bulk views are each built once, on
+    first use, over the whole stored depth and kept read-only; the range
+    accessors slice them, so no longer request ever rebuilds one.  They
+    are the degrees as floats, the degrees in an exact form (see
+    ``exact_degrees``), kappa as floats, and the log-areas.  Nothing is
+    built in the constructor.  Exact volumes and areas are never cached,
+    because on a tree they grow like d**r; the log-areas take ``math.log``
+    of each exact area as it is formed.
     """
 
-    def __init__(self, *, k_plus_of, k_minus_of, vol_of, area_of=None,
-                 depth, tail, label):
+    def __init__(self, *, k_plus_of, k_minus_of, vol_of, depth, tail, label):
         depth = _as_radius(depth)
         if depth < 2:
             raise InvalidParameterError("model depth must be at least 2")
         self._k_plus_of = k_plus_of
         self._k_minus_of = k_minus_of
         self._vol_of = vol_of
-        self._area_of = area_of or (lambda r: k_minus_of(r) * vol_of(r))
         self._depth = depth
         self._tail = tail
         self._label = label
-        self._arrays = {}
 
     @property
     def depth(self):
@@ -198,7 +197,7 @@ class RadialModel:
         if r == 0:
             return 0
         self._need(r, self._depth, "area")
-        return self._area_of(r)
+        return self._k_minus_of(r) * self._vol_of(r)
 
     def kappa(self, r):
         """Degree ratio k_plus(r) / k_minus(r) as an exact Fraction."""
@@ -210,66 +209,60 @@ class RadialModel:
         self._need(r, self._depth - 1, "kappa")
         return Fraction(self._k_plus_of(r)) / Fraction(self._k_minus_of(r))
 
-    # -- bulk views (cached, grow on demand, returned read-only) ------------
+    # -- bulk views (built once over the stored range, returned read-only) --
 
-    def _cached(self, name, size, build):
-        """The arrays cached under ``name``, rebuilt by build(size) if shorter."""
-        arrays = self._arrays.get(name)
-        if arrays is None or arrays[0].shape[0] < size:
-            arrays = self._arrays[name] = build(size)
-        return arrays
-
-    def _build_degrees(self, n):
-        """k_plus(0..n-1) and k_minus(0..n), as floats and in exact form."""
+    @functools.cached_property
+    def _degrees(self):
+        """k_plus(0..depth-1) and k_minus(0..depth) as floats, the same in
+        exact form (see ``exact_degrees``), and kappa(0..depth-1) as floats."""
+        n = self._depth
         kp = [self._k_plus_of(r) for r in range(n)]
         km = [0] + [self._k_minus_of(r) for r in range(1, n + 1)]
-        types = set(map(type, itertools.chain(kp, km)))
-        kp_f = _frozen(np.array(kp, dtype=float))
-        km_f = _frozen(np.array(km, dtype=float))
-        if types == {int} and max(max(kp), max(km), n) ** 2 < _EXACT_FLOAT_LIMIT:
-            return kp_f, km_f, kp_f, km_f
-        return (kp_f, km_f, _frozen(np.array(kp, dtype=object)),
-                _frozen(np.array(km, dtype=object)))
+        floats = [_frozen(np.array(v, dtype=float)) for v in (kp, km)]
+        kappa = np.empty(n)
+        kappa[0] = np.nan
+        if (set(map(type, itertools.chain(kp, km))) == {int}
+                and max(max(kp), max(km), n) ** 2 < _EXACT_FLOAT_LIMIT):
+            exact = floats
+            np.divide(floats[0][1:], floats[1][1:n], out=kappa[1:])
+        else:
+            exact = [_frozen(np.array(v, dtype=object)) for v in (kp, km)]
+            # one correctly rounded division per radius, as float(Fraction)
+            kappa[1:] = np.fromiter(map(operator.truediv, kp[1:], km[1:n]),
+                                    dtype=float, count=n - 1)
+        return (*floats, *exact, _frozen(kappa))
+
+    def _upto(self, r_hi, last, what):
+        """slice(r_hi + 1), once radius r_hi is checked against ``last``."""
+        r_hi = _as_radius(r_hi)
+        self._need(r_hi, last, what)
+        return slice(r_hi + 1)
 
     def k_plus_floats(self, r_hi):
         """k_plus(0..r_hi) as a float array."""
-        r_hi = _as_radius(r_hi)
-        self._need(r_hi, self._depth - 1, "k_plus")
-        return self._cached("degrees", r_hi + 1, self._build_degrees)[0][: r_hi + 1]
+        return self._degrees[0][self._upto(r_hi, self._depth - 1, "k_plus")]
 
     def k_minus_floats(self, r_hi):
         """k_minus(0..r_hi) as a float array (entry 0 is 0)."""
-        r_hi = _as_radius(r_hi)
-        self._need(r_hi, self._depth, "k_minus")
-        return self._cached("degrees", max(r_hi, 1), self._build_degrees)[1][: r_hi + 1]
+        return self._degrees[1][self._upto(r_hi, self._depth, "k_minus")]
 
     def exact_degrees(self, r_hi):
         """k_plus(0..r_hi) and k_minus(0..r_hi) in arrays with exact products.
 
-        A product of two entries, or of an entry and a radius up to r_hi + 1,
-        and the difference of two such products are exact in these arrays,
-        so kappa ratios compare and subtract exactly through cross products.
-        They are the float views when every degree is an integer small
-        enough for those products to stay below 2**53, and object arrays of
-        the stored ints and Fractions otherwise.
+        A product of two entries, or of an entry and a radius up to the
+        stored depth, and the difference of two such products are exact in
+        these arrays, so kappa ratios compare and subtract exactly through
+        cross products.  They are the float views when every stored degree
+        is an integer small enough for those products to stay below 2**53,
+        and object arrays of the stored ints and Fractions otherwise; the
+        choice is made once per model, whatever r_hi is.
         """
-        r_hi = _as_radius(r_hi)
-        self._need(r_hi, self._depth - 1, "k_plus")
-        kp, km = self._cached("degrees", r_hi + 1, self._build_degrees)[2:]
-        return kp[: r_hi + 1], km[: r_hi + 1]
+        upto = self._upto(r_hi, self._depth - 1, "k_plus")
+        return self._degrees[2][upto], self._degrees[3][upto]
 
     def kappa_floats(self, r_hi):
         """kappa(1..r_hi) as a float array, each rounded once; entry 0 is NaN."""
-        kp, km = self.exact_degrees(r_hi)
-        kappa = np.empty(r_hi + 1)
-        kappa[0] = np.nan
-        if kp.dtype == object:
-            # one correctly rounded division per radius, as float(Fraction)
-            kappa[1:] = np.fromiter(map(operator.truediv, kp[1:], km[1:]),
-                                    dtype=float, count=r_hi)
-        else:
-            np.divide(kp[1:], km[1:], out=kappa[1:])
-        return _frozen(kappa)
+        return self._degrees[4][self._upto(r_hi, self._depth - 1, "kappa")]
 
     def _exact_areas(self, r_lo, r_hi):
         """Yield area(r_lo..r_hi) exactly, one radius at a time.
@@ -283,7 +276,7 @@ class RadialModel:
             step = None
             if type(area) is int and self._k_minus_of(r - 1) == 1:
                 step = self._k_plus_of(r - 1)
-            area = area * step if type(step) is int else self._area_of(r)
+            area = area * step if type(step) is int else self._k_minus_of(r) * self._vol_of(r)
             yield area
 
     def area_values(self, r_lo, r_hi):
@@ -297,12 +290,15 @@ class RadialModel:
         self._need(r_hi, self._depth, "area")
         return np.fromiter(self._exact_areas(r_lo, r_hi), dtype=object)
 
-    def _build_log_areas(self, n):
-        log_area = np.empty(n)
+    @functools.cached_property
+    def _log_areas(self):
+        """Natural log of area(0..depth); entry 0 is -inf."""
+        n = self._depth
+        log_area = np.empty(n + 1)
         log_area[0] = -math.inf
-        log_area[1:] = np.fromiter(map(_log_of_exact, self._exact_areas(1, n - 1)),
-                                   dtype=float, count=n - 1)
-        return (_frozen(log_area),)
+        log_area[1:] = np.fromiter(map(_log_of_exact, self._exact_areas(1, n)),
+                                   dtype=float, count=n)
+        return _frozen(log_area)
 
     def log_area_floats(self, r_hi):
         """Natural log of area(0..r_hi); entry 0 is -inf.
@@ -310,9 +306,7 @@ class RadialModel:
         Each entry is math.log of the exact area, so it matches
         ``math.log(model.area(r))`` bit for bit.
         """
-        r_hi = _as_radius(r_hi)
-        self._need(r_hi, self._depth, "area")
-        return self._cached("log_area", r_hi + 1, self._build_log_areas)[0][: r_hi + 1]
+        return self._log_areas[self._upto(r_hi, self._depth, "area")]
 
     def radial_data(self, r_max=None):
         """Rows (r, k_plus, k_minus, vol) for r = 0..r_max.
@@ -351,7 +345,6 @@ def make_tree(d, depth):
         k_plus_of=lambda r: d,
         k_minus_of=lambda r: 1,
         vol_of=lambda r: d ** r,
-        area_of=lambda r: d ** r,
         depth=depth,
         tail=tail,
         label=f"tree(d={d})",
@@ -395,7 +388,6 @@ def make_antitree(sphere_sizes, depth, label=None):
         k_plus_of=lambda r: s[r + 1],
         k_minus_of=lambda r: s[r - 1],
         vol_of=lambda r: s[r],
-        area_of=lambda r: s[r - 1] * s[r],
         depth=depth,
         tail=Tail("unspecified"),
         label=label or "antitree",
@@ -603,18 +595,23 @@ def save_model(model, path, r_max=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_value(token, where):
+def _parse(token, where, convert=Fraction):
+    """``convert(token)``, or InvalidParameterError naming ``where``.
+
+    A run of more digits than Python reads (see _decimal_text) is refused
+    first, naming the limit; errors show at most a prefix of a long token.
+    """
+    shown = repr(token) if len(token) <= 24 else f"{token[:16]!r}... ({len(token)} characters)"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(map(len, re.findall(r"\d+", token)), default=0) > limit:
+        raise InvalidParameterError(
+            f"number {shown} in {where} has more than {limit} decimal digits, "
+            "the most Python reads (sys.get_int_max_str_digits())"
+        )
     try:
-        return Fraction(token)
+        return convert(token)
     except (ValueError, ZeroDivisionError):
-        raise InvalidParameterError(f"cannot parse number {token!r} in {where}") from None
-
-
-def _parse_int(token, where):
-    try:
-        return int(token)
-    except ValueError:
-        raise InvalidParameterError(f"cannot parse integer {token!r} in {where}") from None
+        raise InvalidParameterError(f"cannot parse {shown} in {where}") from None
 
 
 def load_model(path):
@@ -641,15 +638,15 @@ def load_model(path):
             elif tokens[1:] == ["finite"]:
                 tail = Tail("finite")
             elif len(tokens) in (3, 4) and tokens[1] == "geometric":
-                kappa_inf = _parse_value(tokens[2], "tail line")
-                start = _parse_int(tokens[3], "tail line") if len(tokens) == 4 else 1
+                kappa_inf = _parse(tokens[2], "tail line")
+                start = _parse(tokens[3], "tail line", int) if len(tokens) == 4 else 1
                 tail = Tail("eventually-geometric", kappa_inf=kappa_inf, start=start)
             else:
                 raise InvalidParameterError(f"{path}: bad tail line {ln!r}")
             continue
         if len(tokens) != 4:
             raise InvalidParameterError(f"{path}: expected 4 columns, got {ln!r}")
-        r = _parse_int(tokens[0], f"row {expected_r}")
+        r = _parse(tokens[0], f"row {expected_r}", int)
         if r != expected_r:
             raise InvalidParameterError(
                 f"{path}: rows must cover consecutive radii, expected {expected_r} got {r}"
@@ -658,9 +655,9 @@ def load_model(path):
         if tokens[1] == "-":
             k_plus.append(None)
         else:
-            k_plus.append(_parse_value(tokens[1], f"row {r}"))
-        k_minus.append(_parse_value(tokens[2], f"row {r}"))
-        vol.append(_parse_value(tokens[3], f"row {r}"))
+            k_plus.append(_parse(tokens[1], f"row {r}"))
+        k_minus.append(_parse(tokens[2], f"row {r}"))
+        vol.append(_parse(tokens[3], f"row {r}"))
 
     depth = expected_r - 1
     if any(v is None for v in k_plus[:-1]) or (k_plus and k_plus[-1] is not None):

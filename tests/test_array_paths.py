@@ -6,7 +6,9 @@ chosen on both sides of the 2**53 cross-product limit, so the object-array
 route is exercised as well as the float64 one.
 """
 
+import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardy_lab import (
+    RadialModel,
     Tail,
     check_bounded_oscillation,
     check_lambda0_bound,
+    check_superharmonic_ground,
+    check_superharmonic_sqrt_ground,
     closed_form_weight,
     compare_to_green,
     ground_weight_mass_terms,
@@ -28,6 +33,7 @@ from hardy_lab import (
     save_model,
     sqrt_pair_defect,
 )
+from hardy_lab import cli
 
 
 def poly_antitree(p, depth):
@@ -153,6 +159,18 @@ def scalar_ratio_range(model, r_max):
     return min(ratios), max(ratios)
 
 
+def scalar_ground_kappa_margin(model, r_max):
+    return min(float(model.kappa(r) - Fraction(1, r) - (1 - Fraction(1, r)) * model.kappa(r - 1))
+               for r in range(2, r_max + 1))
+
+
+def scalar_sqrt_ground_kappa_margin(model, r_max):
+    def margin(r):
+        kap, kap_prev = float(model.kappa(r)), float(model.kappa(r - 1))
+        return (1.0 + kap - math.sqrt(kap * (1.0 + 1.0 / r))) ** 2 / (1.0 - 1.0 / r) - kap_prev
+    return min(margin(r) for r in range(2, r_max + 1))
+
+
 def assert_scans_match(model):
     lam = check_lambda0_bound(model, section_radii=(16, 32))
     first = scalar_first_inhomogeneous(model)
@@ -170,6 +188,14 @@ def assert_scans_match(model):
     lo, hi = scalar_ratio_range(model, r_max)
     assert (osc.residuals["min_ratio"], osc.residuals["max_ratio"]) == (lo, hi)
     assert osc.status == ("pass" if lo >= 1 / 100 and hi <= 100 else "fail")
+
+    # past r = 6000 on the deep antitree the triple products pass int64
+    r_mid = min(model.depth - 1, 8192)
+    ground = check_superharmonic_ground(model, 0, r_mid)
+    assert ground.residuals["min_kappa_margin"] == scalar_ground_kappa_margin(model, r_mid)
+    sqrt_ground = check_superharmonic_sqrt_ground(model, 0, r_mid)
+    assert (sqrt_ground.residuals["min_kappa_margin"]
+            == scalar_sqrt_ground_kappa_margin(model, r_mid))
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=5, max_size=30))
@@ -213,6 +239,17 @@ def test_scans_stay_exact_past_int64_on_deep_antitree():
     assert_scans_match(model)
 
 
+def test_scans_stay_exact_when_float_view_triple_products_pass_2_53():
+    # degrees just below 2**26.5 keep the float views, but r k_plus k_minus
+    # does not fit a double; the superharmonic margin must not round it
+    depth, big = 40, 94_000_000
+    model = make_custom([big + 2 * r % 3 for r in range(depth)],
+                        [0] + [big + 2 * r % 4 for r in range(1, depth + 1)],
+                        tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
+    assert model.exact_degrees(depth - 1)[0].dtype == float
+    assert_scans_match(model)
+
+
 def test_numpy_integer_data_stays_exact():
     # k_plus(1) k_minus(2) = 2**80 would wrap in int64 arithmetic
     k_plus = [1, 2 ** 40, 2 ** 40 + 1, 2 ** 40, 1]
@@ -226,3 +263,39 @@ def test_numpy_integer_data_stays_exact():
     assert (compare_to_green(numpy_ints, 3).kappa_constant_from
             == scalar_kappa_constant_from(plain))
     assert_scans_match(plain)
+
+
+def test_deep_model_keeps_its_exact_form_on_shallow_requests():
+    # the float64-or-object choice belongs to the model, not to the range
+    deep, shallow = poly_antitree(2, 100_000), poly_antitree(2, 1200)
+    assert deep.exact_degrees(10)[0].dtype == object
+    assert shallow.exact_degrees(10)[0].dtype == float
+    r_max = shallow.depth - 1
+    deep_profile = closed_form_weight(deep, 0, r_max)
+    shallow_profile = closed_form_weight(shallow, 0, r_max)
+    np.testing.assert_array_equal(deep_profile.values, shallow_profile.values)
+    np.testing.assert_array_equal(deep_profile.floor_values, shallow_profile.floor_values)
+
+
+def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_degrees", "_log_areas"):
+        view = functools.cached_property(counted(name, vars(RadialModel)[name].func))
+        view.__set_name__(RadialModel, name)
+        monkeypatch.setattr(RadialModel, name, view)
+    for name in ("area_values", "kappa"):
+        monkeypatch.setattr(RadialModel, name, counted(name, vars(RadialModel)[name]))
+    cli.main(["verify", "--model", "antitree:poly:2:3000", "--suite", "all"])
+    capsys.readouterr()
+    assert calls["_degrees"] == 1
+    assert calls["_log_areas"] == 1
+    # one window for properness, one for the Green transience and tail bound
+    assert calls["area_values"] == 2
+    assert calls["kappa"] <= 3

@@ -303,3 +303,17 @@ def test_model_table_with_unwritable_volume_exits_2(capsys):
     code, out, _ = run(capsys, "model", "--model", spec, "--r-max", "1")
     assert code == 0
     assert out.splitlines()[-1] == f"1 {d} 1 {d} {d}"
+
+
+def test_model_file_with_an_unreadable_number_exits_2_with_a_short_error(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads ints of any length")
+    digits = "1" + "0" * (limit + 100)
+    path = tmp_path / "long.model"
+    path.write_text(f"radial-model v1\ntail unspecified\n0 1 0 1\n1 1 1 1\n2 - 1 {digits}\n")
+    code, out, err = run(capsys, "model", "--model", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err) < 300
+    assert "row 2" in err and str(limit) in err and "'1000" in err

@@ -15,6 +15,7 @@ from hardy_lab import (
     gamma_intervals,
     general_closed_form,
     make_antitree,
+    make_custom,
     make_tree,
     series_expansion,
     series_remainder_bound,
@@ -144,6 +145,29 @@ def test_gamma_intervals_known_models(tree2, tree3, antitree_linear):
     gi1 = gamma_intervals(make_tree(1, 10))
     lo, hi = gi1.ground
     assert lo > hi  # empty: only gamma = 0 works on the half line
+
+
+def test_joint_gamma_interval_is_the_exact_ground_interval():
+    # near kappa(1) = 2 a float comparison of the two upper ends can pick
+    # the float sqrt end (1.0000000000235865 for this model)
+    kap1 = Fraction(10000000000117933, 5000000000000000)
+    model = make_custom([1, kap1, kap1], [0, 1, 1, 1])
+    gi = gamma_intervals(model)
+    assert gi.joint == gi.ground == (Fraction(1), kap1 - 1)
+    assert gi.joint_contains(kap1 - 1)
+    assert not gi.joint_contains(kap1 - 1 + Fraction(1, 10 ** 40))
+
+
+def test_ground_end_never_exceeds_the_sqrt_end():
+    # k - 1 <= (1 + k - sqrt(2 k))**2 for k > 0, with equality only at k = 2
+    rng = np.random.default_rng(7)
+    kappas = [Fraction(float(k)) for k in rng.uniform(0.0, 50.0, 200)]
+    kappas += [2 + Fraction(float(e)) for e in rng.uniform(-1e-9, 1e-9, 200)]
+    with mpmath.workdps(50):
+        for k in kappas:
+            km = mpmath.mpf(k.numerator) / k.denominator
+            gap = (1 + km - mpmath.sqrt(2 * km)) ** 2 - (km - 1)
+            assert gap > 0 if k != 2 else gap == 0, k
 
 
 def test_weight_profile_metadata(tree2):
