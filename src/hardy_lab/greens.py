@@ -5,7 +5,8 @@ The radial Green function of a transient model is G(r) = sum over n > r of
 here.  Applying the Rayleigh ratio construction to sqrt(G) instead of the
 ground profile gives a second, classical weight to compare against; on
 trees that comparison has exact closed forms and the optimal weight wins
-pointwise with a margin that decays to zero.
+pointwise with a margin that decays to zero.  Both the transience verdict
+and the Green recursion read the degrees and kappa, not sphere sizes.
 """
 
 from __future__ import annotations
@@ -37,26 +38,6 @@ def _area_window(model):
     return last, d1, np.diff(d1)
 
 
-def _transience(model):
-    """transience_test's verdict, and the area window it read (or None)."""
-    t = model.tail
-    if t.kind == "finite":
-        return False, None
-    if t.kind == "eventually-geometric":
-        return t.kappa_inf > 1, None
-    window = _area_window(model)
-    _, d1, d2 = window
-    if d1.size and np.all(d1 <= 0):
-        return False, window
-    # strictly convex growth: every first and every second difference > 0
-    if d2.size and np.all(d1 > 0) and d2.min() > 0:
-        return True, window
-    raise InconclusiveTransienceError(
-        "the stored window neither plateaus nor grows convexly; transience "
-        "cannot be extrapolated from this data"
-    )
-
-
 def transience_test(model):
     """Decide whether sum 1/area converges, i.e. the model is transient.
 
@@ -66,17 +47,39 @@ def transience_test(model):
     stop growing there are read as bounded (recurrent), strictly convex
     growth (all first differences positive, all second differences strictly
     positive) is read as at-least-quadratic (transient).  Anything else
-    raises InconclusiveTransienceError.
+    raises InconclusiveTransienceError.  The signs are exact and need no
+    area: area(r + 1) - area(r) = vol(r) (k_plus(r) - k_minus(r)), and the
+    second difference at r is vol(r) / k_minus(r + 1) times
+    k_plus(r) (k_plus(r + 1) - k_minus(r + 1))
+    - k_minus(r + 1) (k_plus(r) - k_minus(r)).
     """
-    return _transience(model)[0]
+    t = model.tail
+    if t.kind == "finite":
+        return False
+    if t.kind == "eventually-geometric":
+        return t.kappa_inf > 1
+    lo = max(1, model.depth // 2)
+    kp, km = model.exact_degrees(model.depth - 1)
+    d1 = kp[lo:] - km[lo:]  # for r = lo..depth-1
+    if np.all(d1 <= 0):
+        return False
+    # a difference of two exact products (see exact_degrees): even where it
+    # rounds, its sign is exact; for r = lo..depth-2
+    d2 = kp[lo:-1] * d1[1:] - km[lo + 1:] * d1[:-1]
+    if d2.size and np.all(d1 > 0) and np.all(d2 > 0):
+        return True
+    raise InconclusiveTransienceError(
+        "the stored window neither plateaus nor grows convexly; transience "
+        "cannot be extrapolated from this data"
+    )
 
 
 def _quadratic_tail_bound(window):
     """Bound sum over n > depth of 1/area(n), assuming window convexity persists.
 
-    ``window`` is an _area_window that _transience read as strictly convex
-    growth.  With A = area(depth), B the last first difference and C the
-    smallest second difference in it, persistence of convexity gives
+    ``window`` is an _area_window read as strictly convex growth by
+    transience_test.  With A = area(depth), B the last first difference and
+    C the smallest second difference in it, persistence of convexity gives
     area(depth + j) >= A + B j + C j (j + 1) / 2, and the decreasing
     integrand bounds the sum by the integral from 0 to infinity of
     1 / (c + b x + a x**2) with c = A, b = B + C/2, a = C/2.
@@ -111,9 +114,10 @@ def _quadratic_tail_bound(window):
 class GreenProfile:
     """G(r) for r = 0..r_max, with how the tail beyond depth was handled.
 
-    ``log_values`` is the authoritative representation; ``values`` is its
-    exponential and underflows to 0 for display once G leaves the double
-    range (fast-growing models reach that within a few hundred radii).
+    ``log_values`` is the authoritative representation (see ``_log_green``);
+    ``values`` is its exponential and underflows to 0 for display once G
+    leaves the double range (fast-growing models reach that within a few
+    hundred radii).
     tail_method "closed-form-geometric" means the tail was summed exactly
     and tail_error_bound is 0; "truncated-with-bound" means the values are
     lower bounds undershooting by at most tail_error_bound, conditional on
@@ -132,46 +136,49 @@ class GreenProfile:
 
 
 def _log_green(model, r_max):
-    """log G(r) for r = 0..depth-1 in extended precision, and the
-    GreenProfile on 0..r_max with its tail metadata.
+    """l(r) = log(area(r + 1) G(r)) and the GreenProfile (log G = l - log
+    area) on 0..r_max, the profile with its tail metadata.
 
-    Works top down: log G(r) = logaddexp(log G(r+1), -log area(r+1)), which
-    never under- or overflows and keeps adjacent values accurate enough to
-    take ratios of (the weight construction only ever uses ratios).  The
-    recursion runs as one accumulate over the reversed terms.
+    Works top down from l(depth - 1) = log(kappa_inf / (kappa_inf - 1)) for
+    a geometric tail, or 0 for a truncated one, by G(r) = G(r + 1) +
+    1/area(r + 1), i.e. l(r) = log(1 + exp(l(r + 1) - log kappa(r + 1))):
+    a step contracting where kappa > 1, whose values stay of order one.
     """
-    transient, window = _transience(model)
-    if not transient:
+    if not transience_test(model):
         raise NoGreenFunctionError(
             f"{model.label} is recurrent; no minimal positive Green function"
         )
     depth = model.depth
-    la = model.log_area_floats(depth)
-    # terms[0] is log G(depth - 1); terms[k] = -log area(depth - k) after it
-    terms = np.empty(depth, dtype=np.longdouble)
-    np.negative(la[depth - 1: 0: -1], out=terms[1:])
     t = model.tail
     if t.kind == "eventually-geometric":
         if t.start > depth:
             raise NeedsTailError("geometric behaviour starts beyond the stored depth")
         kap = float(t.kappa_inf)
         # sum_{n >= depth} 1/area(n) = kappa / (area(depth) (kappa - 1))
-        terms[0] = -np.longdouble(la[depth]) + math.log(kap / (kap - 1.0))
+        top = math.log(kap / (kap - 1.0))
         method, bound, notes = "closed-form-geometric", 0.0, ()
     else:
-        terms[0] = -np.longdouble(la[depth])
+        top = 0.0
         method = "truncated-with-bound"
-        bound = _quadratic_tail_bound(window)
+        bound = _quadratic_tail_bound(_area_window(model))
         notes = (
             "values are lower bounds; the stated bound assumes the stored "
             "window's convex growth persists",
         )
-    logg = np.logaddexp.accumulate(terms, out=terms)[::-1]
-    log_values = np.asarray(logg[: r_max + 1], dtype=float)
+    # ell[r] holds log kappa(r + 1) until the step down replaces it by l(r)
+    ell = np.empty(depth)
+    np.log(model.kappa_floats(depth - 1)[1:], out=ell[:-1])
+    ell[-1] = x = top
+    view = memoryview(ell)
+    for r in range(depth - 2, -1, -1):
+        z = x - view[r]  # then log(1 + exp(z)), without overflow
+        view[r] = x = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+    ell = ell[: r_max + 1]
+    log_values = ell - model.log_area_floats(r_max + 1)[1:]
     with np.errstate(under="ignore"):
         values = np.exp(log_values)
-    return logg, GreenProfile(values=values, log_values=log_values, tail_method=method,
-                              tail_error_bound=bound, notes=notes)
+    return ell, GreenProfile(values=values, log_values=log_values, tail_method=method,
+                             tail_error_bound=bound, notes=notes)
 
 
 def green_function(model, r_max):
@@ -222,22 +229,22 @@ def green_weight(model, r_max):
 
     Returns (weights, profile) with weights[r] for r = 0..r_max.  On a tree
     this weight is the constant spectral-bottom value from radius 1 on.
-    The square roots are taken on log ratios, so depth is limited by the
+    With h(r) = exp(-l(r)) = 1 - G(r + 1)/G(r) (see ``_log_green``) it is
+    k_plus(r) (1 - sqrt(1 - h(r))) + k_minus(r) (1 - 1/sqrt(1 - h(r - 1))),
+    each term written without cancellation, so depth is limited by the
     stored data, not by floating underflow of G itself.
     """
     if r_max > model.depth - 2:
         raise NeedsTailError(f"the weight at {r_max} needs depth > {r_max + 1}")
-    logg, profile = _log_green(model, r_max)
-    if not np.all(np.isfinite(logg[: r_max + 2])):
+    ell, profile = _log_green(model, r_max)
+    if not np.all(np.isfinite(ell)):
         raise NotPositiveError("Green recursion produced non-finite logs")
-    kp = model.k_plus_floats(r_max).tolist()
-    km = model.k_minus_floats(r_max).tolist()
-    w = np.empty(r_max + 1)
-    for r in range(r_max + 1):
-        term = kp[r] * -math.expm1(0.5 * float(logg[r + 1] - logg[r]))
-        if r > 0:
-            term += km[r] * -math.expm1(0.5 * float(logg[r - 1] - logg[r]))
-        w[r] = term
+    with np.errstate(under="ignore"):
+        h = np.exp(-ell)
+    s = np.sqrt(-np.expm1(-ell))  # sqrt(G(r + 1) / G(r))
+    drop = h / (1.0 + s)  # 1 - s
+    w = model.k_plus_floats(r_max) * drop
+    w[1:] -= model.k_minus_floats(r_max)[1:] * (drop[:-1] / s[:-1])
     return w, profile
 
 

@@ -15,6 +15,7 @@ evidence with its exact logical force recorded in the report:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import InvalidParameterError, NeedsTailError
 from .greens import transience_test
 from .hardy_weights import _check_gamma, _closed_form, closed_form_weight, u_gamma
-from .radial_model import expand_vertex_graph
+from .radial_model import _log_of_exact, expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
     _pivot_sweep,
@@ -160,12 +161,13 @@ def check_criticality_agreement(model, n_values=(10, 100, 1000), gamma=0, rtol=1
     )
 
 
+@functools.cache
 def helper_sum(n):
     """The kappa-free part of the criticality sum, in double precision.
 
     (1 / log^2 n) * sum_{r=1}^{n-1} r sqrt(1 + 1/r) log^2(1 + 1/r); decays
     like 1/log n.  For a model with constant kappa the criticality
-    functional is sqrt(kappa) times this.
+    functional is sqrt(kappa) times this; cached, as it depends on n only.
     """
     if n < 3:
         raise InvalidParameterError("n must be at least 3")
@@ -292,8 +294,8 @@ def optimality_probe(model, weight_values, lam, window, r_max,
     pivot; the pivots before it are those of the full count, so each base
     gets the same decision as the count >= 1 test.
     """
-    if lam <= 0:
-        raise InvalidParameterError("the inflation lam must be positive")
+    if not 0 < lam < math.inf:  # also refuses NaN
+        raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
     if window < 0:
         raise InvalidParameterError("window must be nonnegative")
     if r_max > model.depth - 1:
@@ -375,8 +377,8 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0,
     to b_max shows negativity the status is inconclusive: positivity of all
     finite sections never certifies the infinite inequality by itself.
     """
-    if lam <= 0:
-        raise InvalidParameterError("the inflation lam must be positive")
+    if not 0 < lam < math.inf:  # also refuses NaN
+        raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
     if r_lo < 1:
         raise InvalidParameterError("r_lo must be at least 1")
     if b_max is None:
@@ -576,14 +578,17 @@ def check_bounded_oscillation(model, r_max, bound=100.0):
 def check_properness(model, r_max=None):
     """Proxy for the ground profile vanishing at infinity.
 
-    Requires a transient verdict.  Works in log space (the profile itself
-    underflows on fast-growing models): the second half of log u must be
-    strictly decreasing and the total drop over [1, r_max] at least log 2.
-    A geometric tail upgrades the window verdict to a certificate, since
+    Requires a transient verdict.  The second half of u(r) = r / area(r)
+    on [1, r_max] must be strictly decreasing, decided exactly from the
+    degrees: u(r + 1) < u(r) exactly when (r + 1) k_minus(r) < r k_plus(r).
+    The total drop log u(1) - log u(r_max) must be at least log 2.  A
+    geometric tail upgrades the window verdict to a certificate, since
     r / area(r) -> 0 whenever area grows at a fixed ratio > 1.
     """
     if r_max is None:
         r_max = model.depth
+    if r_max < 1:
+        raise InvalidParameterError(f"properness needs r_max >= 1, got {r_max}")
     if not transience_test(model):
         return VerificationReport(
             check="properness-proxy",
@@ -592,18 +597,15 @@ def check_properness(model, r_max=None):
             params={"model": model.label, "r_max": r_max},
             notes=("recurrent model: the ground profile does not vanish at infinity",),
         )
-    log_area = model.log_area_floats(r_max)
-    r = np.arange(1, r_max + 1, dtype=float)
-    log_u = np.log(r) - log_area[1:]
-    half = len(log_u) // 2
-    window = log_u[half:]
-    decreasing = bool(np.all(np.diff(window) < 0))
-    drop = float(log_u[0] - log_u[-1])
-    certified = (
-        model.tail.kind == "eventually-geometric"
-        and model.tail.kappa_inf is not None
-        and model.tail.kappa_inf > 1
-    )
+    # log u at radii 1 and r_max, rounded as log(r) - log(area(r))
+    ends = np.log(np.array([1.0, r_max])) - [_log_of_exact(model.area(r))
+                                               for r in (1, r_max)]
+    drop = float(ends[0] - ends[1])
+    kp, km = model.exact_degrees(r_max - 1)
+    half = r_max // 2 + 1
+    r = np.arange(half, r_max, dtype=kp.dtype)
+    decreasing = bool(np.all((r + 1) * km[half:] < r * kp[half:]))
+    certified = model.tail.kind == "eventually-geometric" and model.tail.kappa_inf > 1
     ok = decreasing and (certified or drop >= math.log(2.0))
     notes = ()
     if certified:

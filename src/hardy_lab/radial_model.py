@@ -131,10 +131,10 @@ class RadialModel:
     first use, over the whole stored depth and kept read-only; the range
     accessors slice them, so no longer request ever rebuilds one.  They
     are the degrees as floats, the degrees in an exact form (see
-    ``exact_degrees``), kappa as floats, and the log-areas.  Nothing is
-    built in the constructor.  Exact volumes and areas are never cached,
-    because on a tree they grow like d**r; the log-areas take ``math.log``
-    of each exact area as it is formed.
+    ``exact_degrees``) and kappa as floats, the scale-free data that every
+    full-depth float consumer reads.  Nothing is built in the constructor.
+    Exact volumes and areas are never cached, because on a tree they grow
+    like d**r; ``area_values`` and ``log_area_floats`` form them per call.
     """
 
     def __init__(self, *, k_plus_of, k_minus_of, vol_of, depth, tail, label):
@@ -290,23 +290,14 @@ class RadialModel:
         self._need(r_hi, self._depth, "area")
         return np.fromiter(self._exact_areas(r_lo, r_hi), dtype=object)
 
-    @functools.cached_property
-    def _log_areas(self):
-        """Natural log of area(0..depth); entry 0 is -inf."""
-        n = self._depth
-        log_area = np.empty(n + 1)
-        log_area[0] = -math.inf
-        log_area[1:] = np.fromiter(map(_log_of_exact, self._exact_areas(1, n)),
-                                   dtype=float, count=n)
-        return _frozen(log_area)
-
     def log_area_floats(self, r_hi):
         """Natural log of area(0..r_hi); entry 0 is -inf.
 
         Each entry is math.log of the exact area, so it matches
-        ``math.log(model.area(r))`` bit for bit.
+        ``math.log(model.area(r))`` bit for bit.  Computed on each call
+        over 1..r_hi and not cached, like ``area_values``.
         """
-        return self._log_areas[self._upto(r_hi, self._depth, "area")]
+        return np.array([-math.inf, *map(_log_of_exact, self.area_values(1, r_hi))])
 
     def radial_data(self, r_max=None):
         """Rows (r, k_plus, k_minus, vol) for r = 0..r_max.

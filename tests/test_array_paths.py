@@ -279,6 +279,7 @@ def test_deep_model_keeps_its_exact_form_on_shallow_requests():
 
 def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     calls = Counter()
+    passes = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -286,16 +287,25 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_degrees", "_log_areas"):
-        view = functools.cached_property(counted(name, vars(RadialModel)[name].func))
-        view.__set_name__(RadialModel, name)
-        monkeypatch.setattr(RadialModel, name, view)
-    for name in ("area_values", "kappa"):
-        monkeypatch.setattr(RadialModel, name, counted(name, vars(RadialModel)[name]))
-    cli.main(["verify", "--model", "antitree:poly:2:3000", "--suite", "all"])
-    capsys.readouterr()
-    assert calls["_degrees"] == 1
-    assert calls["_log_areas"] == 1
-    # one window for properness, one for the Green transience and tail bound
-    assert calls["area_values"] == 2
-    assert calls["kappa"] <= 3
+    view = functools.cached_property(counted("_degrees", vars(RadialModel)["_degrees"].func))
+    view.__set_name__(RadialModel, "_degrees")
+    monkeypatch.setattr(RadialModel, "_degrees", view)
+    monkeypatch.setattr(RadialModel, "kappa", counted("kappa", vars(RadialModel)["kappa"]))
+    exact_areas = vars(RadialModel)["_exact_areas"]
+
+    def spied_areas(self, r_lo, r_hi):
+        passes.append((r_lo, r_hi))
+        return exact_areas(self, r_lo, r_hi)
+
+    monkeypatch.setattr(RadialModel, "_exact_areas", spied_areas)
+    # transience and properness read the degrees; exact areas are formed
+    # only for the Green tail bound's window and for log G on 0..128
+    for spec, area_passes in [("antitree:poly:2:3000", [(1500, 3000), (1, 129)]),
+                              ("tree:2:100000", [(1, 129)])]:
+        calls.clear()
+        passes.clear()
+        cli.main(["verify", "--model", spec, "--suite", "all"])
+        capsys.readouterr()
+        assert calls["_degrees"] == 1, spec
+        assert passes == area_passes, spec
+        assert calls["kappa"] <= 3, spec

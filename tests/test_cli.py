@@ -159,16 +159,36 @@ def test_continuum_table_and_density_file(tmp_path, capsys):
 
 
 def test_out_files_match_stdout(tmp_path, capsys):
-    code, out, _ = run(capsys, "weight", "--model", "tree:2:40",
-                       "--format", "json")
-    assert code == 0
-    path = tmp_path / "w.json"
-    code, silent, _ = run(capsys, "weight", "--model", "tree:2:40",
-                          "--format", "json", "--out", str(path))
-    assert code == 0
-    assert silent == ""
-    assert path.read_text() == out
-    assert not list(tmp_path.glob(".tmp-*"))
+    # every subcommand that writes a report: same exit code, nothing on
+    # stdout with --out, the file holds what stdout held, no temp file left
+    cases = [
+        ("weight", "--model", "tree:2:40"),
+        ("weight", "--model", "tree:2:40", "--format", "json"),
+        ("green", "--model", "tree:2:100"),
+        ("green", "--model", "tree:2:100", "--format", "json"),
+        ("green", "--model", "tree:1:100", "--format", "json"),  # exit 3
+        ("verify", "--model", "tree:2:1200"),
+        ("verify", "--model", "tree:2:1200", "--json"),
+        ("continuum", "--space", "hyperbolic:3"),
+        ("continuum", "--space", "hyperbolic:3", "--check", "table"),
+    ]
+    for i, argv in enumerate(cases):
+        code, out, _ = run(capsys, *argv)
+        path = tmp_path / f"report-{i}"
+        code_out, silent, _ = run(capsys, *argv, "--out", str(path))
+        assert code_out == code, argv
+        assert silent == "", argv
+        assert (path.read_text() if path.exists() else "") == out, argv
+    assert not list(tmp_path.glob(".tmp-report-*"))
+
+
+def test_non_finite_inflation_exits_2(capsys):
+    for lam in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "verify", "--model", "tree:2:300",
+                             "--suite", "probe", f"--lam={lam}")
+        assert code == 2, lam
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
 
 def test_usage_errors_exit_2(capsys):

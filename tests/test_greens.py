@@ -1,13 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hardy_lab import (
     InconclusiveTransienceError,
     NeedsTailError,
     NoGreenFunctionError,
+    Tail,
     compare_to_green,
     green_function,
     green_function_exact,
@@ -18,6 +23,7 @@ from hardy_lab import (
     transience_test,
     tree_bottom_of_spectrum,
 )
+from hardy_lab.greens import _area_window
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -56,6 +62,53 @@ def test_green_weight_is_constant_on_trees(d):
     assert prof.r_max == 128
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_green_weight_on_trees_is_exact_to_rounding(d):
+    w, _ = green_weight(make_tree(d, 1002), 1000)
+    assert np.max(np.abs(w[1:] - (math.sqrt(d) - 1) ** 2)) <= 1e-15
+
+
+def _green_weight_reference(model, r_max, dps=50):
+    """The Green weight from the truncated sums G(r) = sum 1/area(n), n > r,
+    evaluated at ``dps`` digits straight from its definition."""
+    with mpmath.workdps(dps):
+        g = [mpmath.mpf(0)] * (model.depth + 1)
+        for r in range(model.depth - 1, -1, -1):
+            g[r] = g[r + 1] + 1 / mpmath.mpf(model.area(r + 1))
+        ref = []
+        for r in range(r_max + 1):
+            w = model.k_plus(r) * (1 - mpmath.sqrt(g[r + 1] / g[r]))
+            if r > 0:
+                w += model.k_minus(r) * (1 - mpmath.sqrt(g[r - 1] / g[r]))
+            ref.append(float(w))
+    return np.array(ref)
+
+
+def test_green_weight_on_a_quadratic_antitree_matches_50_digits():
+    model = make_antitree(lambda r: (r + 1) ** 2, 1200)
+    w, prof = green_weight(model, 128)
+    assert prof.tail_method == "truncated-with-bound"
+    ref = _green_weight_reference(model, 128)
+    assert np.max(np.abs(w - ref) / ref) <= 1e-13
+
+
+def test_green_route_survives_areas_that_climb_and_fall():
+    # area(r) = 4**r up to r = 600, down by 4 per radius to area(1200) = 4,
+    # then doubling with a declared geometric tail: G(r) at small r barely
+    # moves while area(r) G(r) spans 360 decades
+    k_plus = [4] * 600 + [1] * 600 + [2] * 1200
+    k_minus = [0] + [1] * 600 + [4] * 600 + [1] * 1200
+    model = make_custom(k_plus, k_minus,
+                        tail=Tail("eventually-geometric", kappa_inf=2, start=1201))
+    assert model.area(600) == 4 ** 600 and model.area(1200) == 4
+    w, prof = green_weight(model, 128)
+    assert prof.tail_method == "closed-form-geometric"
+    # the reference's G(r) sums the tail only to depth; the rest of the
+    # tail is below 2**-1200 of G(r) here
+    assert np.max(np.abs(w - _green_weight_reference(model, 128))) <= 1e-14
+    assert np.all(np.isfinite(green_function(model, 1000).log_values))
+
+
 def test_optimal_weight_dominates_green_on_tree(tree2):
     cmp_ = compare_to_green(tree2, 200)
     assert cmp_.report.status == "pass"
@@ -85,6 +138,65 @@ def test_transience_verdicts(tree2, antitree_linear):
     assert transience_test(make_tree(5, 30))
     assert not transience_test(make_tree(1, 30))
     assert transience_test(antitree_linear)
+
+
+def _area_window_verdict(model):
+    """The transience verdict read off the exact area window, or None when
+    the window neither plateaus nor grows convexly: the reference for the
+    degree route of transience_test."""
+    _, d1, d2 = _area_window(model)
+    if np.all(d1 <= 0):
+        return False
+    if d2.size and np.all(d1 > 0) and d2.min() > 0:
+        return True
+    return None
+
+
+_exact_degree = st.one_of(
+    st.integers(1, 6),
+    st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4),
+)
+
+
+@st.composite
+def _custom_models(draw):
+    depth = draw(st.integers(2, 24))
+    k_minus = [0] + draw(st.lists(st.one_of(st.integers(1, 3), _exact_degree),
+                                  min_size=depth, max_size=depth))
+    k_plus = draw(st.lists(_exact_degree, min_size=depth, max_size=depth))
+    return make_custom(k_plus, k_minus)
+
+
+@st.composite
+def _antitrees(draw):
+    # sizes with sorted increments grow convexly, sorted sizes often do;
+    # large sizes take the object-array path of exact_degrees
+    depth = draw(st.integers(2, 24))
+    scale = draw(st.sampled_from([1, 10 ** 9]))
+    steps = draw(st.lists(st.integers(0, 50), min_size=depth, max_size=depth))
+    shape = draw(st.sampled_from(["any", "sorted", "convex"]))
+    if shape == "convex":
+        steps = list(itertools.accumulate(sorted(steps), initial=1))[1:]
+    elif shape == "sorted":
+        steps.sort()
+    return make_antitree([1] + [scale * (1 + s) for s in steps], depth)
+
+
+# areas 2, 2, 4, 4, 8, 8, ...: growing, but with half its second differences 0
+_ALTERNATING = make_custom([2 if r % 2 == 0 else 1 for r in range(39)], [0] + [1] * 39)
+
+
+@given(model=st.one_of(_custom_models(), _antitrees()))
+@example(model=_ALTERNATING)
+@example(model=make_antitree(lambda r: r + 1, 40))
+@example(model=make_custom([1] * 30, [0] + [1] * 30))
+def test_transience_from_the_degrees_matches_the_area_window(model):
+    expected = _area_window_verdict(model)
+    if expected is None:
+        with pytest.raises(InconclusiveTransienceError):
+            transience_test(model)
+    else:
+        assert transience_test(model) is expected
 
 
 def test_recurrent_model_has_no_green_function():

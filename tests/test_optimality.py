@@ -7,6 +7,7 @@ import pytest
 from hardy_lab import (
     InvalidParameterError,
     NeedsTailError,
+    Tail,
     check_bounded_oscillation,
     check_criticality_agreement,
     check_cutoff_decay,
@@ -20,9 +21,19 @@ from hardy_lab import (
     cutoff_profile,
     helper_sum,
     inflation_refutation,
+    make_custom,
     make_tree,
     optimality_probe,
 )
+
+
+def test_helper_sum_is_computed_once_per_n():
+    helper_sum.cache_clear()
+    first = check_cutoff_decay()
+    second = check_cutoff_decay()
+    assert first.residuals == second.residuals
+    info = helper_sum.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
 
 
 def test_cutoff_profile_shape():
@@ -125,6 +136,15 @@ def test_probe_reports_counts_never_passes(tree2):
     assert tiny.residuals["refuted_fraction"] == 0.0
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_inflation_size_must_be_finite_and_positive(tree2, lam):
+    w = closed_form_weight(tree2, 0, 64).values
+    with pytest.raises(InvalidParameterError, match="finite"):
+        optimality_probe(tree2, w, lam=lam, window=8, r_max=64)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        inflation_refutation(tree2, lam=lam, b_max=64)
+
+
 def test_probe_window_must_fit(tree2):
     w = closed_form_weight(tree2, 0, 64).values
     with pytest.raises(InvalidParameterError):
@@ -182,6 +202,29 @@ def test_properness_verdicts(tree2, antitree_linear):
 
     line_rep = check_properness(make_tree(1, 40))
     assert line_rep.status == "hypothesis-not-met"
+
+
+@pytest.mark.parametrize("tie, status", [(7, "fail"), (6, "fail"), (5, "pass")])
+def test_properness_window_is_decided_exactly_on_a_tie(tie, status):
+    # binary-tree data except k_minus(tie) = tie, k_plus(tie) = tie + 1, so
+    # u(tie + 1) = u(tie) exactly; the window holds the pairs from r = 6 on
+    # and the float logs of the areas used to call the tie at 7 decreasing
+    k_plus, k_minus = [2] * 10, [0] + [1] * 10
+    k_minus[tie], k_plus[tie] = tie, tie + 1
+    model = make_custom(k_plus, k_minus, tail=Tail("eventually-geometric", kappa_inf=2))
+    u = {r: Fraction(r, model.area(r)) for r in range(1, 11)}
+    assert u[tie + 1] == u[tie]
+    assert all(u[r + 1] < u[r] for r in range(6, 10) if r != tie)
+    rep = check_properness(model)
+    assert rep.status == status
+    # the drop is still rounded as the difference of float logs
+    log_u = np.log(np.arange(1.0, 11.0)) - model.log_area_floats(10)[1:]
+    assert rep.residuals["log_drop"] == log_u[0] - log_u[-1]
+
+
+def test_properness_needs_a_radius():
+    with pytest.raises(InvalidParameterError, match="r_max"):
+        check_properness(make_tree(2, 40), r_max=0)
 
 
 def test_lambda0_bound_on_trees(tree2):
