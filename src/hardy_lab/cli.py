@@ -312,16 +312,11 @@ def cmd_verify(args):
 def cmd_continuum(args):
     space = _parse_space_spec(args.space)
     if args.check == "table":
+        grid = cont._grid(args.r_min, args.r_max, args.n_points)
+        w = cont.density_weight(space, grid)
         closed = cont.closed_form_weight_fn(space)
-        grid = np.linspace(args.r_min, args.r_max, args.n_points)
-        rows = []
-        for ri in grid:
-            w = float(cont.density_weight(space, float(ri)))
-            if closed is None:
-                rows.append((float(ri), w, float("nan"), float("nan")))
-            else:
-                c = float(closed(float(ri)))
-                rows.append((float(ri), w, c, abs(w - c)))
+        c = np.full_like(grid, np.nan) if closed is None else closed(grid)
+        rows = np.column_stack((grid, w, c, np.abs(w - c))).tolist()
         _emit(csv_text(("r", "w", "closed_form", "abs_diff"), rows), args.out)
         return 0
     reports = [

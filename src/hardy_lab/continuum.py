@@ -13,6 +13,10 @@ solutions are the continuum criticality signature.  Family closed forms
 separately from the master formula so the two can be played against each
 other, and the harmonicity of psi_1, psi_2 is checked by finite
 differences as a third, formula-free route.
+
+Densities, profile curves and their derivatives take and return numpy
+arrays; each routine evaluates and checks them once per grid, as one array
+expression.  A scalar radius still gives a scalar.
 """
 
 from __future__ import annotations
@@ -33,28 +37,45 @@ from .reporting import VerificationReport
 NUMERIC_DERIVATIVE_STEP = 1e-5
 
 
+def _positive(values, r, what):
+    """values, once all finite and positive; else name the first bad radius."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if bad.size:
+        raise InvalidDensityError(
+            f"{what} is {float(np.ravel(values)[bad[0]])!r} at "
+            f"r = {float(np.ravel(r)[bad[0]])}; must be finite positive"
+        )
+    return values
+
+
+def _radii(r):
+    """r as a float array (0-d for a scalar), away from the origin."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise OriginSingularityError("the weight is singular at r <= 0")
+    return r
+
+
 @dataclass(frozen=True)
 class CurveSpec:
-    """A scalar function with optional first and second derivatives.
+    """A function of the radius with optional first and second derivatives.
 
-    Missing derivatives are filled by central differences at a fixed small
-    step; analytic derivatives win when supplied.
+    All three take and return numpy arrays.  Missing derivatives are filled
+    by central differences at the step NUMERIC_DERIVATIVE_STEP; analytic
+    derivatives win when supplied.
     """
 
     value: object
     d1: object = None
     d2: object = None
 
-    def resolved(self, step=NUMERIC_DERIVATIVE_STEP):
-        fn = self.value
-        d1 = self.d1
-        d2 = self.d2
+    def resolved(self):
+        fn, d1, d2 = self.value, self.d1, self.d2
+        h = NUMERIC_DERIVATIVE_STEP
         if d1 is None:
-            d1 = lambda r, _f=fn, _h=step: (_f(r + _h) - _f(r - _h)) / (2.0 * _h)
+            d1 = lambda r: (fn(r + h) - fn(r - h)) / (2.0 * h)
         if d2 is None:
-            d2 = lambda r, _f=fn, _h=step: (
-                (_f(r + _h) - 2.0 * _f(r) + _f(r - _h)) / (_h * _h)
-            )
+            d2 = lambda r: (fn(r + h) - 2.0 * fn(r) + fn(r - h)) / (h * h)
         return fn, d1, d2
 
 
@@ -79,12 +100,10 @@ class RadialDensity:
     label: str
 
     def density_triple(self, r):
-        fr = self.f(r)
-        if not (math.isfinite(fr) and fr > 0.0):
-            raise InvalidDensityError(
-                f"density of {self.label} is {fr!r} at r = {r}; must be finite positive"
-            )
-        return fr, self.df(r), self.d2f(r)
+        """f, f' and f'' at r, shaped like r, once f is checked finite and
+        positive on all of it."""
+        fr = _positive(self.f(r), r, f"density of {self.label}")
+        return np.broadcast_arrays(r, fr, self.df(r), self.d2f(r))[1:]
 
 
 def hyperbolic_space(d):
@@ -94,13 +113,13 @@ def hyperbolic_space(d):
     p = d - 1
 
     def f(r):
-        return math.sinh(r) ** p
+        return np.sinh(r) ** p
 
     def df(r):
-        return p * math.sinh(r) ** (p - 1) * math.cosh(r)
+        return p * np.sinh(r) ** (p - 1) * np.cosh(r)
 
     def d2f(r):
-        s, c = math.sinh(r), math.cosh(r)
+        s, c = np.sinh(r), np.cosh(r)
         return p * (p - 1) * s ** (p - 2) * c * c + p * s ** p
 
     return RadialDensity(
@@ -109,12 +128,12 @@ def hyperbolic_space(d):
     )
 
 
-def riemannian_model(h, dim, step=NUMERIC_DERIVATIVE_STEP):
+def riemannian_model(h, dim):
     """Rotational model with metric dr**2 + h(r)**2 dtheta**2, density h**(d-1)."""
     if dim < 2:
         raise DimensionTooSmallError("a rotational model needs dimension >= 2")
     curve = _as_curve(h)
-    hf, dh, d2h = curve.resolved(step)
+    hf, dh, d2h = curve.resolved()
     p = dim - 1
 
     def f(r):
@@ -133,14 +152,11 @@ def riemannian_model(h, dim, step=NUMERIC_DERIVATIVE_STEP):
     )
 
 
-def harmonic_manifold(f, dim=None, step=NUMERIC_DERIVATIVE_STEP, label="harmonic"):
+def harmonic_manifold(f, label="harmonic"):
     """Space given directly by its radial density f."""
-    curve = _as_curve(f)
-    fv, df, d2f = curve.resolved(step)
-    return RadialDensity(
-        kind="harmonic", dim=dim, f=fv, df=df, d2f=d2f,
-        params={}, label=label,
-    )
+    fv, df, d2f = _as_curve(f).resolved()
+    return RadialDensity(kind="harmonic", dim=None, f=fv, df=df, d2f=d2f,
+                         params={}, label=label)
 
 
 def damek_ricci_space(p, q):
@@ -155,15 +171,13 @@ def damek_ricci_space(p, q):
         raise DimensionTooSmallError("Damek-Ricci closed form needs p + q + 1 >= 4")
 
     def f(r):
-        return math.sinh(r / 2.0) ** (p + q) * math.cosh(r / 2.0) ** q
+        return np.sinh(r / 2.0) ** (p + q) * np.cosh(r / 2.0) ** q
 
     def g(r):
-        return (p + q) / 2.0 / math.tanh(r / 2.0) + q / 2.0 * math.tanh(r / 2.0)
+        return (p + q) / 2.0 / np.tanh(r / 2.0) + q / 2.0 * np.tanh(r / 2.0)
 
     def dg(r):
-        s2 = math.sinh(r / 2.0) ** 2
-        c2 = math.cosh(r / 2.0) ** 2
-        return -(p + q) / 4.0 / s2 + q / 4.0 / c2
+        return -(p + q) / 4.0 / np.sinh(r / 2.0) ** 2 + q / 4.0 / np.cosh(r / 2.0) ** 2
 
     def df(r):
         return g(r) * f(r)
@@ -179,16 +193,14 @@ def damek_ricci_space(p, q):
 
 # -- weights ------------------------------------------------------------------
 
+def _master_weight(r, fr, d1, d2):
+    return 1.0 / (4.0 * r * r) + 0.25 * (2.0 * d2 / fr - (d1 / fr) ** 2)
+
+
 def density_weight(space, r):
     """Master weight from the density alone; r may be a scalar or array."""
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(rs)
-    for i, ri in enumerate(rs):
-        if ri <= 0.0:
-            raise OriginSingularityError("the weight is singular at r <= 0")
-        fr, d1, d2 = space.density_triple(ri)
-        out[i] = 1.0 / (4.0 * ri * ri) + 0.25 * (2.0 * d2 / fr - (d1 / fr) ** 2)
-    return out[0] if np.isscalar(r) else out
+    r = _radii(r)
+    return _master_weight(r, *space.density_triple(r))
 
 
 def weight_hyperbolic(d, r):
@@ -204,26 +216,19 @@ def weight_hyperbolic(d, r):
             + (d - 1) * (d - 3) / (4.0 * np.sinh(rr) ** 2))
 
 
-def weight_model(h, dim, r, step=NUMERIC_DERIVATIVE_STEP):
+def weight_model(h, dim, r):
     """Closed form on a rotational model:
 
     1/(4 r**2) + ((d-1)/4)(2 h''/h) + ((d-1)(d-3)/4)(h'/h)**2.
     """
     if dim < 2:
         raise DimensionTooSmallError("a rotational model needs dimension >= 2")
-    hf, dh, d2h = _as_curve(h).resolved(step)
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(rs)
-    for i, ri in enumerate(rs):
-        if ri <= 0.0:
-            raise OriginSingularityError("the weight is singular at r <= 0")
-        hr = hf(ri)
-        if not (math.isfinite(hr) and hr > 0.0):
-            raise InvalidDensityError(f"profile h is {hr!r} at r = {ri}")
-        out[i] = (1.0 / (4.0 * ri * ri)
-                  + (dim - 1) / 4.0 * (2.0 * d2h(ri) / hr)
-                  + (dim - 1) * (dim - 3) / 4.0 * (dh(ri) / hr) ** 2)
-    return out[0] if np.isscalar(r) else out
+    hf, dh, d2h = _as_curve(h).resolved()
+    r = _radii(r)
+    hr = _positive(hf(r), r, "profile h")
+    return (1.0 / (4.0 * r * r)
+            + (dim - 1) / 4.0 * (2.0 * d2h(r) / hr)
+            + (dim - 1) * (dim - 3) / 4.0 * (dh(r) / hr) ** 2)
 
 
 def weight_damek_ricci(p, q, r):
@@ -270,26 +275,19 @@ def harmonicity_residual(space, r_min, r_max, h_step, which="sqrt-u",
             "the difference stencil reaches r <= 0; raise r_min or shrink h_step"
         )
     grid = _grid(r_min, r_max, n_points)
-
-    def psi(r):
-        fr = space.f(r)
-        if not (math.isfinite(fr) and fr > 0.0):
-            raise InvalidDensityError(f"density is {fr!r} at r = {r}")
-        base = math.sqrt(r / fr)
-        if which == "sqrt-u-log":
-            return base * math.log(r)
-        return base
-
-    worst = 0.0
-    for ri in grid:
-        fr, d1, _ = space.density_triple(ri)
-        w = (density_weight(space, ri) if weight_fn is None else weight_fn(ri))
-        up, mid, down = psi(ri + h_step), psi(ri), psi(ri - h_step)
-        second = (up - 2.0 * mid + down) / (h_step * h_step)
-        first = (up - down) / (2.0 * h_step)
-        residual = -(second + (d1 / fr) * first) - w * mid
-        worst = max(worst, abs(residual) / max(1.0, abs(w * mid)))
-    return worst
+    # one row (r - h, r, r + h) per grid point, so radii ascend row by row
+    stencil = grid[:, None] + np.array([-h_step, 0.0, h_step])
+    f, df, d2f = space.density_triple(stencil)
+    fr, d1, d2 = f[:, 1], df[:, 1], d2f[:, 1]
+    w = _master_weight(grid, fr, d1, d2) if weight_fn is None else weight_fn(grid)
+    psi = np.sqrt(stencil / f)
+    if which == "sqrt-u-log":
+        psi *= np.log(stencil)
+    down, mid, up = psi.T
+    second = (up - 2.0 * mid + down) / (h_step * h_step)
+    first = (up - down) / (2.0 * h_step)
+    residual = -(second + (d1 / fr) * first) - w * mid
+    return float(np.max(np.abs(residual) / np.maximum(1.0, np.abs(w * mid))))
 
 
 def check_harmonicity(space, r_min, r_max, h_step=1e-3, which="sqrt-u",
@@ -307,37 +305,24 @@ def check_harmonicity(space, r_min, r_max, h_step=1e-3, which="sqrt-u",
     return VerificationReport(
         check=f"harmonicity-{which}",
         status="pass" if ok else "fail",
-        residuals={
-            "residual_coarse": coarse,
-            "residual_fine": fine,
-            "convergence_factor": factor if math.isfinite(factor) else 0.0,
-        },
-        params={
-            "space": space.label,
-            "r_min": r_min,
-            "r_max": r_max,
-            "h_step": h_step,
-            "n_points": n_points,
-            "tol": tol,
-        },
+        residuals={"residual_coarse": coarse, "residual_fine": fine,
+                   "convergence_factor": factor if math.isfinite(factor) else 0.0},
+        params={"space": space.label, "r_min": r_min, "r_max": r_max,
+                "h_step": h_step, "n_points": n_points, "tol": tol},
     )
 
 
-def check_model_optimality_condition(h, dim, r_min, r_max, n_points=200,
-                                     step=NUMERIC_DERIVATIVE_STEP):
+def check_model_optimality_condition(h, dim, r_min, r_max, n_points=200):
     """Report min over the grid of 2 h h'' + (d-3) (h')**2 (>= 0 wanted).
 
     This is the rotational-model condition under which the closed-form
     weight dominates the pure 1/(4 r**2) part.  Report-only: nothing else
     in the package consumes the verdict.
     """
-    hf, dh, d2h = _as_curve(h).resolved(step)
-    worst = math.inf
-    for ri in _grid(r_min, r_max, n_points):
-        hr = hf(ri)
-        if not (math.isfinite(hr) and hr > 0.0):
-            raise InvalidDensityError(f"profile h is {hr!r} at r = {ri}")
-        worst = min(worst, 2.0 * hr * d2h(ri) + (dim - 3) * dh(ri) ** 2)
+    hf, dh, d2h = _as_curve(h).resolved()
+    grid = _grid(r_min, r_max, n_points)
+    hr = _positive(hf(grid), grid, "profile h")
+    worst = float(np.min(2.0 * hr * d2h(grid) + (dim - 3) * dh(grid) ** 2))
     return VerificationReport(
         check="model-weight-condition",
         status="pass" if worst >= 0.0 else "fail",
@@ -351,10 +336,8 @@ def check_harmonic_condition(space, r_min, r_max, n_points=200):
 
     Equivalent to the master weight dominating 1/(4 r**2).  Report-only.
     """
-    worst = math.inf
-    for ri in _grid(r_min, r_max, n_points):
-        fr, d1, d2 = space.density_triple(ri)
-        worst = min(worst, 2.0 * fr * d2 - d1 * d1)
+    fr, d1, d2 = space.density_triple(_grid(r_min, r_max, n_points))
+    worst = float(np.min(2.0 * fr * d2 - d1 * d1))
     return VerificationReport(
         check="harmonic-density-condition",
         status="pass" if worst >= 0.0 else "fail",
@@ -379,9 +362,8 @@ def closed_form_weight_fn(space):
     if space.kind == "damek-ricci":
         p, q = space.params["p"], space.params["q"]
         return lambda r: weight_damek_ricci(p, q, r)
-    if space.kind == "model" and "curve" in space.params:
-        curve = space.params["curve"]
-        dim = space.params["dim"]
+    if space.kind == "model":
+        curve, dim = space.params["curve"], space.params["dim"]
         return lambda r: weight_model(curve, dim, r)
     return None
 
@@ -401,11 +383,9 @@ def check_closed_form_agreement(space, r_min, r_max, n_points=200, tol=1e-9):
             params={"space": space.label},
             notes=("no family closed form for this density",),
         )
-    worst = 0.0
-    for ri in _grid(r_min, r_max, n_points):
-        a = float(density_weight(space, ri))
-        b = float(closed(ri))
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    grid = _grid(r_min, r_max, n_points)
+    a, b = density_weight(space, grid), closed(grid)
+    worst = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
     return VerificationReport(
         check="continuum-closed-form-agreement",
         status="pass" if worst <= tol else "fail",
@@ -418,13 +398,13 @@ def check_closed_form_agreement(space, r_min, r_max, n_points=200, tol=1e-9):
 # -- named curve generators for file-based specs ------------------------------
 
 BUILTIN_CURVES = {
-    "sinh": CurveSpec(value=math.sinh, d1=math.cosh, d2=math.sinh),
-    "linear": CurveSpec(value=lambda r: r, d1=lambda r: 1.0, d2=lambda r: 0.0),
-    "cosh": CurveSpec(value=math.cosh, d1=math.sinh, d2=math.cosh),
+    "sinh": CurveSpec(value=np.sinh, d1=np.cosh, d2=np.sinh),
+    "linear": CurveSpec(value=lambda r: r, d1=np.ones_like, d2=np.zeros_like),
+    "cosh": CurveSpec(value=np.cosh, d1=np.sinh, d2=np.cosh),
     "sinh-cubed": CurveSpec(
-        value=lambda r: math.sinh(r) ** 3,
-        d1=lambda r: 3.0 * math.sinh(r) ** 2 * math.cosh(r),
-        d2=lambda r: 6.0 * math.sinh(r) * math.cosh(r) ** 2 + 3.0 * math.sinh(r) ** 3,
+        value=lambda r: np.sinh(r) ** 3,
+        d1=lambda r: 3.0 * np.sinh(r) ** 2 * np.cosh(r),
+        d2=lambda r: 6.0 * np.sinh(r) * np.cosh(r) ** 2 + 3.0 * np.sinh(r) ** 3,
     ),
 }
 

@@ -230,9 +230,11 @@ def green_weight(model, r_max):
     Returns (weights, profile) with weights[r] for r = 0..r_max.  On a tree
     this weight is the constant spectral-bottom value from radius 1 on.
     With h(r) = exp(-l(r)) = 1 - G(r + 1)/G(r) (see ``_log_green``) it is
-    k_plus(r) (1 - sqrt(1 - h(r))) + k_minus(r) (1 - 1/sqrt(1 - h(r - 1))),
-    each term written without cancellation, so depth is limited by the
-    stored data, not by floating underflow of G itself.
+    k_plus(r) (1 - sqrt(1 - h(r))) + k_minus(r) (1 - 1/sqrt(1 - h(r - 1))).
+    As 1 - h(r - 1) = 1/(1 + kappa(r) h(r)), for r >= 1 that is the single
+    positive term k_plus h**2 (kappa + 1) / ((1 + s)(1 + t)(t + s)), with
+    s = sqrt(1 - h), t = sqrt(1 + kappa h): no cancellation, and depth is
+    limited by the stored data, not by floating underflow of G itself.
     """
     if r_max > model.depth - 2:
         raise NeedsTailError(f"the weight at {r_max} needs depth > {r_max + 1}")
@@ -242,9 +244,11 @@ def green_weight(model, r_max):
     with np.errstate(under="ignore"):
         h = np.exp(-ell)
     s = np.sqrt(-np.expm1(-ell))  # sqrt(G(r + 1) / G(r))
-    drop = h / (1.0 + s)  # 1 - s
-    w = model.k_plus_floats(r_max) * drop
-    w[1:] -= model.k_minus_floats(r_max)[1:] * (drop[:-1] / s[:-1])
+    kappa = model.kappa_floats(r_max)[1:]
+    t = np.sqrt(1.0 + kappa * h[1:])
+    w = model.k_plus_floats(r_max) * h
+    w[0] /= 1.0 + s[0]
+    w[1:] *= h[1:] * (kappa + 1.0) / ((1.0 + s[1:]) * (1.0 + t) * (t + s[1:]))
     return w, profile
 
 

@@ -43,6 +43,7 @@ MAX_EDGE_EXPANSION = 2_000_000
 
 # Integers below this are exact in float64.
 _EXACT_FLOAT_LIMIT = 2 ** 53
+_FLOAT_MAX = sys.float_info.max
 
 
 def _as_radius(r):
@@ -214,11 +215,18 @@ class RadialModel:
     @functools.cached_property
     def _degrees(self):
         """k_plus(0..depth-1) and k_minus(0..depth) as floats, the same in
-        exact form (see ``exact_degrees``), and kappa(0..depth-1) as floats."""
+        exact form (see ``exact_degrees``), and kappa(0..depth-1) as floats;
+        SizeLimitExceededError when a degree is past the float64 range."""
         n = self._depth
         kp = [self._k_plus_of(r) for r in range(n)]
         km = [0] + [self._k_minus_of(r) for r in range(1, n + 1)]
-        floats = [_frozen(np.array(v, dtype=float)) for v in (kp, km)]
+        try:
+            floats = [_frozen(np.array(v, dtype=float)) for v in (kp, km)]
+        except OverflowError:
+            r = next(r for r in range(n + 1) if max(kp[r:r + 1] + km[r:r + 1]) > _FLOAT_MAX)
+            raise SizeLimitExceededError(
+                f"a degree of {self._label} at radius {r} is past the float64 range"
+            ) from None
         kappa = np.empty(n)
         kappa[0] = np.nan
         if (set(map(type, itertools.chain(kp, km))) == {int}

@@ -103,6 +103,7 @@ def hardy_form_matrix(model, weight_values, r_lo=0, r_hi=None):
 
     The off-diagonal entry follows from rescaling by sqrt(vol), using the
     area compatibility identity; no sphere volume is ever evaluated.
+    An entry past the float64 range raises SizeLimitExceededError.
     """
     if r_hi is None:
         r_hi = model.depth - 1
@@ -119,8 +120,16 @@ def hardy_form_matrix(model, weight_values, r_lo=0, r_hi=None):
         )
     kp = model.k_plus_floats(r_hi)
     km = model.k_minus_floats(min(r_hi + 1, model.depth))
-    diagonal = kp[r_lo: r_hi + 1] + km[r_lo: r_hi + 1] - w[r_lo: r_hi + 1]
-    offdiagonal = -np.sqrt(kp[r_lo: r_hi] * km[r_lo + 1: r_hi + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = kp[r_lo: r_hi + 1] + km[r_lo: r_hi + 1] - w[r_lo: r_hi + 1]
+        offdiagonal = -np.sqrt(kp[r_lo: r_hi] * km[r_lo + 1: r_hi + 1])
+    # reductions, so the check adds no array of the window's length
+    if not np.isfinite([diagonal.min(), diagonal.max(), offdiagonal.min(initial=0.0)]).all():
+        finite = np.isfinite(diagonal) & np.isfinite(np.append(offdiagonal, 0.0))
+        raise SizeLimitExceededError(
+            f"the Hardy form of {model.label} has an entry past the float64 "
+            f"range at radius {r_lo + int(np.argmin(finite))}"
+        )
     return TridiagonalForm(diagonal=diagonal, offdiagonal=offdiagonal, r_lo=r_lo)
 
 

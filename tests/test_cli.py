@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hardy_lab import make_antitree, save_model
 from hardy_lab.cli import main
 
 
@@ -156,6 +157,31 @@ def test_continuum_table_and_density_file(tmp_path, capsys):
     code, out, _ = run(capsys, "continuum", "--space", f"file:{density}")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("grid", [("--n-points=-1",), ("--n-points=0",),
+                                  ("--n-points=1",), ("--r-min=5", "--r-max=1")])
+def test_continuum_table_refuses_the_grids_the_residuals_refuse(capsys, grid):
+    for check in ("table", "residual"):
+        code, out, err = run(capsys, "continuum", "--space", "hyperbolic:3",
+                             "--check", check, *grid)
+        assert code == 2, check
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("depth, where", [(900, "at radius 512"),
+                                          (1200, "at radius 1023")])
+def test_degrees_past_the_double_range_exit_2(tmp_path, capsys, depth, where):
+    # sphere sizes 2**r: at depth 900 the form couplings k_plus(r) k_minus(r+1)
+    # = 2**(2r+1) pass the double range from r = 512, at depth 1200 the
+    # degrees themselves do, from k_plus(1023) = 2**1024
+    path = tmp_path / "exp.model"
+    save_model(make_antitree(lambda r: 2 ** r, depth, label="antitree(exp,2)"), path)
+    code, out, err = run(capsys, "verify", "--model", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and where in err
 
 
 def test_out_files_match_stdout(tmp_path, capsys):

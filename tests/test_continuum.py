@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,6 +71,29 @@ def test_master_formula_matches_closed_forms():
             for r in GRID
         )
         assert worst < 1e-10, space.label
+
+
+def _master_weight_30_digits(density, r):
+    """The master formula at 30 digits, derivatives by mpmath.diff."""
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+        f, d1, d2 = (mpmath.diff(density, r, k) for k in range(3))
+        return float(1 / (4 * r * r) + (2 * d2 / f - (d1 / f) ** 2) / 4)
+
+
+@pytest.mark.parametrize("space, density", [
+    (hyperbolic_space(3), lambda r: mpmath.sinh(r) ** 2),
+    (hyperbolic_space(4), lambda r: mpmath.sinh(r) ** 3),
+    (damek_ricci_space(2, 1), lambda r: mpmath.sinh(r / 2) ** 3 * mpmath.cosh(r / 2)),
+    (damek_ricci_space(3, 1), lambda r: mpmath.sinh(r / 2) ** 4 * mpmath.cosh(r / 2)),
+    (damek_ricci_space(2, 2), lambda r: mpmath.sinh(r / 2) ** 4 * mpmath.cosh(r / 2) ** 2),
+    (riemannian_model(BUILTIN_CURVES["sinh"], 4), lambda r: mpmath.sinh(r) ** 3),
+], ids=["hyperbolic3", "hyperbolic4", "dr21", "dr31", "dr22", "model-sinh4"])
+def test_density_weight_matches_the_master_formula_at_30_digits(space, density):
+    grid = np.linspace(0.1, 10.0, 200)
+    want = np.array([_master_weight_30_digits(density, r) for r in grid])
+    got = density_weight(space, grid)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 def test_rotational_model_reproduces_hyperbolic():
@@ -175,7 +199,7 @@ def test_dimension_guards():
 def test_model_condition_sign():
     good = check_model_optimality_condition(BUILTIN_CURVES["sinh"], 4, 0.5, 5.0)
     assert good.status == "pass"
-    sphere_like = CurveSpec(math.sin, math.cos, lambda r: -math.sin(r))
+    sphere_like = CurveSpec(np.sin, np.cos, lambda r: -np.sin(r))
     bad = check_model_optimality_condition(sphere_like, 3, 0.5, 2.0)
     assert bad.status == "fail"
     assert bad.residuals["min_margin"] < 0

@@ -102,6 +102,37 @@ def test_routes_agree_on_antitree(antitree_linear):
     assert np.all(np.abs(fw[1:] - cw[1:]) <= 1e-15 + 1e-13 * np.abs(fw[1:]))
 
 
+_exact_degree = st.one_of(
+    st.integers(1, 6),
+    st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4),
+)
+
+
+@st.composite
+def _exact_models(draw):
+    """Random exact models: int and Fraction degrees, or antitrees whose
+    sphere sizes change by random factors between 1/2 and 4 (deep ones pass
+    the float64-exact cross products of ``exact_degrees``)."""
+    depth = draw(st.integers(3, 24))
+    if draw(st.booleans()):
+        k_plus = draw(st.lists(_exact_degree, min_size=depth, max_size=depth))
+        k_minus = [0] + draw(st.lists(_exact_degree, min_size=depth, max_size=depth))
+        return make_custom(k_plus, k_minus)
+    sizes = [1]
+    for factor in draw(st.lists(st.integers(1, 8), min_size=depth, max_size=depth)):
+        sizes.append(max(1, sizes[-1] * factor // 2))
+    return make_antitree(sizes, depth)
+
+
+@given(_exact_models(), st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2)]))
+def test_closed_form_matches_the_50_digit_ratio_on_random_models(model, gamma):
+    r_max = model.depth - 1
+    closed = closed_form_weight(model, gamma, r_max).values
+    ratio = fitzsimmons_weight(model, gamma, r_max, dps=50)
+    scale = (model.k_plus_floats(r_max) + model.k_minus_floats(r_max))
+    assert np.all(np.abs(closed - ratio) <= 1e-12 * scale)
+
+
 def test_fitzsimmons_ratio_general_function(tree3):
     u = u_gamma(tree3, 0, 30)
     v = [0.0] + [math.sqrt(float(x)) for x in u[1:]]
