@@ -178,6 +178,30 @@ def _closed_form(model, gamma, r_lo, r_hi):
     return brackets, floors, applicable
 
 
+def _kappa_longdouble(kp, km):
+    """kappa(1..) in longdouble from ``exact_degrees`` arrays; entry 0 is NaN.
+
+    Each entry is the exact ratio rounded once.  Integers below 2**53 (the
+    float views) and, where the significand has 64 bits, integers below
+    2**64 convert exactly, so one longdouble division rounds like the
+    reduced Fraction does; other data goes through Fraction per radius.
+    """
+    kap = np.empty(kp.shape[0], dtype=np.longdouble)
+    kap[0] = np.nan
+    kp, km = kp[1:], km[1:]
+    if kp.dtype == object and (
+            np.finfo(np.longdouble).nmant >= 63
+            and set(map(type, kp)) | set(map(type, km)) == {int}
+            and max(kp.max(), km.max()) < 2 ** 64):
+        kp, km = kp.astype(np.uint64), km.astype(np.uint64)
+    if kp.dtype == object:
+        kap[1:] = [np.longdouble(f.numerator) / np.longdouble(f.denominator)
+                   for f in map(Fraction, kp, km)]
+    else:
+        np.divide(kp, km, out=kap[1:], dtype=np.longdouble)
+    return kap
+
+
 def general_closed_form(model, gamma, r):
     """Closed form of the weight at one radius, for any radial model.
 

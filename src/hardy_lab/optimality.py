@@ -24,10 +24,17 @@ import numpy as np
 
 from .errors import InvalidParameterError, NeedsTailError
 from .greens import transience_test
-from .hardy_weights import _check_gamma, _closed_form, closed_form_weight, u_gamma
+from .hardy_weights import (
+    _check_gamma,
+    _closed_form,
+    _kappa_longdouble,
+    closed_form_weight,
+    u_gamma,
+)
 from .radial_model import _log_of_exact, expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
+    _certified_sweep,
     _pivot_sweep,
     _sturm_rows,
     hardy_form_matrix,
@@ -91,16 +98,7 @@ def criticality_energy(model, n, gamma=0):
     if n > model.depth:
         raise NeedsTailError(f"criticality at n = {n} needs depth >= {n}")
     ld = np.longdouble
-    kap = np.empty(n, dtype=ld)
-    kap[0] = np.nan
-    kp, km = model.exact_degrees(n - 1)
-    if kp.dtype == object:
-        kap[1:] = [_longdouble_exact(Fraction(p) / Fraction(q))
-                   for p, q in zip(kp[1:], km[1:])]
-    else:
-        # integers below 2**53 convert exactly, so this rounds once, like
-        # the reduced Fraction does
-        np.divide(kp[1:], km[1:], out=kap[1:], dtype=ld)
+    kap = _kappa_longdouble(*model.exact_degrees(n - 1))
     phi = cutoff_profile(n, dtype=ld)
     idx = np.arange(1, n, dtype=ld)
 
@@ -293,6 +291,15 @@ def optimality_probe(model, weight_values, lam, window, r_max,
     then the uninflated rows.  Every sweep stops at the first negative
     pivot; the pivots before it are those of the full count, so each base
     gets the same decision as the count >= 1 test.
+
+    Past its window every base sweeps the same uninflated rows, and there a
+    pivot step is nondecreasing in the incoming pivot, so two trajectories
+    never cross.  The bases run in ascending order, and each unrefuted
+    base leaves its post-window pivots as a certificate: a later base whose
+    pivot reaches a certified pivot at the same row is unrefuted, without
+    sweeping the rest of the section (see spectral_ops._certified_sweep).
+    A refuted base leaves no certificate.  The decisions are those of the
+    full sweeps, bit for bit.
     """
     if not 0 < lam < math.inf:  # also refuses NaN
         raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
@@ -314,6 +321,11 @@ def optimality_probe(model, weight_values, lam, window, r_max,
         )
     # row i of the section is radius 1 + i
     diag, coupling, pivmin = _sturm_rows(hardy_form_matrix(model, w, 1, r_max))
+    # good[j]: the pivot at row j of an unrefuted trajectory, +inf if none yet;
+    # trail holds the current base's pivots until it is known to be unrefuted
+    good = np.full(r_max, math.inf)
+    trail = np.empty(r_max)
+    good_rows, trail_rows = memoryview(good), memoryview(trail)
     refuted = []
     unrefuted = []
     row, q = 0, 1.0
@@ -334,9 +346,12 @@ def optimality_probe(model, weight_values, lam, window, r_max,
                 zip(memoryview(window_diag), coupling[start:stop]), threshold, q, pivmin
             )
             if not negative:
-                negative, _ = _pivot_sweep(
-                    zip(diag[stop:], coupling[stop:]), threshold, p, pivmin
+                negative, end = _certified_sweep(
+                    zip(diag[stop:], coupling[stop:], good_rows[stop:]),
+                    threshold, p, pivmin, trail_rows, stop,
                 )
+                if not negative:
+                    good[stop:end] = trail[stop:end]
         (refuted if negative else unrefuted).append(b)
     notes = [
         "a refuted base is conclusive; an unrefuted base only means the "

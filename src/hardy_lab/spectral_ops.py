@@ -178,6 +178,36 @@ def _pivot_sweep(rows, x, q, pivmin):
     return False, q
 
 
+def _certified_sweep(rows, x, q, pivmin, trail, row):
+    """A pivot sweep that also stops where an earlier sweep proves the rest.
+
+    ``rows`` yields (diagonal, squared coupling, good) triples from section
+    row ``row`` on, where good is +inf or the pivot at that row of an
+    earlier trajectory over the same remaining rows that is known to stay
+    >= pivmin to the end.  While the pivot q stays >= pivmin > 0, one step
+    q -> fl(fl(d - x) - fl(e / q)) with e >= 0 is nondecreasing in q,
+    because every IEEE operation rounds monotonically.  Two trajectories
+    over the same rows therefore never cross: once q >= good, every later
+    pivot is at least the earlier trajectory's and stays >= pivmin, so the
+    sweep's decision is known without the remaining rows.
+
+    Each pivot swept before the proof is written to ``trail`` at its row.
+    Returns (True, row) at the first pivot below pivmin, as _pivot_sweep
+    decides it, or (False, end) when the proof or the last row is reached:
+    trail[row:end] then holds pivots that each lie below their good value
+    and may replace it.
+    """
+    for d, e, good in rows:
+        q = d - x - e / q
+        if q < pivmin:
+            return True, row
+        if q >= good:
+            break
+        trail[row] = q
+        row += 1
+    return False, row
+
+
 def count_eigenvalues_below(form, x):
     """Number of eigenvalues of the form strictly below x, by Sturm counting.
 

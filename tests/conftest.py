@@ -9,6 +9,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# more random sections for the bit-exact sweep oracles, in their own CI step:
+# pytest tests/test_sturm_sweep.py --hypothesis-profile=ci
+settings.register_profile("ci", parent=settings.get_profile("suite"), max_examples=300)
 settings.load_profile("suite")
 
 

@@ -34,6 +34,7 @@ from hardy_lab import (
     sqrt_pair_defect,
 )
 from hardy_lab import cli
+from hardy_lab.hardy_weights import _kappa_longdouble
 
 
 def poly_antitree(p, depth):
@@ -263,6 +264,29 @@ def test_numpy_integer_data_stays_exact():
     assert (compare_to_green(numpy_ints, 3).kappa_constant_from
             == scalar_kappa_constant_from(plain))
     assert_scans_match(plain)
+
+
+def fraction_kappa_column(kp, km):
+    """kappa(1..) through the reduced Fraction, each part made longdouble."""
+    ratios = [Fraction(p) / Fraction(q) for p, q in zip(kp[1:], km[1:])]
+    return np.array([np.longdouble(f.numerator) / np.longdouble(f.denominator)
+                     for f in ratios], dtype=np.longdouble)
+
+
+@pytest.mark.parametrize("model", [
+    poly_antitree(2, 20_000),
+    make_custom([2 ** 64 - 1 - 2 * r for r in range(40)], [0] + [3 + r for r in range(40)]),
+    make_custom([2 ** 64 + r for r in range(40)], [0] + [3] * 40),
+    make_custom([Fraction(2 ** 40 + r, 3) for r in range(40)], [0] + [2 ** 30] * 40),
+], ids=["antitree-poly2", "below-2**64", "past-2**64", "fractions"])
+def test_kappa_column_equals_the_fraction_route(model):
+    # every product of two degrees passes 2**53, so the degrees are objects
+    kp, km = model.exact_degrees(model.depth - 1)
+    assert kp.dtype == object
+    assert kp[-1] * km[-1] > 2 ** 53
+    column = _kappa_longdouble(kp, km)
+    assert column.dtype == np.longdouble and np.isnan(column[0])
+    np.testing.assert_array_equal(column[1:], fraction_kappa_column(kp, km))
 
 
 def test_deep_model_keeps_its_exact_form_on_shallow_requests():

@@ -25,6 +25,7 @@ from hardy_lab import (
     weight_hyperbolic,
     weight_model,
 )
+from hardy_lab.cli import main
 
 GRID = np.linspace(0.1, 10.0, 120)
 
@@ -174,6 +175,32 @@ def test_harmonicity_detects_wrong_weight():
     )
     assert correct < 1e-4
     assert off > 1e-3
+
+
+def test_an_exact_profile_passes_at_the_roundoff_floor(tmp_path, capsys):
+    # f = r: psi = sqrt(r / f) = 1 and W = 0 solve the equation exactly, so
+    # both residuals are pure roundoff and do not shrink with the step
+    space = harmonic_manifold(BUILTIN_CURVES["linear"])
+    rep = check_harmonicity(space, 0.5, 5.0, which="sqrt-u")
+    assert rep.status == "pass"
+    assert max(rep.residuals["residual_coarse"], rep.residuals["residual_fine"]) < 1e-12
+    assert "roundoff floor" in rep.notes[0]
+    path = tmp_path / "linear.density"
+    path.write_text("radial-density v1\nkind harmonic\ncurve linear\n")
+    main(["continuum", "--space", f"file:{path}"])
+    assert capsys.readouterr().out.splitlines()[0].startswith("PASS               harmonicity-sqrt-u ")
+
+
+def test_the_roundoff_floor_decides_nothing_on_truncation_residuals():
+    # truncation residuals sit 40 times and more above the floor; a wrong
+    # weight still fails
+    for space in (hyperbolic_space(3), hyperbolic_space(4), damek_ricci_space(2, 1),
+                  damek_ricci_space(3, 1), damek_ricci_space(2, 2)):
+        for which in ("sqrt-u", "sqrt-u-log"):
+            rep = check_harmonicity(space, 0.5, 8.0, which=which, n_points=2000)
+            assert rep.status == "pass" and rep.notes == ()
+    rep = check_harmonicity(hyperbolic_space(3), 0.5, 5.0, h_step=0.05)
+    assert rep.status == "fail" and rep.notes == ()
 
 
 def test_stencil_must_not_cross_origin():

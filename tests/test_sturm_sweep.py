@@ -22,6 +22,8 @@ from hardy_lab import (
     optimality_probe,
     smallest_eigenvalue,
 )
+from hardy_lab import optimality
+from hardy_lab.optimality import default_probe_bases
 from hardy_lab.spectral_ops import TridiagonalForm
 
 SAFE_MIN = 2.2250738585072014e-308
@@ -129,12 +131,13 @@ def sections(depth):
     )
 
 
-def reference_probe(model, w, lam, window, r_max, bases, threshold=-1e-9):
+def reference_probe(model, w, lam, window, r_max, bases, threshold=-1e-9,
+                    count=reference_count):
     unrefuted = []
     for b in bases:
         inflated = np.array(w[: r_max + 1])
         inflated[b: b + window + 1] += lam
-        if reference_count(hardy_form_matrix(model, inflated, 1, r_max), threshold) == 0:
+        if count(hardy_form_matrix(model, inflated, 1, r_max), threshold) == 0:
             unrefuted.append(b)
     return unrefuted
 
@@ -182,6 +185,82 @@ def test_probe_with_a_negative_uninflated_prefix():
     assert reference_count(prefix, -1e-9) >= 1  # negative before base 22
     bases = [1, 5, 17, 22, 40, r_max - window - 1]
     assert_probe_matches(model, w, 0.05, window, r_max, bases)
+
+
+def count_certified_rows(monkeypatch):
+    """Spy on the probe's certified sweeps: (rows read, refuted) per sweep."""
+    swept = []
+    real = optimality._certified_sweep
+
+    def spy(rows, *args):
+        seen = [0]
+
+        def counted():
+            for row in rows:
+                seen[0] += 1
+                yield row
+
+        negative, end = real(counted(), *args)
+        swept.append((seen[0], negative))
+        return negative, end
+
+    monkeypatch.setattr(optimality, "_certified_sweep", spy)
+    return swept
+
+
+def test_probe_certificate_at_scale(monkeypatch):
+    # the default spine plus random bases at r_max = 2e4; at lam = 0.01 every
+    # base is unrefuted, at lam = 0.1 the early bases are refuted
+    r_max, window = 20_000, 8
+    model = make_antitree(lambda r: r + 1, r_max + 1)
+    w = closed_form_weight(model, 0, r_max).values
+    rng = np.random.default_rng(9)
+    drawn = rng.integers(1, r_max - window, size=12)
+    bases = sorted(set(default_probe_bases(r_max, window)) | {int(b) for b in drawn})
+    swept = count_certified_rows(monkeypatch)
+    for lam in (0.01, 0.1):
+        swept.clear()
+        rep = optimality_probe(model, w, lam, window, r_max, bases=bases)
+        # one full count per inflated section
+        unrefuted = reference_probe(model, w, lam, window, r_max, bases,
+                                    count=count_eigenvalues_below)
+        assert rep.params["unrefuted_bases"] == unrefuted
+        assert rep.residuals["refuted_count"] == len(bases) - len(unrefuted)
+        if lam == 0.01:
+            assert unrefuted == bases
+        else:
+            assert 0 < len(unrefuted) < len(bases)
+        # the first unrefuted base sweeps to the end of the section; every
+        # later one reaches its certified pivots within a few rows
+        certified = [rows for rows, negative in swept if not negative]
+        assert len(certified) == len(unrefuted)
+        assert certified[0] == r_max - (unrefuted[0] + window)
+        assert max(certified[1:]) <= 8
+    assert rep.params["first_refuted"] == 1
+
+
+def test_a_refuted_trail_is_never_a_certificate():
+    # On this section base 1 turns negative soon after its window, bases 2
+    # and 3 only 50 and more rows after theirs, and every later base stays
+    # positive.  Ascending bases lie above earlier ones past their windows,
+    # so base 2 reaches base 1's pivots and base 3 reaches base 2's at once:
+    # had a refuted trail been kept, bases 2 and 3 would pass as unrefuted.
+    r_max, window, lam = 300, 4, 0.3
+    model = make_antitree(lambda r: (r + 1) ** 2, r_max + 1)
+    w = closed_form_weight(model, 0, r_max).values
+    bases = [1, 2, 3, 4, 8, 16, 64, 128, 256]
+
+    def count(b, r_hi):
+        inflated = np.array(w[: r_max + 1])
+        inflated[b: b + window + 1] += lam
+        return count_eigenvalues_below(hardy_form_matrix(model, inflated, 1, r_hi), -1e-9)
+
+    assert count(1, 20) >= 1
+    assert count(2, 58) == 0 and count(2, r_max) >= 1
+    assert count(3, 60) == 0 and count(3, r_max) >= 1
+    rep = optimality_probe(model, w, lam, window, r_max, bases=bases)
+    assert rep.params["unrefuted_bases"] == [4, 8, 16, 64, 128, 256]
+    assert_probe_matches(model, w, lam, window, r_max, bases)
 
 
 def reference_inflation(model, lam, r_lo, b_max, b_values, threshold=-1e-9):
