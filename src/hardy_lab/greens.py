@@ -25,8 +25,13 @@ from .errors import (
     NoGreenFunctionError,
     NotPositiveError,
 )
-from .hardy_weights import _mpf_of, closed_form_weight
+from .hardy_weights import closed_form_weight
 from .reporting import VerificationReport
+
+
+def _mpf_of(x):
+    """A Fraction as an mpmath number at the working precision."""
+    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
 def _area_window(model):
@@ -170,9 +175,26 @@ def _log_green(model, r_max):
     np.log(model.kappa_floats(depth - 1)[1:], out=ell[:-1])
     ell[-1] = x = top
     view = memoryview(ell)
-    for r in range(depth - 2, -1, -1):
-        z = x - view[r]  # then log(1 + exp(z)), without overflow
-        view[r] = x = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+    breaks = None
+    hi = depth - 2
+    while hi >= 0:
+        for r in range(hi, -1, -1):
+            z = x - view[r]  # then log(1 + exp(z)), without overflow
+            y = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+            if y == x:
+                break
+            view[r] = x = y
+        else:
+            break
+        # the step at r returns its input, and so does every step below it
+        # in the same run of equal log kappa: fill the run, whose start is
+        # found among the log kappa values ell[:r + 1] still holds
+        if breaks is None:
+            breaks = np.flatnonzero(ell[1:r + 1] != ell[:r]) + 1
+        i = np.searchsorted(breaks, r, side="right")
+        start = int(breaks[i - 1]) if i else 0
+        ell[start:r + 1] = x
+        hi = start - 1
     ell = ell[: r_max + 1]
     log_values = ell - model.log_area_floats(r_max + 1)[1:]
     with np.errstate(under="ignore"):

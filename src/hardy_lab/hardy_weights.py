@@ -9,9 +9,10 @@ ratio w(r) = (difference operator applied to v)(r) / v(r).  Two independent
 routes to w are kept side by side on purpose:
 
   * ``fitzsimmons_weight`` evaluates the ratio numerically from exact ground
-    values, with square roots taken at 40 significant digits so that depth
-    never degrades the result (u decays like 1/area and underflows doubles
-    on fast-growing models);
+    values: each ratio of consecutive values is one quotient of exact
+    integers, rounded and square-rooted at 40 significant digits in
+    ``decimal``, so that depth never degrades the result (u decays like
+    1/area and underflows doubles on fast-growing models);
   * ``general_closed_form`` and ``tree_weight`` evaluate the algebraic
     closed forms, which involve only the degree ratio kappa.
 
@@ -20,11 +21,11 @@ Agreement of the two routes is a test obligation, not an assumption.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -70,11 +71,6 @@ def u_gamma(model, gamma, r_max):
                       for r in range(1, r_max + 1)]
 
 
-def _mpf_of(x):
-    """A Fraction as an mpmath number at the working precision."""
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
 def fitzsimmons_ratio(model, values, r):
     """Rayleigh ratio (difference operator applied to values) / values at r.
 
@@ -87,27 +83,40 @@ def fitzsimmons_ratio(model, values, r):
     return radial_laplacian(model, values, r) / vr
 
 
+def _decimal_of(k):
+    """An int exactly, a Fraction rounded once, at the working precision."""
+    if type(k) is int:
+        return decimal.Decimal(k)
+    return decimal.Decimal(k.numerator) / decimal.Decimal(k.denominator)
+
+
+def _root_defect(near, p, q):
+    """1 - sqrt(near / u) for u = p / q, from one quotient of exact integers."""
+    ratio = decimal.Decimal(near.numerator * q) / decimal.Decimal(near.denominator * p)
+    return 1 - ratio.sqrt()
+
+
 def fitzsimmons_weight(model, gamma, r_max, dps=DEFAULT_DPS):
     """Weight profile from the ground ratio, computed numerically.
 
-    For each radius the consecutive ratios of exact ground values are formed
-    first and square-rooted at ``dps`` digits, so no intermediate value ever
-    leaves a representable range.  Entries below the support (the origin
-    when gamma = 0) are 0.  Needs radial data one sphere past r_max.
+    With u(r) = p / q, each ratio u(r +- 1) / u(r) is the quotient of the
+    exact integer cross products p' q and q' p, rounded once to ``dps``
+    digits in ``decimal``, so no intermediate value ever leaves a
+    representable range; the square roots and the weight are taken at the
+    same precision and rounded to float once.  Entries below the support
+    (the origin when gamma = 0) are 0.  Needs radial data one sphere past
+    r_max.
     """
     gamma = _check_gamma(gamma)
     u = u_gamma(model, gamma, r_max + 1)
     r_min = 0 if gamma > 0 else 1
     w = np.zeros(r_max + 1)
-    # exact ratios of consecutive ground values are small rationals even
-    # when the values themselves overflow or underflow doubles
-    with mpmath.workdps(dps):
+    with decimal.localcontext(decimal.Context(prec=dps)):
         for r in range(r_min, r_max + 1):
-            up = _mpf_of(u[r + 1] / u[r])
-            term = model.k_plus(r) * (1 - mpmath.sqrt(up))
+            p, q = u[r].numerator, u[r].denominator
+            term = _decimal_of(model.k_plus(r)) * _root_defect(u[r + 1], p, q)
             if r > 0:
-                down = _mpf_of(u[r - 1] / u[r])
-                term += model.k_minus(r) * (1 - mpmath.sqrt(down))
+                term += _decimal_of(model.k_minus(r)) * _root_defect(u[r - 1], p, q)
             w[r] = float(term)
     return w
 
@@ -433,10 +442,17 @@ def check_superharmonic_ground(model, gamma, r_max):
     bad_low = False
     bad_high = False
     for r in range(r_min, r_max + 1):
-        defect = radial_laplacian(model, u, r)
-        ratio = defect / u[r]
-        worst_ratio = min(worst_ratio, float(ratio))
-        violated = defect < 0
+        # defect / u(r) = k_plus (1 - u(r+1)/u(r)) + k_minus (1 - u(r-1)/u(r)) over
+        # the positive denominator b e p q1 q0, with k_plus = a/b, k_minus = c/e
+        # and u(r + i) = p_i / q_i; its float is one correctly rounded int / int
+        kp, km = model.k_plus(r), model.k_minus(r)
+        a, b, c, e = kp.numerator, kp.denominator, km.numerator, km.denominator
+        p, q = u[r].numerator, u[r].denominator
+        p1, q1 = u[r + 1].numerator, u[r + 1].denominator
+        p0, q0 = (u[r - 1].numerator, u[r - 1].denominator) if r else (0, 1)
+        num = a * e * q0 * (q1 * p - p1 * q) + c * b * q1 * (q0 * p - p0 * q)
+        worst_ratio = min(worst_ratio, num / (b * e * p * q1 * q0))
+        violated = num < 0
         if violated and r >= 2:
             bad_high = True
         elif violated:

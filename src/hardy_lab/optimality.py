@@ -46,6 +46,10 @@ from .spectral_ops import (
 )
 
 
+# radii per block of the summed criticality terms
+_SUM_LEAF = 2 ** 14
+
+
 def _longdouble_exact(x):
     if isinstance(x, Fraction):
         return np.longdouble(x.numerator) / np.longdouble(x.denominator)
@@ -73,6 +77,23 @@ class CriticalityResult:
     rel_diff: float
 
 
+def _pairwise_sums(terms, lo, hi):
+    """np.sum of each array ``terms(lo, hi)`` returns, without building them whole.
+
+    numpy sums a contiguous float array pairwise, halving n at n // 2 less
+    its remainder mod 8; splitting [lo, hi) the same way into leaves of at
+    most _SUM_LEAF entries and summing each leaf with np.sum gives the same
+    bits, while only one leaf of terms exists at a time.
+    """
+    n = hi - lo
+    if n <= _SUM_LEAF:
+        return [np.sum(t) for t in terms(lo, hi)]
+    n2 = n // 2
+    n2 -= n2 % 8
+    left = _pairwise_sums(terms, lo, lo + n2)
+    return [a + b for a, b in zip(left, _pairwise_sums(terms, lo + n2, hi))]
+
+
 def criticality_energy(model, n, gamma=0):
     """Energy functional of (sqrt of ground) times cutoff, two ways.
 
@@ -90,7 +111,8 @@ def criticality_energy(model, n, gamma=0):
     Both routes must agree to ~1e-10 relative; their common value decays
     like 1/log n, which is the criticality evidence.  The value does not
     depend on gamma (the gamma terms cancel identically); computing the
-    direct route at gamma > 0 exercises that cancellation.
+    direct route at gamma > 0 exercises that cancellation.  The terms are
+    formed and summed one block of radii at a time (see _pairwise_sums).
     """
     gamma = _check_gamma(gamma)
     if n < 3:
@@ -99,32 +121,34 @@ def criticality_energy(model, n, gamma=0):
         raise NeedsTailError(f"criticality at n = {n} needs depth >= {n}")
     ld = np.longdouble
     kap = _kappa_longdouble(*model.exact_degrees(n - 1))
-    phi = cutoff_profile(n, dtype=ld)
-    idx = np.arange(1, n, dtype=ld)
+    log_n = np.log(ld(n))
 
-    # direct route
     area1 = _longdouble_exact(model.area(1))
     g = _longdouble_exact(gamma)
     sqrt_ga = np.sqrt(g * area1)
     edge0 = (1 - sqrt_ga) ** 2
-    energy_terms = (np.sqrt(idx + 1) * phi[2: n + 1]
-                    - np.sqrt(kap[1:] * idx) * phi[1: n]) ** 2
-    bracket = np.empty(n - 1, dtype=ld)
-    bracket[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
-    if n > 2:
-        r = idx[1:]
-        bracket[1:] = (1 + kap[2:]
-                       - np.sqrt(kap[2:] * (1 + 1 / r))
-                       - np.sqrt(kap[1:-1] * (1 - 1 / r)))
-    mass_terms = idx * bracket * phi[1: n] ** 2
-    direct = edge0 + np.sum(energy_terms) - np.sum(mass_terms)
+
+    def terms(lo, hi):
+        # energy, mass and closed-form terms of radii lo..hi-1, rounded as
+        # whole arrays of them would be; phi is the cutoff at lo..hi
+        idx = np.arange(lo, hi, dtype=ld)
+        phi = 1 - np.log(np.arange(lo, hi + 1, dtype=ld)) / log_n
+        k = kap[lo:hi]
+        energy = (np.sqrt(idx + 1) * phi[1:] - np.sqrt(k * idx) * phi[:-1]) ** 2
+        bracket = (1 + k - np.sqrt(k * (1 + 1 / idx))
+                   - np.sqrt(kap[lo - 1:hi - 1] * (1 - 1 / idx)))
+        if lo == 1:  # kappa(0) is NaN; radius 1 has its own bracket
+            bracket[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
+        mass = idx * bracket * phi[:-1] ** 2
+        closed = np.sqrt(k * idx * (idx + 1)) * np.log1p(1 / idx) ** 2
+        return energy, mass, closed
+
+    energy_sum, mass_sum, closed_sum = _pairwise_sums(terms, 1, n)
+    direct = edge0 + energy_sum - mass_sum
     if gamma > 0:
         # origin mass: w(0) gamma vol(0) simplifies to gamma area(1) - sqrt(gamma area(1))
         direct -= g * area1 - sqrt_ga
-    # closed route
-    log_n = np.log(ld(n))
-    closed_terms = np.sqrt(kap[1:] * idx * (idx + 1)) * np.log1p(1 / idx) ** 2
-    closed = np.sum(closed_terms) / (log_n * log_n)
+    closed = closed_sum / (log_n * log_n)
 
     rel = float(abs(direct - closed) / max(abs(closed), np.finfo(ld).tiny))
     return CriticalityResult(
@@ -169,17 +193,12 @@ def helper_sum(n):
     """
     if n < 3:
         raise InvalidParameterError("n must be at least 3")
-    # r sqrt(1 + 1/r) log1p(1/r)**2, rounded as written; in place, so at
-    # most three arrays of n exist at once
-    r = np.arange(1, n, dtype=float)
-    inv = 1.0 / r
-    terms = 1.0 + inv
-    np.sqrt(terms, out=terms)
-    terms *= r
-    np.log1p(inv, out=inv)
-    np.square(inv, out=inv)
-    terms *= inv
-    return float(np.sum(terms)) / math.log(n) ** 2
+
+    def terms(lo, hi):
+        r = np.arange(lo, hi, dtype=float)
+        return (np.sqrt(1.0 + 1.0 / r) * r * np.square(np.log1p(1.0 / r)),)
+
+    return float(_pairwise_sums(terms, 1, n)[0]) / math.log(n) ** 2
 
 
 def check_cutoff_decay(n_small=10 ** 3, n_large=10 ** 6, lo=0.4, hi=0.6):

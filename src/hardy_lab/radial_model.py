@@ -597,11 +597,14 @@ def save_model(model, path, r_max=None):
 def _parse(token, where, convert=Fraction):
     """``convert(token)``, or InvalidParameterError naming ``where``.
 
-    A run of more digits than Python reads (see _decimal_text) is refused
+    A token of ASCII digits only is read by ``int``, to the same value.  A
+    run of more digits than Python reads (see _decimal_text) is refused
     first, naming the limit; errors show at most a prefix of a long token.
     """
-    shown = repr(token) if len(token) <= 24 else f"{token[:16]!r}... ({len(token)} characters)"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if token.isascii() and token.isdigit() and not (limit and len(token) > limit):
+        return int(token)  # the value Fraction(token) has, without its regex
+    shown = repr(token) if len(token) <= 24 else f"{token[:16]!r}... ({len(token)} characters)"
     if limit and max(map(len, re.findall(r"\d+", token)), default=0) > limit:
         raise InvalidParameterError(
             f"number {shown} in {where} has more than {limit} decimal digits, "

@@ -9,8 +9,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# more random sections for the bit-exact sweep oracles, in their own CI step:
-# pytest tests/test_sturm_sweep.py --hypothesis-profile=ci
+# more random cases for the bit-exact sweep and ground-ratio oracles, in their
+# own CI steps: pytest tests/test_sturm_sweep.py --hypothesis-profile=ci (and
+# tests/test_ground_ratio.py)
 settings.register_profile("ci", parent=settings.get_profile("suite"), max_examples=300)
 settings.load_profile("suite")
 

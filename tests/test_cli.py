@@ -1,10 +1,16 @@
 import json
 import math
+import os
 import sys
+import tempfile
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hardy_lab import make_antitree, save_model
+from hardy_lab import cli, make_antitree, make_custom, save_model
 from hardy_lab.cli import main
 
 
@@ -363,3 +369,42 @@ def test_model_file_with_an_unreadable_number_exits_2_with_a_short_error(tmp_pat
     assert out == ""
     assert err.startswith("error:") and len(err) < 300
     assert "row 2" in err and str(limit) in err and "'1000" in err
+
+
+_small_degree = st.one_of(
+    st.integers(1, 4),
+    st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3),
+)
+
+
+@st.composite
+def verifiable_models(draw):
+    """Random integer or Fraction radial data, deep enough for ``verify --suite all``."""
+    depth = draw(st.integers(100, 130))
+    degree = _small_degree if draw(st.booleans()) else st.integers(1, 4)
+    pattern = draw(st.lists(st.tuples(degree, degree), min_size=1, max_size=6))
+    rows = [pattern[r % len(pattern)] for r in range(depth + 1)]
+    k_plus = [kp for kp, _ in rows[:depth]]
+    k_minus = [0] + [km for _, km in rows[1:]]
+    return make_custom(k_plus, k_minus, label="random")
+
+
+@given(verifiable_models(), st.sampled_from(["0", "1/3"]))
+def test_saved_random_model_verifies_like_its_source(model, gamma):
+    parse = cli._parse_model_spec
+
+    def source_or_file(text):
+        return model if text == "source:" else parse(text)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved.model")
+        save_model(model, path)
+        outputs = []
+        for spec in ("source:", f"file:{path}"):
+            out = os.path.join(tmp, "verify.txt")
+            with mock.patch.object(cli, "_parse_model_spec", source_or_file):
+                code = main(["verify", "--model", spec, "--gamma", gamma,
+                             "--suite", "all", "--out", out])
+            with open(out, encoding="utf-8") as fh:
+                outputs.append((code, fh.read()))
+    assert outputs[1] == outputs[0]

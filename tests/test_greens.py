@@ -23,6 +23,7 @@ from hardy_lab import (
     transience_test,
     tree_bottom_of_spectrum,
 )
+from hardy_lab import greens
 from hardy_lab.greens import _area_window
 
 
@@ -233,3 +234,66 @@ def test_green_range_guards(tree3):
         green_weight(tree3, tree3.depth - 1)
     with pytest.raises(NeedsTailError):
         green_function_exact(tree3, tree3.depth)
+
+
+def reference_log_green(model):
+    """l(r) by one step per radius, from the same top value as _log_green."""
+    ell = np.log(model.kappa_floats(model.depth - 1)[1:]).tolist()
+    t = model.tail
+    x = math.log(float(t.kappa_inf) / (float(t.kappa_inf) - 1.0))
+    out = [x]
+    for lk in reversed(ell):
+        z = x - lk
+        x = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+        out.append(x)
+    return np.array(out[::-1])
+
+
+class CountingMath:
+    """The math module, counting log1p calls."""
+
+    def __init__(self):
+        self.log1p_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log1p(self, x):
+        self.log1p_calls += 1
+        return math.log1p(x)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_green_recursion_fills_runs_at_its_fixed_point(monkeypatch, d):
+    model = make_tree(d, 20_000)
+    counting = CountingMath()
+    monkeypatch.setattr(greens, "math", counting)
+    ell, _ = greens._log_green(model, model.depth - 1)
+    assert ell.tobytes() == reference_log_green(model).tobytes()
+    # the float iteration reaches its fixed point within a few steps
+    assert counting.log1p_calls < 100
+
+
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 5), st.integers(1, 3)),
+                min_size=1, max_size=12))
+def test_green_recursion_matches_one_step_per_radius(runs):
+    # runs of constant degrees, then a geometric tail with kappa 3
+    k_plus, k_minus = [], []
+    for length, kp, km in runs:
+        k_plus += [kp] * length
+        k_minus += [km] * length
+    k_plus += [3] * 30
+    k_minus += [1] * 30
+    model = make_custom(k_plus, [0] + k_minus,
+                        tail=Tail("eventually-geometric", kappa_inf=Fraction(3)))
+    ell, _ = greens._log_green(model, model.depth - 1)
+    assert ell.tobytes() == reference_log_green(model).tobytes()
+
+
+def test_green_recursion_fixed_point_on_a_run_of_one():
+    # log 2 from the tail is a float fixed point of the kappa = 2 step, which
+    # only the last stored radius takes; kappa = 3 below it is not filled
+    model = make_custom([3] * 20 + [2], [0] + [1] * 21,
+                        tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
+    ell, _ = greens._log_green(model, model.depth - 1)
+    assert ell.tobytes() == reference_log_green(model).tobytes()

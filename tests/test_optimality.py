@@ -21,10 +21,12 @@ from hardy_lab import (
     cutoff_profile,
     helper_sum,
     inflation_refutation,
+    make_antitree,
     make_custom,
     make_tree,
     optimality_probe,
 )
+from hardy_lab.hardy_weights import _kappa_longdouble
 
 
 def test_helper_sum_is_computed_once_per_n():
@@ -48,6 +50,59 @@ def test_helper_sum_value():
     assert helper_sum(3) == pytest.approx(0.8966112928192101, rel=1e-15)
     # slow logarithmic decay
     assert helper_sum(10 ** 6) < helper_sum(10 ** 3) < helper_sum(10)
+
+
+def whole_array_helper_sum(n):
+    """helper_sum with all n - 1 terms in one array and one np.sum."""
+    r = np.arange(1, n, dtype=float)
+    terms = np.sqrt(1.0 + 1.0 / r) * r * np.square(np.log1p(1.0 / r))
+    return float(np.sum(terms)) / math.log(n) ** 2
+
+
+@pytest.mark.parametrize("n", [3, 11, 1000, 2 ** 14 + 1, 2 ** 14 + 2, 10 ** 4,
+                               123457, 999999, 10 ** 6])
+def test_helper_sum_equals_one_np_sum(n):
+    # the blocked sum splits [1, n) where numpy's pairwise sum does
+    assert helper_sum(n) == whole_array_helper_sum(n)
+
+
+def whole_array_criticality(model, n, gamma):
+    """criticality_energy with every term array built whole and summed by np.sum."""
+    ld = np.longdouble
+    kap = _kappa_longdouble(*model.exact_degrees(n - 1))
+    phi = cutoff_profile(n, dtype=ld)
+    idx = np.arange(1, n, dtype=ld)
+    area1 = ld(model.area(1))
+    g = ld(gamma.numerator) / ld(gamma.denominator)
+    sqrt_ga = np.sqrt(g * area1)
+    energy = (np.sqrt(idx + 1) * phi[2:] - np.sqrt(kap[1:] * idx) * phi[1:n]) ** 2
+    bracket = np.empty(n - 1, dtype=ld)
+    bracket[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
+    r = idx[1:]
+    bracket[1:] = (1 + kap[2:] - np.sqrt(kap[2:] * (1 + 1 / r))
+                   - np.sqrt(kap[1:-1] * (1 - 1 / r)))
+    mass = idx * bracket * phi[1:n] ** 2
+    direct = (1 - sqrt_ga) ** 2 + np.sum(energy) - np.sum(mass)
+    if gamma > 0:
+        direct -= g * area1 - sqrt_ga
+    log_n = np.log(ld(n))
+    closed = np.sum(np.sqrt(kap[1:] * idx * (idx + 1)) * np.log1p(1 / idx) ** 2)
+    closed /= log_n * log_n
+    rel = float(abs(direct - closed) / max(abs(closed), np.finfo(ld).tiny))
+    return float(direct), float(closed), rel
+
+
+@pytest.mark.parametrize("model, gamma", [
+    (make_tree(2, 10 ** 5), Fraction(0)),
+    (make_tree(3, 10 ** 5), Fraction(1, 3)),
+    (make_antitree(lambda r: r + 1, 10 ** 5), Fraction(0)),
+    (make_antitree(lambda r: (r + 1) ** 2, 10 ** 5), Fraction(1, 2)),
+], ids=["tree2", "tree3-gamma", "antitree-poly1", "antitree-poly2-gamma"])
+def test_blocked_criticality_equals_whole_arrays(model, gamma):
+    for n in (3, 1000, 2 ** 14 + 2, 10 ** 5):
+        res = criticality_energy(model, n, gamma=gamma)
+        assert (res.direct, res.closed_form, res.rel_diff) == \
+            whole_array_criticality(model, n, gamma)
 
 
 def test_criticality_two_routes_agree(tree2):
