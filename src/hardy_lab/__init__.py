@@ -17,11 +17,9 @@ from .continuum import (
     check_closed_form_agreement,
     check_harmonic_condition,
     check_harmonicity,
-    check_model_optimality_condition,
     damek_ricci_space,
     density_weight,
     harmonic_manifold,
-    harmonicity_residual,
     hyperbolic_space,
     load_density,
     riemannian_model,
@@ -49,7 +47,6 @@ from .greens import (
     GreenComparison,
     GreenProfile,
     compare_to_green,
-    green_function,
     green_function_exact,
     green_weight,
     transience_test,
@@ -60,7 +57,6 @@ from .hardy_weights import (
     check_superharmonic_ground,
     check_superharmonic_sqrt_ground,
     closed_form_weight,
-    fitzsimmons_ratio,
     fitzsimmons_weight,
     gamma_intervals,
     general_closed_form,
@@ -70,7 +66,6 @@ from .hardy_weights import (
     tree_bottom_of_spectrum,
     tree_weight,
     u_gamma,
-    weight_floor,
 )
 from .optimality import (
     CriticalityResult,
@@ -83,7 +78,6 @@ from .optimality import (
     check_null_criticality,
     check_properness,
     criticality_energy,
-    cutoff_profile,
     default_probe_bases,
     ground_weight_mass_terms,
     helper_sum,
@@ -106,10 +100,8 @@ from .spectral_ops import (
     TridiagonalForm,
     ball_form_matrix,
     count_eigenvalues_below,
-    dense_matrix,
     eigenvalue_bounds,
     hardy_form_matrix,
-    radial_energy,
     radial_laplacian,
     smallest_eigenvalue,
     tree_ball_bottom_eigenvalue,

@@ -252,34 +252,28 @@ def weight_damek_ricci(p, q, r):
 # -- harmonicity and structural conditions ------------------------------------
 
 def _grid(r_min, r_max, n_points):
-    if not (0.0 < r_min < r_max):
-        raise InvalidParameterError("need 0 < r_min < r_max")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise InvalidParameterError(
+            f"need finite 0 < r_min < r_max, got r_min = {r_min}, r_max = {r_max}"
+        )
     if n_points < 2:
         raise InvalidParameterError("need at least 2 grid points")
     return np.linspace(r_min, r_max, n_points)
 
 
-def harmonicity_residual(space, r_min, r_max, h_step, which="sqrt-u",
-                         n_points=200, weight_fn=None):
-    """Max scaled residual of (-Laplace - W) psi over a grid, psi evaluated
-    exactly and differentiated by central differences of step h_step.
+def _residual_and_psi_max(space, r_min, r_max, h_step, which, n_points):
+    """Max scaled residual of (-Laplace - W) psi over a grid, and max |psi|.
 
-    which selects psi: "sqrt-u" is sqrt(r / f(r)), "sqrt-u-log" multiplies
-    by log r.  The residual scales like h_step**2; halving the step should
-    shrink it by about 4, and tests hold it to that.  The default weight is
-    the master formula; pass weight_fn to test a closed form instead.
+    psi is evaluated exactly and differentiated by central differences of
+    step h_step; W is the master formula.  which selects psi: "sqrt-u" is
+    sqrt(r / f(r)), "sqrt-u-log" multiplies by log r.  The residual scales
+    like h_step**2; halving the step should shrink it by about 4, which
+    check_harmonicity holds it to.  max |psi| is taken over the stencil.
     """
-    return _residual_and_psi_max(space, r_min, r_max, h_step, which,
-                                 n_points, weight_fn)[0]
-
-
-def _residual_and_psi_max(space, r_min, r_max, h_step, which, n_points,
-                          weight_fn=None):
-    """harmonicity_residual, and max |psi| over its stencil."""
     if which not in ("sqrt-u", "sqrt-u-log"):
         raise InvalidParameterError(f"unknown profile selector {which!r}")
-    if h_step <= 0.0:
-        raise InvalidParameterError("h_step must be positive")
+    if not 0.0 < h_step < math.inf:
+        raise InvalidParameterError(f"h_step must be finite and positive, got {h_step}")
     if r_min - h_step <= 0.0:
         raise OriginSingularityError(
             "the difference stencil reaches r <= 0; raise r_min or shrink h_step"
@@ -289,7 +283,7 @@ def _residual_and_psi_max(space, r_min, r_max, h_step, which, n_points,
     stencil = grid[:, None] + np.array([-h_step, 0.0, h_step])
     f, df, d2f = space.density_triple(stencil)
     fr, d1, d2 = f[:, 1], df[:, 1], d2f[:, 1]
-    w = _master_weight(grid, fr, d1, d2) if weight_fn is None else weight_fn(grid)
+    w = _master_weight(grid, fr, d1, d2)
     psi = np.sqrt(stencil / f)
     if which == "sqrt-u-log":
         psi *= np.log(stencil)
@@ -333,25 +327,6 @@ def check_harmonicity(space, r_min, r_max, h_step=1e-3, which="sqrt-u",
         params={"space": space.label, "r_min": r_min, "r_max": r_max,
                 "h_step": h_step, "n_points": n_points, "tol": tol},
         notes=notes,
-    )
-
-
-def check_model_optimality_condition(h, dim, r_min, r_max, n_points=200):
-    """Report min over the grid of 2 h h'' + (d-3) (h')**2 (>= 0 wanted).
-
-    This is the rotational-model condition under which the closed-form
-    weight dominates the pure 1/(4 r**2) part.  Report-only: nothing else
-    in the package consumes the verdict.
-    """
-    hf, dh, d2h = _as_curve(h).resolved()
-    grid = _grid(r_min, r_max, n_points)
-    hr = _positive(hf(grid), grid, "profile h")
-    worst = float(np.min(2.0 * hr * d2h(grid) + (dim - 3) * dh(grid) ** 2))
-    return VerificationReport(
-        check="model-weight-condition",
-        status="pass" if worst >= 0.0 else "fail",
-        residuals={"min_margin": worst},
-        params={"dim": dim, "r_min": r_min, "r_max": r_max, "n_points": n_points},
     )
 
 

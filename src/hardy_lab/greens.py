@@ -203,23 +203,6 @@ def _log_green(model, r_max):
                              tail_error_bound=bound, notes=notes)
 
 
-def green_function(model, r_max):
-    """Radial Green profile on 0..r_max.
-
-    Raises NoGreenFunctionError on recurrent models and propagates
-    InconclusiveTransienceError when the data cannot decide.  Needs
-    r_max <= depth - 1 so the partial sums have at least one stored term
-    past every requested radius.
-    """
-    if r_max < 0:
-        raise InvalidParameterError("r_max must be nonnegative")
-    if r_max > model.depth - 1:
-        raise NeedsTailError(
-            f"green values to radius {r_max} need stored areas past depth {model.depth}"
-        )
-    return _log_green(model, r_max)[1]
-
-
 def green_function_exact(model, r_max):
     """G(0..r_max) as a list of exact Fractions, for a geometric tail.
 

@@ -28,14 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    NotPositiveError,
-    SeriesDivergenceRiskError,
-)
+from .errors import InvalidParameterError, SeriesDivergenceRiskError
 from .radial_model import _as_exact
 from .reporting import VerificationReport
-from .spectral_ops import radial_laplacian
 
 DEFAULT_DPS = 40
 
@@ -69,18 +64,6 @@ def u_gamma(model, gamma, r_max):
         raise InvalidParameterError("r_max must be at least 1")
     return [gamma] + [Fraction(r, 1) / Fraction(model.area(r))
                       for r in range(1, r_max + 1)]
-
-
-def fitzsimmons_ratio(model, values, r):
-    """Rayleigh ratio (difference operator applied to values) / values at r.
-
-    ``values`` must be positive at r; the arithmetic stays in whatever
-    number type the caller supplies (float, Fraction, mpmath).
-    """
-    vr = values[r]
-    if not vr > 0:
-        raise NotPositiveError(f"profile must be positive at radius {r}, got {vr}")
-    return radial_laplacian(model, values, r) / vr
 
 
 def _decimal_of(k):
@@ -342,23 +325,6 @@ def gamma_intervals(model):
         sqrt_ground=(lo, sqrt_hi),
         joint=(lo, ground_hi),
     )
-
-
-def weight_floor(model, r):
-    """Pointwise lower bound for the weight at radius r >= 2.
-
-    Returns (value, applicable).  The bound
-
-        k_minus(r) ((sqrt(kappa(r)) - 1)**2 + sqrt(kappa(r)) / (4 r**2))
-
-    holds whenever kappa(r - 1) <= kappa(r); ``applicable`` reports that
-    hypothesis.  Models with locally decreasing kappa (antitrees) can dip
-    below it.
-    """
-    if r < 2:
-        raise InvalidParameterError("the floor is defined for radii >= 2")
-    _, floors, applicable = _closed_form(model, 0, r, r)
-    return float(model.k_minus(r)) * float(floors[0]), bool(applicable[0])
 
 
 @dataclass(frozen=True)

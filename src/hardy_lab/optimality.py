@@ -58,17 +58,6 @@ def _longdouble_exact(x):
 
 # -- criticality --------------------------------------------------------------
 
-def cutoff_profile(n, dtype=np.longdouble):
-    """Logarithmic cutoff: 1 at the origin, 1 - log r / log n up to r = n, 0 after."""
-    if n < 3:
-        raise InvalidParameterError("cutoff scale n must be at least 3")
-    phi = np.zeros(n + 1, dtype=dtype)
-    phi[0] = 1
-    rr = np.arange(1, n + 1, dtype=dtype)
-    phi[1:] = 1 - np.log(rr) / np.log(dtype(n))
-    return phi
-
-
 @dataclass(frozen=True)
 class CriticalityResult:
     n: int

@@ -570,10 +570,15 @@ def save_model(model, path, r_max=None):
     Layout: a "radial-model v1" header, an optional "label ..." line, a
     "tail ..." line, then one "r k_plus k_minus vol" row per radius.  The
     outward degree of the outermost stored sphere is unknown and written
-    as "-".  A value too long to write raises SizeLimitExceededError
-    before the file is opened.
+    as "-".  A value too long to write raises SizeLimitExceededError, and
+    an r_max below 2 (a file too short to load back) InvalidParameterError,
+    both before the file is opened.
     """
     rows = model.radial_data(r_max)
+    if rows[-1][0] < 2:
+        raise InvalidParameterError(
+            f"a model file needs radii 0..2 at least, got r_max = {rows[-1][0]}"
+        )
     lines = ["radial-model v1"]
     if model.label:
         lines.append(f"label {model.label}")

@@ -40,33 +40,6 @@ def radial_laplacian(model, values, r):
     return out
 
 
-def radial_energy(model, values):
-    """Dirichlet energy sum_j area(j) (phi(j) - phi(j-1))**2 of a profile.
-
-    ``values[r]`` is the profile at radius r and the profile is treated as 0
-    beyond the end of the array, so the sum runs one sphere past the support.
-    The last nonzero entry must therefore sit strictly inside the stored
-    depth.  Areas are converted to float, which restricts this helper to
-    moderate depths; the windowed forms below avoid volumes entirely.
-    """
-    vals = np.asarray(values, dtype=float)
-    nonzero = np.nonzero(vals)[0]
-    if nonzero.size == 0:
-        return 0.0
-    top = int(nonzero[-1])
-    if top + 1 > model.depth:
-        raise NeedsTailError(
-            f"profile support reaches radius {top}, which needs area({top + 1}) "
-            f"beyond the stored depth {model.depth}"
-        )
-    total = 0.0
-    for j in range(1, top + 2):
-        cur = vals[j] if j <= top else 0.0
-        diff = cur - vals[j - 1]
-        total += float(model.area(j)) * diff * diff
-    return total
-
-
 @dataclass(frozen=True)
 class TridiagonalForm:
     """Symmetrized radial form on the window [r_lo, r_hi] with Dirichlet ends.
@@ -131,19 +104,6 @@ def hardy_form_matrix(model, weight_values, r_lo=0, r_hi=None):
             f"range at radius {r_lo + int(np.argmin(finite))}"
         )
     return TridiagonalForm(diagonal=diagonal, offdiagonal=offdiagonal, r_lo=r_lo)
-
-
-def dense_matrix(form):
-    """Dense ndarray of a tridiagonal form, for small cross-checks only."""
-    if form.n > MAX_DENSE_DIMENSION:
-        raise SizeLimitExceededError(
-            f"dense matrix of size {form.n} exceeds cap {MAX_DENSE_DIMENSION}"
-        )
-    m = np.diag(form.diagonal)
-    idx = np.arange(form.n - 1)
-    m[idx, idx + 1] = form.offdiagonal
-    m[idx + 1, idx] = form.offdiagonal
-    return m
 
 
 def _sturm_rows(form):

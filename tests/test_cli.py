@@ -1,15 +1,19 @@
+import ast
 import json
 import math
 import os
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hardy_lab
 from hardy_lab import cli, make_antitree, make_custom, save_model
 from hardy_lab.cli import main
 
@@ -138,6 +142,22 @@ def test_model_print_and_round_trip(tmp_path, capsys):
     assert len(out.splitlines()) == 12
 
 
+def test_model_file_too_short_to_reload_is_refused(tmp_path, capsys):
+    path = tmp_path / "short.model"
+    code, out, err = run(capsys, "model", "--model", "tree:2:10",
+                         "--out", str(path), "--r-max", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "r_max" in err
+    assert not path.exists()
+    code, _, _ = run(capsys, "model", "--model", "tree:2:10",
+                     "--out", str(path), "--r-max", "2")
+    assert code == 0
+    code, out, _ = run(capsys, "model", "--model", f"file:{path}")
+    assert code == 0
+    assert out.splitlines()[1] == "depth 2"
+
+
 def test_continuum_residual_suite(capsys):
     code, out, _ = run(capsys, "continuum", "--space", "hyperbolic:4")
     assert code == 0
@@ -174,6 +194,19 @@ def test_continuum_table_refuses_the_grids_the_residuals_refuse(capsys, grid):
         assert code == 2, check
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, name", [(("--step", "nan"), "h_step"),
+                                        (("--r-max", "inf"), "r_max"),
+                                        (("--r-max", "inf", "--check", "table"), "r_max")])
+def test_continuum_non_finite_arguments_exit_2_naming_them(capsys, argv, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code, out, err = run(capsys, "continuum", "--space", "hyperbolic:3", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert name in err and "finite" in err
 
 
 @pytest.mark.parametrize("depth, where", [(900, "at radius 512"),
@@ -408,3 +441,26 @@ def test_saved_random_model_verifies_like_its_source(model, gamma):
             with open(out, encoding="utf-8") as fh:
                 outputs.append((code, fh.read()))
     assert outputs[1] == outputs[0]
+
+
+# exported only for tests: named oracles and the acceptance helpers
+UNREAD_EXPORTS = {"green_function_exact", "general_closed_form", "tree_weight",
+                  "count_eigenvalues_below", "series_expansion",
+                  "series_remainder_bound", "ball_form_matrix"}
+
+
+def test_every_other_export_has_a_reader_in_the_package():
+    package = Path(hardy_lab.__file__).parent
+    exports = {alias.asname or alias.name
+               for node in ast.parse((package / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    loaded = set()
+    for module in package.glob("*.py"):
+        if module.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert exports - loaded == UNREAD_EXPORTS

@@ -13,11 +13,9 @@ from hardy_lab import (
     check_closed_form_agreement,
     check_harmonic_condition,
     check_harmonicity,
-    check_model_optimality_condition,
     damek_ricci_space,
     density_weight,
     harmonic_manifold,
-    harmonicity_residual,
     hyperbolic_space,
     load_density,
     riemannian_model,
@@ -25,6 +23,7 @@ from hardy_lab import (
     weight_hyperbolic,
     weight_model,
 )
+from hardy_lab import continuum
 from hardy_lab.cli import main
 
 GRID = np.linspace(0.1, 10.0, 120)
@@ -152,29 +151,29 @@ def test_builtin_sinh_cubed_derivatives_are_analytic():
 
 
 def test_harmonicity_residual_scales_quadratically():
-    space = hyperbolic_space(3)
-    coarse = harmonicity_residual(space, 0.5, 5.0, 1e-3)
-    fine = harmonicity_residual(space, 0.5, 5.0, 5e-4)
+    rep = check_harmonicity(hyperbolic_space(3), 0.5, 5.0, h_step=1e-3)
+    coarse = rep.residuals["residual_coarse"]
+    fine = rep.residuals["residual_fine"]
+    assert rep.params["h_step"] == 1e-3
     assert coarse / fine == pytest.approx(4.0, abs=0.8)
 
 
 def test_harmonicity_check_both_profiles():
-    for space in (hyperbolic_space(4), damek_ricci_space(2, 1)):
+    for space in (hyperbolic_space(3), hyperbolic_space(4), damek_ricci_space(2, 1)):
         for which in ("sqrt-u", "sqrt-u-log"):
             rep = check_harmonicity(space, 0.5, 5.0, which=which)
             assert rep.status == "pass", (space.label, which)
             assert 3.2 <= rep.residuals["convergence_factor"] <= 4.8
 
 
-def test_harmonicity_detects_wrong_weight():
+def test_harmonicity_detects_wrong_weight(monkeypatch):
     space = hyperbolic_space(3)
-    correct = harmonicity_residual(space, 0.5, 5.0, 1e-3)
-    off = harmonicity_residual(
-        space, 0.5, 5.0, 1e-3,
-        weight_fn=lambda r: weight_hyperbolic(3, r) + 0.05,
-    )
-    assert correct < 1e-4
-    assert off > 1e-3
+    assert check_harmonicity(space, 0.5, 5.0).status == "pass"
+    master = continuum._master_weight
+    monkeypatch.setattr(continuum, "_master_weight", lambda *a: master(*a) + 0.05)
+    rep = check_harmonicity(space, 0.5, 5.0)
+    assert rep.status == "fail"
+    assert rep.residuals["residual_coarse"] > 1e-3
 
 
 def test_an_exact_profile_passes_at_the_roundoff_floor(tmp_path, capsys):
@@ -205,7 +204,7 @@ def test_the_roundoff_floor_decides_nothing_on_truncation_residuals():
 
 def test_stencil_must_not_cross_origin():
     with pytest.raises(OriginSingularityError):
-        harmonicity_residual(hyperbolic_space(3), 5e-4, 5.0, 1e-3)
+        check_harmonicity(hyperbolic_space(3), 5e-4, 5.0)
     with pytest.raises(OriginSingularityError):
         density_weight(hyperbolic_space(3), 0.0)
 
@@ -221,15 +220,6 @@ def test_dimension_guards():
         damek_ricci_space(0, 3)
     with pytest.raises(DimensionTooSmallError):
         weight_model(BUILTIN_CURVES["sinh"], 1, 1.0)
-
-
-def test_model_condition_sign():
-    good = check_model_optimality_condition(BUILTIN_CURVES["sinh"], 4, 0.5, 5.0)
-    assert good.status == "pass"
-    sphere_like = CurveSpec(np.sin, np.cos, lambda r: -np.sin(r))
-    bad = check_model_optimality_condition(sphere_like, 3, 0.5, 2.0)
-    assert bad.status == "fail"
-    assert bad.residuals["min_margin"] < 0
 
 
 def test_harmonic_condition_on_hyperbolic():

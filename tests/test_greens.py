@@ -14,7 +14,6 @@ from hardy_lab import (
     NoGreenFunctionError,
     Tail,
     compare_to_green,
-    green_function,
     green_function_exact,
     green_weight,
     make_antitree,
@@ -36,7 +35,7 @@ def test_exact_green_on_trees(d):
 
 
 def test_float_green_matches_exact(tree3):
-    prof = green_function(tree3, 60)
+    prof = green_weight(tree3, 60)[1]
     exact = green_function_exact(tree3, 60)
     for r in range(0, 61):
         assert prof.values[r] == pytest.approx(float(exact[r]), rel=1e-12)
@@ -47,7 +46,7 @@ def test_float_green_matches_exact(tree3):
 def test_log_green_survives_float_underflow():
     # G(700) on the 5-ary tree is ~1e-490, far below double range
     model = make_tree(5, 720)
-    prof = green_function(model, 700)
+    prof = green_weight(model, 700)[1]
     assert prof.values[700] == 0.0  # display value underflows, by design
     expected = -math.log(4.0) - 700 * math.log(5.0)
     assert prof.log_values[700] == pytest.approx(expected, rel=1e-12)
@@ -110,7 +109,7 @@ def test_green_route_survives_areas_that_climb_and_fall():
     # the reference's G(r) sums the tail only to depth; the rest of the
     # tail is below 2**-1200 of G(r) here
     assert np.max(np.abs(w - _green_weight_reference(model, 128))) <= 1e-14
-    assert np.all(np.isfinite(green_function(model, 1000).log_values))
+    assert np.all(np.isfinite(green_weight(model, 1000)[1].log_values))
 
 
 def test_optimal_weight_dominates_green_on_tree(tree2):
@@ -206,7 +205,7 @@ def test_transience_from_the_degrees_matches_the_area_window(model):
 def test_recurrent_model_has_no_green_function():
     line = make_tree(1, 50)
     with pytest.raises(NoGreenFunctionError):
-        green_function(line, 10)
+        green_weight(line, 10)
 
 
 def test_undecidable_window_raises():
@@ -219,7 +218,7 @@ def test_undecidable_window_raises():
     with pytest.raises(InconclusiveTransienceError):
         transience_test(model)
     with pytest.raises(InconclusiveTransienceError):
-        green_function(model, 10)
+        green_weight(model, 10)
 
 
 def test_exact_green_needs_geometric_tail(antitree_linear):
@@ -228,8 +227,6 @@ def test_exact_green_needs_geometric_tail(antitree_linear):
 
 
 def test_green_range_guards(tree3):
-    with pytest.raises(NeedsTailError):
-        green_function(tree3, tree3.depth)
     with pytest.raises(NeedsTailError):
         green_weight(tree3, tree3.depth - 1)
     with pytest.raises(NeedsTailError):

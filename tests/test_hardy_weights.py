@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hardy_lab import (
     InvalidParameterError,
     closed_form_weight,
-    fitzsimmons_ratio,
     fitzsimmons_weight,
     gamma_intervals,
     general_closed_form,
@@ -23,7 +22,6 @@ from hardy_lab import (
     tree_bottom_of_spectrum,
     tree_weight,
     u_gamma,
-    weight_floor,
 )
 
 
@@ -133,23 +131,14 @@ def test_closed_form_matches_the_50_digit_ratio_on_random_models(model, gamma):
     assert np.all(np.abs(closed - ratio) <= 1e-12 * scale)
 
 
-def test_fitzsimmons_ratio_general_function(tree3):
-    u = u_gamma(tree3, 0, 30)
-    v = [0.0] + [math.sqrt(float(x)) for x in u[1:]]
-    w = closed_form_weight(tree3, 0, 20).values
-    for r in range(2, 20):
-        assert fitzsimmons_ratio(tree3, v, r) == pytest.approx(w[r], rel=1e-12)
-
-
 def test_weight_dominates_floor_where_applicable(tree2, antitree_linear):
-    w = closed_form_weight(tree2, 0, 500).values
-    for r in range(2, 501):
-        value, applicable = weight_floor(tree2, r)
-        assert applicable  # constant kappa
-        assert w[r] >= value - 1e-15
+    profile = closed_form_weight(tree2, 0, 500)
+    floor = profile.floor_values[2:]
+    assert not np.isnan(floor).any()  # constant kappa: applicable everywhere
+    assert np.all(profile.values[2:] >= floor - 1e-15)
     # the linear antitree has strictly decreasing kappa, so the floor's
     # hypothesis fails at every radius
-    assert not weight_floor(antitree_linear, 5)[1]
+    assert np.isnan(closed_form_weight(antitree_linear, 0, 5).floor_values[5])
 
 
 def test_antitree_weight_spot_value(antitree_linear):

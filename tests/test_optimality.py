@@ -18,7 +18,6 @@ from hardy_lab import (
     check_properness,
     closed_form_weight,
     criticality_energy,
-    cutoff_profile,
     helper_sum,
     inflation_refutation,
     make_antitree,
@@ -36,14 +35,6 @@ def test_helper_sum_is_computed_once_per_n():
     assert first.residuals == second.residuals
     info = helper_sum.cache_info()
     assert (info.hits, info.misses) == (2, 2)
-
-
-def test_cutoff_profile_shape():
-    phi = cutoff_profile(100)
-    assert phi[0] == 1
-    assert phi[1] == 1
-    assert phi[100] == 0
-    assert np.all(np.diff(phi[1:]) < 0)
 
 
 def test_helper_sum_value():
@@ -66,11 +57,19 @@ def test_helper_sum_equals_one_np_sum(n):
     assert helper_sum(n) == whole_array_helper_sum(n)
 
 
+def cutoff_profile(n):
+    """Logarithmic cutoff in longdouble: 1 at the origin, 1 - log r / log n
+    up to r = n."""
+    phi = np.ones(n + 1, dtype=np.longdouble)
+    phi[1:] -= np.log(np.arange(1, n + 1, dtype=np.longdouble)) / np.log(np.longdouble(n))
+    return phi
+
+
 def whole_array_criticality(model, n, gamma):
     """criticality_energy with every term array built whole and summed by np.sum."""
     ld = np.longdouble
     kap = _kappa_longdouble(*model.exact_degrees(n - 1))
-    phi = cutoff_profile(n, dtype=ld)
+    phi = cutoff_profile(n)
     idx = np.arange(1, n, dtype=ld)
     area1 = ld(model.area(1))
     g = ld(gamma.numerator) / ld(gamma.denominator)

@@ -10,14 +10,12 @@ from hardy_lab import (
     ball_form_matrix,
     closed_form_weight,
     count_eigenvalues_below,
-    dense_matrix,
     eigenvalue_bounds,
     expand_vertex_graph,
     hardy_form_matrix,
     make_antitree,
     make_custom,
     make_tree,
-    radial_energy,
     radial_laplacian,
     smallest_eigenvalue,
     tree_ball_bottom_eigenvalue,
@@ -103,16 +101,10 @@ def test_vertex_energy_is_sum_phi_laplacian(vals):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-@given(st.lists(finite_floats, min_size=7, max_size=7))
-def test_radial_energy_matches_vertex_energy(vals):
-    model = make_antitree(lambda r: r + 1, 9)
-    graph = expand_vertex_graph(model, 7)
-    radial = np.zeros(8)
-    radial[:7] = vals  # Dirichlet at the stored boundary
-    lifted = radial[graph.radius_of]
-    assert radial_energy(model, radial) == pytest.approx(
-        vertex_energy(graph, lifted), rel=1e-12, abs=1e-12
-    )
+def _dense_matrix(form):
+    """The tridiagonal form as a dense ndarray."""
+    return (np.diag(form.diagonal) + np.diag(form.offdiagonal, 1)
+            + np.diag(form.offdiagonal, -1))
 
 
 def _random_symmetric_tridiagonal(rng, n):
@@ -127,7 +119,7 @@ def test_sturm_count_matches_dense():
     model = make_tree(2, 40)
     w = np.full(31, 0.05)
     form = hardy_form_matrix(model, w, 1, 30)
-    dense = dense_matrix(form)
+    dense = _dense_matrix(form)
     evs = np.linalg.eigvalsh(dense)
     for x in (-1.0, 0.0, float(evs[3] + 1e-9), 5.0, float(rng.normal())):
         assert count_eigenvalues_below(form, x) == int(np.sum(evs < x))
@@ -137,7 +129,7 @@ def test_smallest_eigenvalue_matches_dense():
     model = make_antitree(lambda r: r + 1, 60)
     w = np.full(41, 0.01)
     form = hardy_form_matrix(model, w, 2, 40)
-    dense = dense_matrix(form)
+    dense = _dense_matrix(form)
     target = float(np.linalg.eigvalsh(dense)[0])
     assert smallest_eigenvalue(form) == pytest.approx(target, abs=1e-10)
 
@@ -147,7 +139,7 @@ def test_eigenvalue_bounds_bracket_spectrum():
     w = np.zeros(21)
     form = hardy_form_matrix(model, w, 0, 20)
     lo, hi = eigenvalue_bounds(form)
-    evs = np.linalg.eigvalsh(dense_matrix(form))
+    evs = np.linalg.eigvalsh(_dense_matrix(form))
     assert lo <= evs[0] and evs[-1] <= hi
 
 
@@ -237,6 +229,6 @@ def test_vertex_ball_bottom_below_radial_section_bottom(model, radius):
     w = closed_form_weight(model, 0, radius).values
     vertex = float(np.linalg.eigvalsh(ball_form_matrix(graph, w, radius)[1:, 1:])[0])
     radial = float(np.linalg.eigvalsh(
-        dense_matrix(hardy_form_matrix(model, w, 1, radius)))[0])
+        _dense_matrix(hardy_form_matrix(model, w, 1, radius)))[0])
     assert vertex <= radial + 1e-10
     assert vertex >= -1e-10 and radial >= -1e-10
