@@ -21,6 +21,7 @@ contains no timestamps; identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from fractions import Fraction
 
@@ -75,9 +76,8 @@ def _parse_model_spec(text):
         p, depth = _spec_int(parts[2], text), _spec_int(parts[3], text)
         if p < 0:
             raise InvalidParameterError("antitree exponent must be nonnegative")
-        return make_antitree(
-            lambda r: (r + 1) ** p, depth, label=f"antitree(poly,{p})"
-        )
+        return make_antitree(map(pow, range(1, depth + 2), itertools.repeat(p)), depth,
+                             label=f"antitree(poly,{p})")
     if parts[0] == "file" and len(parts) >= 2:
         return load_model(text.partition(":")[2])
     raise InvalidParameterError(
@@ -125,6 +125,14 @@ def _exit_code(reports):
 
 def _nan_to_none(values):
     return [None if (isinstance(v, float) and v != v) else float(v) for v in values]
+
+
+def _clamped_r_max(args, model, reach, least):
+    """--r-max capped at depth - reach, on a model deep enough for r_max = least."""
+    if model.depth - reach < least:
+        raise InvalidParameterError(f"{args.command} needs a model of depth at least "
+                                    f"{least + reach}; {model.label} has depth {model.depth}")
+    return min(args.r_max, model.depth - reach)
 
 
 def _guarded(check_name, model_label, fn):
@@ -175,7 +183,7 @@ def cmd_model(args):
 def cmd_weight(args):
     model = _parse_model_spec(args.model)
     gamma = _parse_gamma(args.gamma)
-    r_max = min(args.r_max, model.depth - 1)
+    r_max = _clamped_r_max(args, model, 1, 2)
     profile = closed_form_weight(model, gamma, r_max)
     rows = [
         (r, float(profile.values[r]),
@@ -200,7 +208,7 @@ def cmd_weight(args):
 
 def cmd_green(args):
     model = _parse_model_spec(args.model)
-    r_max = min(args.r_max, model.depth - 2)
+    r_max = _clamped_r_max(args, model, 2, 3)
     try:
         comparison = compare_to_green(model, r_max)
     except (NoGreenFunctionError, InconclusiveTransienceError) as exc:

@@ -35,6 +35,8 @@ from .errors import (
 from .reporting import VerificationReport
 
 NUMERIC_DERIVATIVE_STEP = 1e-5
+# the most radii one grid takes; each check holds a few float arrays of it
+MAX_GRID_POINTS = 10 ** 6
 # psi(r - h) - 2 psi(r) + psi(r + h) carries about 4 rounding errors of psi,
 # each a few ulps of |psi|; the factor bounds their sum
 ROUNDOFF_FLOOR = 16.0
@@ -256,8 +258,8 @@ def _grid(r_min, r_max, n_points):
         raise InvalidParameterError(
             f"need finite 0 < r_min < r_max, got r_min = {r_min}, r_max = {r_max}"
         )
-    if n_points < 2:
-        raise InvalidParameterError("need at least 2 grid points")
+    if not 2 <= n_points <= MAX_GRID_POINTS:
+        raise InvalidParameterError(f"need 2 to {MAX_GRID_POINTS} grid points, got {n_points}")
     return np.linspace(r_min, r_max, n_points)
 
 

@@ -250,11 +250,13 @@ def check_null_criticality(model, gamma=0, r_max=10 ** 4, min_increment_ratio=0.
     q1, q2 = r_max // 4, r_max // 2
     inc1 = float(sums[q2] - sums[q1])
     inc2 = float(sums[r_max] - sums[q2])
-    ratio = inc2 / inc1 if inc1 > 0 else -math.inf
+    # no ratio over a first increment that is not positive; residuals are finite
+    ratio = inc2 / inc1 if inc1 > 0 else 0.0
     ok = inc1 > 0 and inc2 > 0 and ratio >= min_increment_ratio
     return VerificationReport(
         check="null-criticality-divergence",
         status="pass" if ok else "fail",
+        notes=() if inc1 > 0 else ("the partial sums do not grow from r_max/4 to r_max/2",),
         residuals={
             "partial_sum": float(sums[r_max]),
             "increment_ratio": ratio,

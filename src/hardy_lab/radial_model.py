@@ -127,24 +127,30 @@ class RadialModel:
     raises NeedsTailError; rebuild the model deeper instead of guessing.
     Use the ``make_*`` constructors rather than instantiating directly.
 
-    The per-radius accessors return the stored values exactly, and area(r)
-    is always k_minus(r) * vol(r).  The bulk views are each built once, on
-    first use, over the whole stored depth and kept read-only; the range
-    accessors slice them, so no longer request ever rebuilds one.  They
-    are the degrees as floats, the degrees in an exact form (see
-    ``exact_degrees``) and kappa as floats, the scale-free data that every
-    full-depth float consumer reads.  Nothing is built in the constructor.
-    Exact volumes and areas are never cached, because on a tree they grow
-    like d**r; ``area_values`` and ``log_area_floats`` form them per call.
+    The data is held exactly, in read-only object arrays of ints and
+    Fractions built once by the constructors: k_plus over radii 0..depth-1,
+    k_minus and vol over 0..depth (entry 0 of k_minus is never read).  An
+    antitree's three arrays are offset views of one array of sphere sizes.
+    A tree stores its degrees as zero-stride views of d and 1 and no
+    volumes (vol is None), since d**r is formed per call.  The per-radius
+    accessors return the stored values, and area(r) is always
+    k_minus(r) * vol(r).
+
+    The bulk views are each built once, on first use, over the whole stored
+    depth and kept read-only; the range accessors slice them, so no longer
+    request ever rebuilds one.  They are the degrees as floats, the degrees
+    in an exact form (see ``exact_degrees``) and kappa as floats, the
+    scale-free data that every full-depth float consumer reads.  Exact
+    areas are never cached, because on a tree they grow like d**r;
+    ``area_values`` and ``log_area_floats`` form them per call.
     """
 
-    def __init__(self, *, k_plus_of, k_minus_of, vol_of, depth, tail, label):
-        depth = _as_radius(depth)
+    def __init__(self, *, k_plus, k_minus, vol, tail, label):
+        depth = len(k_plus)
         if depth < 2:
             raise InvalidParameterError("model depth must be at least 2")
-        self._k_plus_of = k_plus_of
-        self._k_minus_of = k_minus_of
-        self._vol_of = vol_of
+        self._k_plus, self._k_minus = _frozen(k_plus), _frozen(k_minus)
+        self._vol = vol if vol is None else _frozen(vol)
         self._depth = depth
         self._tail = tail
         self._label = label
@@ -172,11 +178,14 @@ class RadialModel:
                 "rebuild the model with a larger depth"
             )
 
+    def _volume(self, r):
+        return self._k_plus[0] ** r if self._vol is None else self._vol[r]
+
     def k_plus(self, r):
         """Outward degree at radius r (defined for r < depth)."""
         r = _as_radius(r)
         self._need(r, self._depth - 1, "k_plus")
-        return self._k_plus_of(r)
+        return self._k_plus[r]
 
     def k_minus(self, r):
         """Inward degree at radius r; the origin has none, so k_minus(0) = 0."""
@@ -184,13 +193,13 @@ class RadialModel:
         if r == 0:
             return 0
         self._need(r, self._depth, "k_minus")
-        return self._k_minus_of(r)
+        return self._k_minus[r]
 
     def vol(self, r):
         """Number of vertices on the sphere of radius r."""
         r = _as_radius(r)
         self._need(r, self._depth, "vol")
-        return self._vol_of(r)
+        return self._volume(r)
 
     def area(self, r):
         """Edge boundary area k_minus(r) * vol(r); area(0) = 0."""
@@ -198,7 +207,7 @@ class RadialModel:
         if r == 0:
             return 0
         self._need(r, self._depth, "area")
-        return self._k_minus_of(r) * self._vol_of(r)
+        return self._k_minus[r] * self._volume(r)
 
     def kappa(self, r):
         """Degree ratio k_plus(r) / k_minus(r) as an exact Fraction."""
@@ -208,7 +217,7 @@ class RadialModel:
                 "kappa(0) is undefined because the origin has no inward sphere"
             )
         self._need(r, self._depth - 1, "kappa")
-        return Fraction(self._k_plus_of(r)) / Fraction(self._k_minus_of(r))
+        return Fraction(self._k_plus[r]) / Fraction(self._k_minus[r])
 
     # -- bulk views (built once over the stored range, returned read-only) --
 
@@ -217,28 +226,29 @@ class RadialModel:
         """k_plus(0..depth-1) and k_minus(0..depth) as floats, the same in
         exact form (see ``exact_degrees``), and kappa(0..depth-1) as floats;
         SizeLimitExceededError when a degree is past the float64 range."""
-        n = self._depth
-        kp = [self._k_plus_of(r) for r in range(n)]
-        km = [0] + [self._k_minus_of(r) for r in range(1, n + 1)]
+        n, kp, km = self._depth, self._k_plus, self._k_minus
         try:
-            floats = [_frozen(np.array(v, dtype=float)) for v in (kp, km)]
+            floats = [np.array(kp, dtype=float), np.array(km, dtype=float)]
         except OverflowError:
-            r = next(r for r in range(n + 1) if max(kp[r:r + 1] + km[r:r + 1]) > _FLOAT_MAX)
+            past = np.append(kp > _FLOAT_MAX, False) | (km > _FLOAT_MAX)
+            r = int(np.argmax(past))
             raise SizeLimitExceededError(
                 f"a degree of {self._label} at radius {r} is past the float64 range"
             ) from None
+        floats[1][0] = 0.0  # k_minus(0), whatever entry 0 stores
         kappa = np.empty(n)
         kappa[0] = np.nan
         if (set(map(type, itertools.chain(kp, km))) == {int}
-                and max(max(kp), max(km), n) ** 2 < _EXACT_FLOAT_LIMIT):
+                and max(kp.max(), km.max(), n) ** 2 < _EXACT_FLOAT_LIMIT):
             exact = floats
             np.divide(floats[0][1:], floats[1][1:n], out=kappa[1:])
         else:
-            exact = [_frozen(np.array(v, dtype=object)) for v in (kp, km)]
+            # the stored arrays themselves, but for a tree's broadcast k_minus
+            exact = [kp, km if km[0] == 0 else _frozen(np.concatenate(([0], km[1:])))]
             # one correctly rounded division per radius, as float(Fraction)
             kappa[1:] = np.fromiter(map(operator.truediv, kp[1:], km[1:n]),
                                     dtype=float, count=n - 1)
-        return (*floats, *exact, _frozen(kappa))
+        return (*map(_frozen, floats), *exact, _frozen(kappa))
 
     def _upto(self, r_hi, last, what):
         """slice(r_hi + 1), once radius r_hi is checked against ``last``."""
@@ -262,7 +272,7 @@ class RadialModel:
         these arrays, so kappa ratios compare and subtract exactly through
         cross products.  They are the float views when every stored degree
         is an integer small enough for those products to stay below 2**53,
-        and object arrays of the stored ints and Fractions otherwise; the
+        and the stored object arrays of ints and Fractions otherwise; the
         choice is made once per model, whatever r_hi is.
         """
         upto = self._upto(r_hi, self._depth - 1, "k_plus")
@@ -272,31 +282,21 @@ class RadialModel:
         """kappa(1..r_hi) as a float array, each rounded once; entry 0 is NaN."""
         return self._degrees[4][self._upto(r_hi, self._depth - 1, "kappa")]
 
-    def _exact_areas(self, r_lo, r_hi):
-        """Yield area(r_lo..r_hi) exactly, one radius at a time.
-
-        Where k_minus(r - 1) = 1 the area is the previous one times
-        k_plus(r - 1), so trees never rebuild d**r from scratch; elsewhere
-        it comes from the stored data.
-        """
-        area = None
-        for r in range(r_lo, r_hi + 1):
-            step = None
-            if type(area) is int and self._k_minus_of(r - 1) == 1:
-                step = self._k_plus_of(r - 1)
-            area = area * step if type(step) is int else self._k_minus_of(r) * self._vol_of(r)
-            yield area
-
     def area_values(self, r_lo, r_hi):
         """area(r_lo..r_hi) as an object array of exact values (r_lo >= 1).
 
-        Computed on each call and not cached: exact areas can be huge.
+        Computed on each call and not cached: exact areas can be huge.  On a
+        tree, area(r + 1) = d * area(r) is a running product from area(r_lo).
         """
         r_lo, r_hi = _as_radius(r_lo), _as_radius(r_hi)
         if r_lo < 1:
             raise InvalidParameterError("area values start at radius 1")
         self._need(r_hi, self._depth, "area")
-        return np.fromiter(self._exact_areas(r_lo, r_hi), dtype=object)
+        if self._vol is None:
+            return np.fromiter(itertools.accumulate(
+                self._k_plus[r_lo:r_hi], operator.mul, initial=self._volume(r_lo)),
+                dtype=object, count=max(0, r_hi - r_lo + 1))
+        return self._k_minus[r_lo:r_hi + 1] * self._vol[r_lo:r_hi + 1]
 
     def log_area_floats(self, r_hi):
         """Natural log of area(0..r_hi); entry 0 is -inf.
@@ -314,12 +314,9 @@ class RadialModel:
         """
         r_max = self._depth if r_max is None else _as_radius(r_max)
         self._need(r_max, self._depth, "radial_data")
-        rows = []
-        for r in range(r_max + 1):
-            kp = self._k_plus_of(r) if r < self._depth else None
-            km = 0 if r == 0 else self._k_minus_of(r)
-            rows.append((r, kp, km, self._vol_of(r)))
-        return rows
+        return [(r, self._k_plus[r] if r < self._depth else None,
+                 self._k_minus[r] if r else 0, self._volume(r))
+                for r in range(r_max + 1)]
 
 
 def make_tree(d, depth):
@@ -341,10 +338,9 @@ def make_tree(d, depth):
     else:
         tail = Tail("unspecified")
     return RadialModel(
-        k_plus_of=lambda r: d,
-        k_minus_of=lambda r: 1,
-        vol_of=lambda r: d ** r,
-        depth=depth,
+        k_plus=np.broadcast_to(np.array(d, dtype=object), depth),
+        k_minus=np.broadcast_to(np.array(1, dtype=object), depth + 1),
+        vol=None,
         tail=tail,
         label=f"tree(d={d})",
     )
@@ -353,49 +349,47 @@ def make_tree(d, depth):
 def make_antitree(sphere_sizes, depth, label=None):
     """Layered graph whose consecutive spheres are completely joined.
 
-    ``sphere_sizes`` is a callable r -> s(r) or a sequence of positive
-    integers with s(0) = 1.  Complete joins give k_plus(r) = s(r + 1),
-    k_minus(r) = s(r - 1) and vol(r) = s(r), so area(r) = s(r - 1) * s(r).
+    ``sphere_sizes`` is a callable r -> s(r) or an iterable of positive
+    integers with s(0) = 1, of which the first depth + 1 are read.
+    Complete joins give k_plus(r) = s(r + 1), k_minus(r) = s(r - 1) and
+    vol(r) = s(r), so area(r) = s(r - 1) * s(r).
     """
     depth = _as_radius(depth)
     if depth < 2:
         raise InvalidParameterError("antitree depth must be at least 2")
-    if callable(sphere_sizes):
-        raw = [sphere_sizes(r) for r in range(depth + 1)]
-    else:
-        raw = list(sphere_sizes)
-        if len(raw) < depth + 1:
-            raise InvalidParameterError(
-                f"need sphere sizes up to radius {depth}, got {len(raw)} values"
-            )
-        raw = raw[: depth + 1]
-    s = []
-    for r, v in enumerate(raw):
-        try:
-            v = operator.index(v)
-        except TypeError:
-            raise InvalidParameterError(
-                f"sphere size at radius {r} must be an integer, got {v!r}"
-            ) from None
-        if v < 1:
-            raise InvalidParameterError(f"sphere size at radius {r} must be positive")
-        s.append(v)
-    if s[0] != 1:
+    raw = map(sphere_sizes, range(depth + 1)) if callable(sphere_sizes) else sphere_sizes
+    # [0, s(0), ..., s(depth)]: k_plus, k_minus and vol are offset views of it
+    s = np.fromiter(itertools.chain((0,), itertools.islice(raw, depth + 1)), dtype=object)
+    if len(s) < depth + 2:
+        raise InvalidParameterError(
+            f"need sphere sizes up to radius {depth}, got {len(s) - 1} values")
+    sizes = s[1:]
+    if set(map(type, sizes)) != {int} or sizes.min() < 1:
+        for r, v in enumerate(sizes):  # to name the radius of a bad entry
+            try:
+                sizes[r] = v = operator.index(v)
+            except TypeError:
+                raise InvalidParameterError(
+                    f"sphere size at radius {r} must be an integer, got {v!r}"
+                ) from None
+            if v < 1:
+                raise InvalidParameterError(f"sphere size at radius {r} must be positive")
+    if sizes[0] != 1:
         raise InvalidParameterError("sphere size at the origin must be 1")
-    s = tuple(s)
+    s = _frozen(s)
     return RadialModel(
-        k_plus_of=lambda r: s[r + 1],
-        k_minus_of=lambda r: s[r - 1],
-        vol_of=lambda r: s[r],
-        depth=depth,
+        k_plus=s[2:],
+        k_minus=s[:-1],
+        vol=s[1:],
         tail=Tail("unspecified"),
         label=label or "antitree",
     )
 
 
 def _exact_positive(name, values, r0=0):
-    """The entries of ``values`` (radii r0, r0 + 1, ...) as exact positive numbers."""
-    out = tuple(_as_exact(x, name, r) for r, x in enumerate(values, r0))
+    """The entries of ``values`` (radii r0, r0 + 1, ...) as an object array
+    of exact positive numbers."""
+    out = np.array([_as_exact(x, name, r) for r, x in enumerate(values, r0)], dtype=object)
     for r, x in enumerate(out, r0):
         if x <= 0:
             raise InvalidParameterError(f"{name}({r}) must be positive, got {x}")
@@ -423,13 +417,11 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
     if _as_exact(km[0], "k_minus", 0) != 0:
         raise InvalidParameterError("k_minus(0) must be 0: the origin has no inward edges")
     kp = _exact_positive("k_plus", kp)
-    km = (0,) + _exact_positive("k_minus", km[1:], 1)
+    km = np.concatenate(([0], _exact_positive("k_minus", km[1:], 1)))
 
     if vol is None:
-        v = [Fraction(1)]
-        for r in range(1, depth + 1):
-            v.append(v[-1] * kp[r - 1] / km[r])
-        vv = tuple(int(x) if x.denominator == 1 else x for x in v)
+        v = itertools.accumulate(map(Fraction, kp, km[1:]), operator.mul, initial=Fraction(1))
+        vv = np.array([int(x) if x.denominator == 1 else x for x in v], dtype=object)
     else:
         vv = tuple(vol)
         if len(vv) != depth + 1:
@@ -447,14 +439,8 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
                     f"k_minus*vol = {lhs} but k_plus*vol from radius {r - 1} = {rhs}",
                 )
 
-    return RadialModel(
-        k_plus_of=kp.__getitem__,
-        k_minus_of=km.__getitem__,
-        vol_of=vv.__getitem__,
-        depth=depth,
-        tail=tail or Tail("unspecified"),
-        label=label,
-    )
+    return RadialModel(k_plus=kp, k_minus=km, vol=vv, tail=tail or Tail("unspecified"),
+                       label=label)
 
 
 @dataclass(frozen=True)

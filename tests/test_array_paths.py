@@ -315,13 +315,13 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     view.__set_name__(RadialModel, "_degrees")
     monkeypatch.setattr(RadialModel, "_degrees", view)
     monkeypatch.setattr(RadialModel, "kappa", counted("kappa", vars(RadialModel)["kappa"]))
-    exact_areas = vars(RadialModel)["_exact_areas"]
+    area_values = vars(RadialModel)["area_values"]
 
     def spied_areas(self, r_lo, r_hi):
         passes.append((r_lo, r_hi))
-        return exact_areas(self, r_lo, r_hi)
+        return area_values(self, r_lo, r_hi)
 
-    monkeypatch.setattr(RadialModel, "_exact_areas", spied_areas)
+    monkeypatch.setattr(RadialModel, "area_values", spied_areas)
     # transience and properness read the degrees; exact areas are formed
     # only for the Green tail bound's window and for log G on 0..128
     for spec, area_passes in [("antitree:poly:2:3000", [(1500, 3000), (1, 129)]),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import hardy_lab
 from hardy_lab import cli, make_antitree, make_custom, save_model
 from hardy_lab.cli import main
+from hardy_lab.continuum import MAX_GRID_POINTS
 
 
 def run(capsys, *argv):
@@ -40,6 +41,19 @@ def test_weight_r_max_is_clamped_to_depth(capsys):
     code, out, _ = run(capsys, "weight", "--model", "tree:2:10")
     assert code == 0
     assert out.splitlines()[-1].startswith("9,")
+
+
+@pytest.mark.parametrize("command, depth", [("weight", 2), ("green", 2), ("green", 3)])
+def test_model_too_short_for_the_command_exits_2_naming_its_depth(tmp_path, capsys,
+                                                                  command, depth):
+    path = tmp_path / "short.model"
+    assert run(capsys, "model", "--model", "tree:2:10", "--out", str(path),
+               "--r-max", str(depth))[0] == 0
+    code, out, err = run(capsys, command, "--model", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"has depth {depth}" in err and "r_max" not in err
 
 
 def test_weight_json_contains_profile_metadata(capsys):
@@ -186,7 +200,8 @@ def test_continuum_table_and_density_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", [("--n-points=-1",), ("--n-points=0",),
-                                  ("--n-points=1",), ("--r-min=5", "--r-max=1")])
+                                  ("--n-points=1",), ("--r-min=5", "--r-max=1"),
+                                  (f"--n-points={MAX_GRID_POINTS + 1}",)])
 def test_continuum_table_refuses_the_grids_the_residuals_refuse(capsys, grid):
     for check in ("table", "residual"):
         code, out, err = run(capsys, "continuum", "--space", "hyperbolic:3",

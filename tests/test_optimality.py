@@ -153,6 +153,18 @@ def test_null_criticality_logarithmic_on_antitree(antitree_linear):
     assert rep.residuals["increment_ratio"] == pytest.approx(1.0, abs=0.05)
 
 
+def test_null_criticality_fails_with_a_finite_ratio_on_sums_that_stop_growing():
+    # kappa alternates 1, 8/9: the mass terms alternate in sign and the
+    # partial sums fall from r_max/4 to r_max/2
+    pattern = [(Fraction(8, 3), 3), (Fraction(8, 3), Fraction(8, 3))]
+    rows = [pattern[r % 2] for r in range(111)]
+    model = make_custom([kp for kp, _ in rows[:110]], [0] + [km for _, km in rows[1:]])
+    rep = check_null_criticality(model, r_max=109)
+    assert rep.status == "fail"
+    assert rep.residuals["increment_ratio"] == 0.0
+    assert rep.notes == ("the partial sums do not grow from r_max/4 to r_max/2",)
+
+
 def test_null_criticality_guard(tree2):
     with pytest.raises(InvalidParameterError):
         check_null_criticality(tree2, r_max=8)

@@ -74,6 +74,83 @@ def test_custom_volumes_satisfy_area_identity(kp, km):
         assert m.vol(r) > 0
 
 
+_SIZE_FORMS = {"callable": lambda sizes: sizes.__getitem__, "list": list, "tuple": tuple,
+               "numpy": lambda sizes: np.array(sizes, dtype=np.int64)}
+_exact_entries = st.integers(1, 10 ** 9) | st.fractions(Fraction(1, 50), 50)
+
+
+@st.composite
+def stored_models(draw, kind):
+    """Trees, antitrees given in each accepted form, and custom models with
+    int and Fraction entries; degrees on both sides of the float64 choice."""
+    depth = draw(st.integers(2, 30))
+    if kind == "tree":
+        return make_tree(draw(st.integers(1, 3) | st.integers(10 ** 8, 10 ** 12)), depth)
+    if kind == "antitree":
+        sizes = [1] + draw(st.lists(st.integers(1, 10 ** 9), min_size=depth,
+                                    max_size=depth + 3))
+        return make_antitree(_SIZE_FORMS[draw(st.sampled_from(sorted(_SIZE_FORMS)))](sizes),
+                             depth)
+    entries = st.integers(1, 9) if draw(st.booleans()) else _exact_entries
+    kp = draw(st.lists(entries, min_size=depth, max_size=depth))
+    km = [0] + draw(st.lists(entries, min_size=depth, max_size=depth))
+    return make_custom(kp, km)
+
+
+def _log_exact(a):
+    return math.log(a.numerator) - math.log(a.denominator)
+
+
+def _same_bits(view, reference):
+    return view.dtype == float and view.tobytes() == np.array(reference, dtype=float).tobytes()
+
+
+def _same_objects(view, reference):
+    return list(view) == reference and list(map(type, view)) == list(map(type, reference))
+
+
+@pytest.mark.parametrize("kind", ["tree", "antitree", "custom"])
+@given(data=st.data())
+def test_bulk_views_match_the_accessors(kind, data):
+    m = data.draw(stored_models(kind))
+    n = m.depth
+    kp = [m.k_plus(r) for r in range(n)]
+    km = [m.k_minus(r) for r in range(n + 1)]
+    vol = [m.vol(r) for r in range(n + 1)]
+    area = [m.area(r) for r in range(n + 1)]
+    assert {type(x) for x in kp + km + vol + area} <= {int, Fraction}
+    assert all(type(m.kappa(r)) is Fraction for r in range(1, n))
+    assert _same_bits(m.k_plus_floats(n - 1), [float(x) for x in kp])
+    assert _same_bits(m.k_minus_floats(n), [float(x) for x in km])
+    assert _same_bits(m.kappa_floats(n - 1), [math.nan] + [float(m.kappa(r)) for r in range(1, n)])
+    exact_kp, exact_km = m.exact_degrees(n - 1)
+    small = {type(x) for x in kp + km} == {int} and max(kp + km + [n]) ** 2 < 2 ** 53
+    if small:
+        assert _same_bits(exact_kp, kp) and _same_bits(exact_km, km[:n])
+    else:
+        assert _same_objects(exact_kp, kp) and _same_objects(exact_km, km[:n])
+    lo = data.draw(st.integers(1, n))
+    hi = data.draw(st.integers(lo - 1, n))
+    assert _same_objects(m.area_values(lo, hi), area[lo:hi + 1])
+    assert _same_bits(m.log_area_floats(n), [-math.inf] + [_log_exact(a) for a in area[1:]])
+
+
+@given(st.integers(2, 12), st.data())
+def test_bad_sphere_sizes_are_refused_naming_their_radius(depth, data):
+    sizes = [1] + data.draw(st.lists(st.integers(1, 99), min_size=depth, max_size=depth))
+    r = data.draw(st.integers(1, depth))
+    form = data.draw(st.sampled_from(sorted(_SIZE_FORMS)))
+    if form != "callable":  # too few sizes, counted
+        with pytest.raises(InvalidParameterError, match=f"radius {depth}, got {r} values"):
+            make_antitree(_SIZE_FORMS[form](sizes[:r]), depth)
+    bad = st.integers(-5, 0)
+    if form != "numpy":
+        bad |= st.sampled_from([2.5, 3.0, Fraction(7, 2), "4", None])
+    sizes[r] = data.draw(bad)
+    with pytest.raises(InvalidParameterError, match=f"sphere size at radius {r} "):
+        make_antitree(_SIZE_FORMS[form](sizes), depth)
+
+
 def test_custom_rejects_bad_volumes():
     with pytest.raises(InconsistentModelError, match="radius 2"):
         make_custom([2, 2, 2], [0, 1, 1, 1], vol=[1, 2, 3, 8])
