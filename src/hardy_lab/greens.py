@@ -11,11 +11,11 @@ and the Green recursion read the degrees and kappa, not sphere sizes.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -26,21 +26,29 @@ from .errors import (
     NotPositiveError,
 )
 from .hardy_weights import closed_form_weight
+from .radial_model import _window_blocks
 from .reporting import VerificationReport
 
-
-def _mpf_of(x):
-    """A Fraction as an mpmath number at the working precision."""
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+# The tail bound's arithmetic: 40 digits, and an exponent range that holds
+# the areas of any stored depth.
+_TAIL_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _area_window(model):
-    """area(depth) and the exact first and second differences of the areas
-    on the window [depth/2, depth]."""
-    areas = model.area_values(max(1, model.depth // 2), model.depth)
-    last, d1 = areas[-1], np.diff(areas)
-    del areas  # exact areas can be large; hold at most two arrays at once
-    return last, d1, np.diff(d1)
+    """area(depth), the last first difference and the smallest second
+    difference of the exact areas on the window [depth/2, depth].
+
+    The areas are read in blocks that overlap by two radii, so that each
+    second difference lies in exactly one block.  Needs depth >= 3, which a
+    transient verdict on an unspecified tail implies.
+    """
+    smallest = None
+    for s, e in _window_blocks(max(1, model.depth // 2), model.depth - 1):
+        areas = model.area_values(s, e + 1)  # second differences at s..e-1
+        d1 = np.diff(areas)
+        low = np.diff(d1).min()
+        smallest = low if smallest is None else min(smallest, low)
+    return areas[-1], d1[-1], smallest
 
 
 def transience_test(model):
@@ -52,66 +60,89 @@ def transience_test(model):
     stop growing there are read as bounded (recurrent), strictly convex
     growth (all first differences positive, all second differences strictly
     positive) is read as at-least-quadratic (transient).  Anything else
-    raises InconclusiveTransienceError.  The signs are exact and need no
-    area: area(r + 1) - area(r) = vol(r) (k_plus(r) - k_minus(r)), and the
-    second difference at r is vol(r) / k_minus(r + 1) times
-    k_plus(r) (k_plus(r + 1) - k_minus(r + 1))
-    - k_minus(r + 1) (k_plus(r) - k_minus(r)).
+    raises InconclusiveTransienceError.  The signs are decided exactly from
+    the degrees, in blocks, once per model (see
+    ``RadialModel._window_transience``).
     """
     t = model.tail
     if t.kind == "finite":
         return False
     if t.kind == "eventually-geometric":
         return t.kappa_inf > 1
-    lo = max(1, model.depth // 2)
-    kp, km = model.exact_degrees(model.depth - 1)
-    d1 = kp[lo:] - km[lo:]  # for r = lo..depth-1
-    if np.all(d1 <= 0):
-        return False
-    # a difference of two exact products (see exact_degrees): even where it
-    # rounds, its sign is exact; for r = lo..depth-2
-    d2 = kp[lo:-1] * d1[1:] - km[lo + 1:] * d1[:-1]
-    if d2.size and np.all(d1 > 0) and np.all(d2 > 0):
-        return True
-    raise InconclusiveTransienceError(
-        "the stored window neither plateaus nor grows convexly; transience "
-        "cannot be extrapolated from this data"
-    )
+    verdict = model._window_transience
+    if verdict is None:
+        raise InconclusiveTransienceError(
+            "the stored window neither plateaus nor grows convexly; transience "
+            "cannot be extrapolated from this data"
+        )
+    return verdict
+
+
+def _decimal_of(x):
+    """An int or Fraction as a Decimal, rounded once to the tail context."""
+    x = Fraction(x)
+    return _TAIL_CONTEXT.divide(decimal.Decimal(x.numerator), x.denominator)
+
+
+def _atan(t):
+    """atan(t) for t > 0 in the tail context: halve the argument with
+    atan(t) = 2 atan(t / (1 + sqrt(1 + t**2))) until t < 1/100, then sum
+    the series t - t**3/3 + t**5/5 - ..., whose terms shrink by a factor
+    below 1e-4 each."""
+    ctx = _TAIL_CONTEXT
+    doublings = 0
+    while t >= decimal.Decimal("0.01"):
+        t = ctx.divide(t, ctx.add(1, ctx.sqrt(ctx.fma(t, t, 1))))
+        doublings += 1
+    t2, term, total, k = ctx.multiply(t, t), t, t, 1
+    while True:
+        term = ctx.multiply(term, t2)
+        k += 2
+        step = ctx.divide(term, k)
+        if ctx.add(total, step) == total:
+            break
+        total = ctx.subtract(total, step) if k % 4 == 3 else ctx.add(total, step)
+    return ctx.multiply(total, 2 ** doublings)
 
 
 def _quadratic_tail_bound(window):
     """Bound sum over n > depth of 1/area(n), assuming window convexity persists.
 
     ``window`` is an _area_window read as strictly convex growth by
-    transience_test.  With A = area(depth), B the last first difference and
-    C the smallest second difference in it, persistence of convexity gives
+    transience_test: A = area(depth), B the last first difference and C
+    the smallest second difference in it.  Persistence of convexity gives
     area(depth + j) >= A + B j + C j (j + 1) / 2, and the decreasing
     integrand bounds the sum by the integral from 0 to infinity of
     1 / (c + b x + a x**2) with c = A, b = B + C/2, a = C/2.
 
     The discriminant's sign is decided exactly.  The integral is evaluated
-    at 30 digits in mpmath, whose exponent range holds the areas of any
-    stored depth, in forms free of cancellation: with root**2 = |disc|,
-    2 atan(root / b) / root for disc < 0, and for disc > 0
-    log((b + root) / (b - root)) / root written as
-    log1p(2 root (b + root) / (4 a c)) / root.  A bound below the double
-    range rounds to 0.
+    in stdlib ``decimal`` at 40 digits (``_TAIL_CONTEXT``), whose exponent
+    range holds the areas of any stored depth, in forms free of
+    cancellation: with root**2 = |disc|, 2 atan(root / b) / root for
+    disc < 0 (b > 0 on a convex window, so this is atan2(root, b)), and
+    for disc > 0 log((b + root) / (b - root)) / root written as
+    log1p(2 root (b + root) / (4 a c)) / root, whose 1 + x is formed
+    exactly before the logarithm.  A bound below the double range rounds
+    to 0.
     """
-    last, d1, d2 = window
-    a = Fraction(d2.min()) / 2
-    b = d1[-1] + a
+    last, d1_last, d2_min = window
+    a = Fraction(d2_min) / 2
+    b = d1_last + a
     c = Fraction(last)
     disc = b * b - 4 * a * c
-    with mpmath.workdps(30):
-        a, b, c = _mpf_of(a), _mpf_of(b), _mpf_of(c)
-        if disc < 0:
-            root = mpmath.sqrt(_mpf_of(-disc))
-            bound = 2 * mpmath.atan2(root, b) / root
-        elif disc == 0:
-            bound = 2 / b
-        else:
-            root = mpmath.sqrt(_mpf_of(disc))
-            bound = mpmath.log1p(2 * root * (b + root) / (4 * a * c)) / root
+    ctx = _TAIL_CONTEXT
+    if disc == 0:
+        return float(ctx.divide(2, _decimal_of(b)))
+    root = ctx.sqrt(_decimal_of(abs(disc)))
+    b = _decimal_of(b)
+    if disc < 0:
+        bound = ctx.divide(ctx.multiply(2, _atan(ctx.divide(root, b))), root)
+    else:
+        x = ctx.divide(ctx.multiply(ctx.multiply(2, root), ctx.add(b, root)),
+                       _decimal_of(4 * a * c))
+        exact = ctx.copy()
+        exact.prec += max(0, -x.adjusted())
+        bound = ctx.divide(ctx.ln(exact.add(1, x)), root)
     return float(bound)
 
 

@@ -44,6 +44,16 @@ MAX_EDGE_EXPANSION = 2_000_000
 # Integers below this are exact in float64.
 _EXACT_FLOAT_LIMIT = 2 ** 53
 _FLOAT_MAX = sys.float_info.max
+# Radii per block in the scans of the tail window [depth/2, depth]: a scan
+# holds arrays of about this length, never of the window's.
+_WINDOW_BLOCK = 4096
+
+
+def _window_blocks(r_lo, r_hi):
+    """range(r_lo, r_hi) as consecutive (start, stop) blocks of at most
+    _WINDOW_BLOCK radii."""
+    step = _WINDOW_BLOCK
+    return ((s, min(s + step, r_hi)) for s in range(r_lo, r_hi, step))
 
 
 def _as_radius(r):
@@ -54,6 +64,16 @@ def _as_radius(r):
     if r < 0:
         raise InvalidParameterError(f"radius must be nonnegative, got {r}")
     return r
+
+
+def _as_depth(depth, what):
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise InvalidParameterError(f"{what} depth must be an integer, got {depth!r}") from None
+    if depth < 2:
+        raise InvalidParameterError(f"{what} depth must be at least 2, got {depth}")
+    return depth
 
 
 def _as_exact(x, name, r=None):
@@ -140,9 +160,11 @@ class RadialModel:
     depth and kept read-only; the range accessors slice them, so no longer
     request ever rebuilds one.  They are the degrees as floats, the degrees
     in an exact form (see ``exact_degrees``) and kappa as floats, the
-    scale-free data that every full-depth float consumer reads.  Exact
-    areas are never cached, because on a tree they grow like d**r;
-    ``area_values`` and ``log_area_floats`` form them per call.
+    scale-free data that every full-depth float consumer reads.  The
+    transience verdict read from the tail window is kept the same way (see
+    ``_window_transience``).  Exact areas are never cached, because on a
+    tree they grow like d**r; ``area_values`` and ``log_area_floats`` form
+    them per call.
     """
 
     def __init__(self, *, k_plus, k_minus, vol, tail, label):
@@ -282,6 +304,39 @@ class RadialModel:
         """kappa(1..r_hi) as a float array, each rounded once; entry 0 is NaN."""
         return self._degrees[4][self._upto(r_hi, self._depth - 1, "kappa")]
 
+    @functools.cached_property
+    def _window_transience(self):
+        """The transience verdict read from the areas on the window
+        [depth/2, depth]: False when no first difference is positive, True
+        when all first and second differences are (and there is a second
+        difference), None otherwise.
+
+        The signs are exact and need no area: area(r + 1) - area(r) is
+        vol(r) d1(r) with d1 = k_plus - k_minus, and the second difference
+        at r is vol(r) / k_minus(r + 1) times
+        d2(r) = k_plus(r) d1(r + 1) - k_minus(r + 1) d1(r).  They are
+        scanned in blocks that share their boundary radius, and the scan
+        stops at the first block that rules out both answers.
+        """
+        depth = self._depth
+        lo = max(1, depth // 2)
+        kp, km = self.exact_degrees(depth - 1)
+        grows = flat = bent = False  # some d1 > 0; some d1 <= 0; some d2 <= 0
+        for s, e in _window_blocks(lo, depth):
+            kp_b, km_b = kp[s:e + 1], km[s:e + 1]
+            d1 = kp_b - km_b
+            # a difference of two exact products (see exact_degrees): even
+            # where it rounds, its sign is exact
+            d2 = kp_b[:-1] * d1[1:] - km_b[1:] * d1[:-1]
+            grows = grows or bool(np.any(d1 > 0))
+            flat = flat or bool(np.any(d1 <= 0))
+            bent = bent or bool(np.any(d2 <= 0))
+            if grows and (flat or bent):
+                return None
+        if not grows:
+            return False
+        return True if depth - 2 >= lo else None
+
     def area_values(self, r_lo, r_hi):
         """area(r_lo..r_hi) as an object array of exact values (r_lo >= 1).
 
@@ -330,9 +385,7 @@ def make_tree(d, depth):
     d = operator.index(d)
     if d < 1:
         raise InvalidParameterError("branching number d must be a positive integer")
-    depth = _as_radius(depth)
-    if depth < 2:
-        raise InvalidParameterError("tree depth must be at least 2")
+    depth = _as_depth(depth, "tree")
     if d >= 2:
         tail = Tail("eventually-geometric", kappa_inf=Fraction(d), start=1)
     else:
@@ -354,9 +407,7 @@ def make_antitree(sphere_sizes, depth, label=None):
     Complete joins give k_plus(r) = s(r + 1), k_minus(r) = s(r - 1) and
     vol(r) = s(r), so area(r) = s(r - 1) * s(r).
     """
-    depth = _as_radius(depth)
-    if depth < 2:
-        raise InvalidParameterError("antitree depth must be at least 2")
+    depth = _as_depth(depth, "antitree")
     raw = map(sphere_sizes, range(depth + 1)) if callable(sphere_sizes) else sphere_sizes
     # [0, s(0), ..., s(depth)]: k_plus, k_minus and vol are offset views of it
     s = np.fromiter(itertools.chain((0,), itertools.islice(raw, depth + 1)), dtype=object)

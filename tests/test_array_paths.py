@@ -311,9 +311,10 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    view = functools.cached_property(counted("_degrees", vars(RadialModel)["_degrees"].func))
-    view.__set_name__(RadialModel, "_degrees")
-    monkeypatch.setattr(RadialModel, "_degrees", view)
+    for name in ("_degrees", "_window_transience"):
+        view = functools.cached_property(counted(name, vars(RadialModel)[name].func))
+        view.__set_name__(RadialModel, name)
+        monkeypatch.setattr(RadialModel, name, view)
     monkeypatch.setattr(RadialModel, "kappa", counted("kappa", vars(RadialModel)["kappa"]))
     area_values = vars(RadialModel)["area_values"]
 
@@ -322,14 +323,17 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
         return area_values(self, r_lo, r_hi)
 
     monkeypatch.setattr(RadialModel, "area_values", spied_areas)
-    # transience and properness read the degrees; exact areas are formed
-    # only for the Green tail bound's window and for log G on 0..128
-    for spec, area_passes in [("antitree:poly:2:3000", [(1500, 3000), (1, 129)]),
-                              ("tree:2:100000", [(1, 129)])]:
+    # transience and properness read the degrees, and properness and the
+    # Green route share one scan of the window (a geometric tail needs
+    # none); exact areas are formed only for the Green tail bound's window
+    # and for log G on 0..128
+    for spec, scans, area_passes in [("antitree:poly:2:3000", 1, [(1500, 3000), (1, 129)]),
+                                     ("tree:2:100000", 0, [(1, 129)])]:
         calls.clear()
         passes.clear()
         cli.main(["verify", "--model", spec, "--suite", "all"])
         capsys.readouterr()
         assert calls["_degrees"] == 1, spec
+        assert calls["_window_transience"] == scans, spec
         assert passes == area_passes, spec
         assert calls["kappa"] <= 3, spec

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -296,6 +297,14 @@ def test_malformed_model_spec_exits_2(capsys):
     assert err.startswith("error:") and "tree:x:10" in err
 
 
+@pytest.mark.parametrize("spec, family", [("tree:2:-5", "tree"),
+                                          ("antitree:poly:2:-5", "antitree")])
+def test_negative_depth_in_a_model_spec_is_named_as_a_depth(capsys, spec, family):
+    code, out, err = run(capsys, "model", "--model", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: {family} depth must be at least 2, got -5\n"
+
+
 def test_malformed_gamma_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--model", "tree:2:100", "--gamma", "abc")
     assert code == 2
@@ -479,3 +488,12 @@ def test_every_other_export_has_a_reader_in_the_package():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     assert exports - loaded == UNREAD_EXPORTS
+
+
+def test_importing_the_command_line_loads_no_mpmath():
+    # a fresh interpreter: this test process has mpmath loaded for the references
+    src = str(Path(hardy_lab.__file__).parent.parent)
+    probe = "import sys, hardy_lab.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out == "False\n"

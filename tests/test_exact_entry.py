@@ -24,6 +24,8 @@ from hardy_lab import (
 from hardy_lab import cli
 from hardy_lab.greens import _area_window, _quadratic_tail_bound
 
+from whole_window import whole_area_window
+
 
 def _is_exact(x):
     return type(x) in (int, Fraction)
@@ -126,7 +128,7 @@ def test_fractional_float_model_round_trips(tmp_path):
 def _tail_bound_reference(model):
     # the textbook form log((b + root) / (b - root)) / root at 80 digits
     # beyond the digits that b - root cancels (at most those of the area)
-    last, d1, d2 = _area_window(model)
+    last, d1, d2 = whole_area_window(model)
     a = Fraction(d2.min()) / 2
     b = d1[-1] + a
     disc = b * b - 4 * a * last

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -22,8 +23,12 @@ from hardy_lab import (
     transience_test,
     tree_bottom_of_spectrum,
 )
-from hardy_lab import greens
-from hardy_lab.greens import _area_window
+from hardy_lab import check_properness, greens, radial_model
+from hardy_lab.greens import _area_window, _quadratic_tail_bound
+from hardy_lab.optimality import _ground_decreasing
+from hardy_lab.radial_model import RadialModel
+
+from whole_window import whole_area_window, whole_window_decreasing, whole_window_transience
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -147,7 +152,7 @@ def _area_window_verdict(model):
     """The transience verdict read off the exact area window, or None when
     the window neither plateaus nor grows convexly: the reference for the
     degree route of transience_test."""
-    _, d1, d2 = _area_window(model)
+    _, d1, d2 = whole_area_window(model)
     if np.all(d1 <= 0):
         return False
     if d2.size and np.all(d1 > 0) and d2.min() > 0:
@@ -200,6 +205,95 @@ def test_transience_from_the_degrees_matches_the_area_window(model):
             transience_test(model)
     else:
         assert transience_test(model) is expected
+
+
+def test_window_scans_hold_no_window_length_array():
+    # degrees past 2**26 take the object-array path: a whole-window array
+    # of their products held 7.8 MB here
+    model = make_antitree(map(pow, range(1, 100_002), itertools.repeat(2)), 100_000)
+    model.exact_degrees(1)  # the cached degree views are not the scans' to pay
+    for scan in (transience_test, _area_window, check_properness):
+        tracemalloc.start()
+        try:
+            scan(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, scan.__name__
+
+
+def _mpmath_tail_bound(window):
+    """_quadratic_tail_bound as evaluated in mpmath at 30 digits."""
+    last, d1_last, d2_min = window
+    a = Fraction(d2_min) / 2
+    b = d1_last + a
+    c = Fraction(last)
+    disc = b * b - 4 * a * c
+    mp = lambda x: mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)  # noqa: E731
+    with mpmath.workdps(30):
+        a, b, c = mp(a), mp(b), mp(c)
+        if disc < 0:
+            root = mpmath.sqrt(mp(-disc))
+            bound = 2 * mpmath.atan2(root, b) / root
+        elif disc == 0:
+            bound = 2 / b
+        else:
+            root = mpmath.sqrt(mp(disc))
+            bound = mpmath.log1p(2 * root * (b + root) / (4 * a * c)) / root
+    return float(bound)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@given(model=st.one_of(_custom_models(), _antitrees()))
+@example(model=_ALTERNATING)
+@example(model=make_antitree(lambda r: (r + 1) ** 2, 40))
+def test_window_scans_in_blocks_match_the_whole_window(block, model):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_model, "_WINDOW_BLOCK", block)
+        for r_max in range(1, model.depth + 1):
+            assert _ground_decreasing(model, r_max) is whole_window_decreasing(model, r_max)
+        verdict = RadialModel._window_transience.func(model)
+        assert verdict is whole_window_transience(model)
+        last, d1, d2 = whole_area_window(model)
+        if d2.size:
+            assert _area_window(model) == (last, d1[-1], d2.min())
+        if verdict:
+            assert _quadratic_tail_bound(_area_window(model)) == \
+                _mpmath_tail_bound((last, d1[-1], d2.min()))
+
+
+_positive = st.one_of(st.integers(1, 10 ** 12),
+                      st.fractions(min_value=Fraction(1, 1000), max_value=10 ** 6,
+                                   max_denominator=1000).filter(lambda x: x > 0))
+
+
+@st.composite
+def _convex_windows(draw):
+    """(area(depth), last first difference, smallest second difference),
+    positive, with the discriminant of the bound's quadratic c + b x + a x**2
+    negative, zero or positive, and scaled up to areas past the double range."""
+    a = draw(_positive)
+    b = a + draw(_positive)  # the last first difference b - a is positive
+    c = Fraction(b * b) / (4 * a)  # disc = 0
+    # c moves by a relative step down to 1e-80, so that disc = -/+ b**2 step
+    step = Fraction(draw(st.integers(1, 999)), 10 ** draw(st.integers(3, 80)))
+    disc = draw(st.sampled_from(["negative", "zero", "positive"]))
+    if disc == "negative":
+        c *= 1 + step * draw(st.sampled_from([1, 10 ** 6, 10 ** 9]))
+    elif disc == "positive":
+        c *= 1 - step
+    scale = draw(st.sampled_from([1, 1, 2 ** 200, 2 ** 1200, 3 ** 2500]))
+    return c * scale, (b - a) * scale, 2 * a * scale
+
+
+@given(window=_convex_windows())
+@example(window=(1, 1, 2))  # a = 1, b = 2, c = 1: disc = 0
+@example(window=(2 ** 4000, 2 ** 3999, 2 ** 3998))
+def test_tail_bound_matches_the_30_digit_mpmath_evaluation(window):
+    bound = _quadratic_tail_bound(window)
+    assert bound == _mpmath_tail_bound(window)
+    if window[0] * Fraction(window[2]) / 2 > 2 ** 2200:
+        assert bound == 0.0  # it is at most pi / (2 sqrt(a c)) < 2**-1099
 
 
 def test_recurrent_model_has_no_green_function():
