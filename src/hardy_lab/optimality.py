@@ -117,20 +117,59 @@ def criticality_energy(model, n, gamma=0):
     sqrt_ga = np.sqrt(g * area1)
     edge0 = (1 - sqrt_ga) ** 2
 
+    # every leaf is formed in the same buffers, as in helper_sum
+    size = min(n, _SUM_LEAF)
+    steps = np.arange(size + 1, dtype=ld)
+    radii, phi, inv, tmp, energy, bracket, mass, closed = np.empty((8, size + 1), dtype=ld)
+
     def terms(lo, hi):
         # energy, mass and closed-form terms of radii lo..hi-1, rounded as
-        # whole arrays of them would be; phi is the cutoff at lo..hi
-        idx = np.arange(lo, hi, dtype=ld)
-        phi = 1 - np.log(np.arange(lo, hi + 1, dtype=ld)) / log_n
+        # whole arrays of them would be, one operation at a time; phi is
+        # the cutoff at lo..hi
+        m = hi - lo
+        r = np.add(steps[:m + 1], lo, out=radii[:m + 1])
+        idx, p, x, t = r[:m], phi[:m + 1], inv[:m], tmp[:m]
+        e, br, ms, cl = energy[:m], bracket[:m], mass[:m], closed[:m]
         k = kap[lo:hi]
-        energy = (np.sqrt(idx + 1) * phi[1:] - np.sqrt(k * idx) * phi[:-1]) ** 2
-        bracket = (1 + k - np.sqrt(k * (1 + 1 / idx))
-                   - np.sqrt(kap[lo - 1:hi - 1] * (1 - 1 / idx)))
+        # phi = 1 - log(r) / log n
+        np.log(r, out=p)
+        np.divide(p, log_n, out=p)
+        np.subtract(1, p, out=p)
+        # energy = (sqrt(idx + 1) phi[1:] - sqrt(k idx) phi[:-1]) ** 2
+        np.add(idx, 1, out=e)
+        np.sqrt(e, out=e)
+        np.multiply(e, p[1:], out=e)
+        np.multiply(k, idx, out=t)
+        np.sqrt(t, out=t)
+        np.multiply(t, p[:-1], out=t)
+        np.subtract(e, t, out=e)
+        np.square(e, out=e)
+        # bracket = 1 + k - sqrt(k (1 + 1/idx)) - sqrt(kappa(r - 1) (1 - 1/idx))
+        np.divide(1, idx, out=x)
+        np.add(1, x, out=t)
+        np.multiply(k, t, out=t)
+        np.sqrt(t, out=t)
+        np.add(1, k, out=br)
+        np.subtract(br, t, out=br)
+        np.subtract(1, x, out=t)
+        np.multiply(kap[lo - 1:hi - 1], t, out=t)
+        np.sqrt(t, out=t)
+        np.subtract(br, t, out=br)
         if lo == 1:  # kappa(0) is NaN; radius 1 has its own bracket
-            bracket[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
-        mass = idx * bracket * phi[:-1] ** 2
-        closed = np.sqrt(k * idx * (idx + 1)) * np.log1p(1 / idx) ** 2
-        return energy, mass, closed
+            br[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
+        # mass = idx bracket phi[:-1] ** 2
+        np.multiply(idx, br, out=ms)
+        np.square(p[:-1], out=t)
+        np.multiply(ms, t, out=ms)
+        # closed = sqrt(k idx (idx + 1)) log1p(1/idx) ** 2
+        np.multiply(k, idx, out=cl)
+        np.add(idx, 1, out=t)
+        np.multiply(cl, t, out=cl)
+        np.sqrt(cl, out=cl)
+        np.log1p(x, out=t)
+        np.square(t, out=t)
+        np.multiply(cl, t, out=cl)
+        return e, ms, cl
 
     energy_sum, mass_sum, closed_sum = _pairwise_sums(terms, 1, n)
     direct = edge0 + energy_sum - mass_sum

@@ -20,6 +20,12 @@ MAX_DENSE_DIMENSION = 5_000
 
 _SAFE_MIN = 2.2250738585072014e-308
 
+# rows per block of a whole-form Sturm sweep; a tail certificate is tried at
+# each block start
+_SWEEP_BLOCK = 4096
+# 1 - 2**-20: the certificate floor sits this far below the upper fixed point
+_ROOT_MARGIN = 1.0 - 2.0 ** -20
+
 
 def radial_laplacian(model, values, r):
     """Apply the positive radial difference operator to a profile at radius r.
@@ -168,24 +174,78 @@ def _certified_sweep(rows, x, q, pivmin, trail, row):
     return False, row
 
 
+def _whole_form_rows(form):
+    """Rows of a whole form for _negative_pivots, with its tail extremes.
+
+    Returns (diagonal, coupling, pivmin, dmin, emax) where the first three
+    are those of _sturm_rows and dmin[b], emax[b] are the smallest diagonal
+    entry and the largest squared coupling of rows b * _SWEEP_BLOCK onward:
+    O(n / _SWEEP_BLOCK) numbers per form, built once for every shift.
+    """
+    diag, coupling, pivmin = _sturm_rows(form)
+    starts = np.arange(0, form.n, _SWEEP_BLOCK)
+    dmin = np.minimum.reduceat(np.asarray(diag), starts)
+    emax = np.maximum.reduceat(np.asarray(coupling), starts)
+    dmin = np.minimum.accumulate(dmin[::-1])[::-1]
+    emax = np.maximum.accumulate(emax[::-1])[::-1]
+    return diag, coupling, pivmin, dmin.tolist(), emax.tolist()
+
+
+def _negative_pivots(rows, x, limit):
+    """Negative pivots of the form minus x, counted up to ``limit``.
+
+    ``rows`` comes from _whole_form_rows.  The sweep runs block by block
+    and stops early at a tail certificate.  While the pivot q stays
+    >= pivmin > 0, one step q -> fl(fl(d - x) - fl(e / q)) with e >= 0 is
+    nondecreasing in q and d and nonincreasing in e, because every IEEE
+    operation rounds monotonically.  So if at a block start some
+    rho <= q with rho >= pivmin satisfies
+
+        fl(fl(dmin - x) - fl(emax / rho)) >= rho
+
+    for the extremes of the remaining rows, every later pivot is >= rho by
+    induction, and no remaining row can add a negative pivot.  rho is
+    taken just below the upper fixed point of rho = dmin - x - emax / rho,
+    the upper root of rho**2 - (dmin - x) rho + emax, or q if that is
+    smaller.  The root is real from some block on or at none, since dmin
+    only grows and emax only falls along the blocks; the rows before that
+    block are swept as one run with no check.
+    """
+    diag, coupling, pivmin, dmin, emax = rows
+    first = len(dmin)  # the first block start with a real positive root
+    while first and (a := dmin[first - 1] - x) > 0.0 and a * a >= 4.0 * emax[first - 1]:
+        first -= 1
+    count, q = 0, 1.0
+    start, stop = 0, first * _SWEEP_BLOCK
+    for b in range(first, len(dmin) + 1):
+        run = zip(diag[start:stop], coupling[start:stop])
+        negative, q = _pivot_sweep(run, x, q, pivmin)
+        while negative:
+            count += 1
+            if count == limit:
+                return count
+            negative, q = _pivot_sweep(run, x, q, pivmin)
+        if b == len(dmin):
+            return count
+        a = dmin[b] - x
+        rho = min(q, 0.5 * (a + math.sqrt(a * a - 4.0 * emax[b])) * _ROOT_MARGIN)
+        if rho >= pivmin and a - emax[b] / rho >= rho:
+            return count
+        start, stop = stop, stop + _SWEEP_BLOCK
+
+
 def count_eigenvalues_below(form, x):
     """Number of eigenvalues of the form strictly below x, by Sturm counting.
 
     The count is the number of negative pivots of the LDL^T factorization
-    of the form minus x.
+    of the form minus x.  The sweep stops at a block start where the rest
+    of the rows provably add no negative pivot (the tail certificate of
+    _negative_pivots): every later pivot stays above a floor rho >= pivmin,
+    by monotone rounding, so the count is that of the full sweep.
     """
     if form.n == 0:
         return 0
-    diag, coupling, pivmin = _sturm_rows(form)
-    rows = zip(diag, coupling)
-    x = float(x)
-    count = 0
-    q = 1.0
-    while True:
-        negative, q = _pivot_sweep(rows, x, q, pivmin)
-        if not negative:
-            return count
-        count += 1
+    return _negative_pivots(_whole_form_rows(form), float(x), form.n)
 
 
 def eigenvalue_bounds(form):
@@ -206,14 +266,20 @@ def smallest_eigenvalue(form, tol=None):
     interval width (at least 1e-11 absolute).  Each step only asks whether
     the count is at least 1, so its sweep stops at the first negative pivot:
     the pivots before it are those of the full count, and so is the decision.
+    It also stops at a tail certificate, a block start from which every
+    remaining pivot provably stays above a floor rho >= pivmin: the step
+    q -> fl(fl(d - x) - fl(e / q)) is monotone in q, d and e, so the
+    extremes of the remaining rows bound every later pivot (see
+    _negative_pivots).  Each step thus decides as the full sweep would, and
+    the result is the same float.
     """
     lo, hi = eigenvalue_bounds(form)
     if tol is None:
         tol = 1e-11 * max(1.0, hi - lo)
-    diag, coupling, pivmin = _sturm_rows(form)
+    rows = _whole_form_rows(form)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _pivot_sweep(zip(diag, coupling), mid, 1.0, pivmin)[0]:
+        if _negative_pivots(rows, mid, 1):
             hi = mid
         else:
             lo = mid
@@ -307,10 +373,37 @@ def tree_ball_pivots(k_plus, weight_values):
     return np.array(delta)
 
 
+def _tree_ball_levels(k_plus, weight_values):
+    """k_plus and the weight per level 0..R as float arrays of one shape."""
+    w = np.asarray(weight_values, dtype=float)
+    if w.shape[0] < 2:
+        raise InvalidParameterError("need weights for at least radii 0 and 1")
+    return np.broadcast_to(np.asarray(k_plus, dtype=float), w.shape), w
+
+
+def _tree_pivots_positive(kp, wl, shift):
+    """True when the pivots of tree_ball_pivots(kp, wl + shift) are all
+    finite and positive; stops at the first that is not.
+
+    Each pivot is degree - (w + shift) - k_plus / delta, which rounds as
+    tree_ball_pivots does on the shifted weights.
+    """
+    radius = len(wl) - 1
+    delta = (kp[radius] + 1) - (wl[radius] + shift)
+    if not 0.0 < delta < math.inf:  # also refuses NaN
+        return False
+    for r in range(radius - 1, 0, -1):
+        delta = (kp[r] + 1) - (wl[r] + shift) - kp[r] / delta
+        if not 0.0 < delta < math.inf:
+            return False
+    delta = kp[0] - (wl[0] + shift) - kp[0] / delta
+    return 0.0 < delta < math.inf
+
+
 def tree_ball_is_positive(k_plus, weight_values):
-    """True when every elimination pivot of the tree ball is positive."""
-    delta = tree_ball_pivots(k_plus, weight_values)
-    return bool(np.all(np.isfinite(delta)) and np.all(delta > 0.0))
+    """True when every elimination pivot of the tree ball is finite and positive."""
+    kp, w = _tree_ball_levels(k_plus, weight_values)
+    return _tree_pivots_positive(kp.tolist(), w.tolist(), 0.0)
 
 
 def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
@@ -322,15 +415,15 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     sizes where a dense matrix is impossible.  ``k_plus`` is as in
     tree_ball_pivots.
     """
-    w = np.asarray(weight_values, dtype=float)
-    kp = np.broadcast_to(np.asarray(k_plus, dtype=float), w.shape)
+    kp, w = _tree_ball_levels(k_plus, weight_values)
     # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
     # row radii <= max k_plus + 1
     hi = float((kp.max() + 1) - w.min() + (kp.max() + 1))
     lo = float(kp.min() - w.max() - (kp.max() + 1))
+    kp, w = kp.tolist(), w.tolist()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if tree_ball_is_positive(kp, w + mid):
+        if _tree_pivots_positive(kp, w, mid):
             lo = mid
         else:
             hi = mid

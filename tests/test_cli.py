@@ -469,7 +469,8 @@ def test_saved_random_model_verifies_like_its_source(model, gamma):
 
 # exported only for tests: named oracles and the acceptance helpers
 UNREAD_EXPORTS = {"green_function_exact", "general_closed_form", "tree_weight",
-                  "count_eigenvalues_below", "series_expansion",
+                  "count_eigenvalues_below", "tree_ball_pivots",
+                  "tree_ball_is_positive", "series_expansion",
                   "series_remainder_bound", "ball_form_matrix"}
 
 

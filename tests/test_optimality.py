@@ -25,6 +25,7 @@ from hardy_lab import (
     make_tree,
     optimality_probe,
 )
+from hardy_lab import optimality
 from hardy_lab.hardy_weights import _kappa_longdouble
 
 
@@ -55,6 +56,19 @@ def whole_array_helper_sum(n):
 def test_helper_sum_equals_one_np_sum(n):
     # the blocked sum splits [1, n) where numpy's pairwise sum does
     assert helper_sum(n) == whole_array_helper_sum(n)
+
+
+def test_helper_sum_terms_equal_the_written_out_expression(monkeypatch):
+    # the sums cannot see the order of the products in each term; the terms can
+    def check(lo, hi, terms):
+        r = np.arange(lo, hi, dtype=float)
+        expected = np.sqrt(1.0 + 1.0 / r) * r * np.square(np.log1p(1.0 / r))
+        assert terms[0].tobytes() == expected.tobytes()
+
+    for n in (3, 2 ** 14 + 2, 10 ** 6):
+        leaves = spy_on_leaves(monkeypatch, check)
+        helper_sum.__wrapped__(n)
+        assert sum(leaves) == n - 1
 
 
 def cutoff_profile(n):
@@ -102,6 +116,55 @@ def test_blocked_criticality_equals_whole_arrays(model, gamma):
         res = criticality_energy(model, n, gamma=gamma)
         assert (res.direct, res.closed_form, res.rel_diff) == \
             whole_array_criticality(model, n, gamma)
+
+
+def spy_on_leaves(monkeypatch, check):
+    """Run check(lo, hi, terms of the leaf) on every leaf of the next blocked sum."""
+    real = optimality._pairwise_sums
+    leaves = []
+
+    def spy(terms, lo, hi):
+        def checked(a, b):
+            out = terms(a, b)
+            check(a, b, out)
+            leaves.append(b - a)
+            return out
+
+        monkeypatch.setattr(optimality, "_pairwise_sums", real)
+        return real(checked, lo, hi)
+
+    monkeypatch.setattr(optimality, "_pairwise_sums", spy)
+    return leaves
+
+
+def test_criticality_terms_equal_the_written_out_expressions(monkeypatch):
+    # the longdouble sums, rounded to double, cannot see the order of the
+    # operations in each term; the terms can
+    ld = np.longdouble
+    model, gamma = make_antitree(lambda r: (r + 1) ** 2, 10 ** 5), Fraction(1, 2)
+    kap = _kappa_longdouble(*model.exact_degrees(10 ** 5 - 1))
+    sqrt_ga = np.sqrt(ld(gamma.numerator) / ld(gamma.denominator) * ld(model.area(1)))
+
+    for n in (2 ** 14 + 2, 10 ** 5):
+        log_n = np.log(ld(n))
+
+        def check(lo, hi, terms):
+            idx = np.arange(lo, hi, dtype=ld)
+            phi = 1 - np.log(np.arange(lo, hi + 1, dtype=ld)) / log_n
+            k = kap[lo:hi]
+            energy = (np.sqrt(idx + 1) * phi[1:] - np.sqrt(k * idx) * phi[:-1]) ** 2
+            bracket = (1 + k - np.sqrt(k * (1 + 1 / idx))
+                       - np.sqrt(kap[lo - 1:hi - 1] * (1 - 1 / idx)))
+            if lo == 1:
+                bracket[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
+            mass = idx * bracket * phi[:-1] ** 2
+            closed = np.sqrt(k * idx * (idx + 1)) * np.log1p(1 / idx) ** 2
+            for got, expected in zip(terms, (energy, mass, closed)):
+                assert np.array_equal(got, expected)
+
+        leaves = spy_on_leaves(monkeypatch, check)
+        criticality_energy(model, n, gamma=gamma)
+        assert sum(leaves) == n - 1
 
 
 def test_criticality_two_routes_agree(tree2):

@@ -190,6 +190,53 @@ def test_tree_ball_bottom_matches_dense_on_varying_trees():
         assert certified == pytest.approx(dense_bottom, abs=1e-10)
 
 
+def reference_tree_ball_bottom(k_plus, w, tol=1e-11):
+    """The bisection on whole tree_ball_pivots arrays of the shifted weights."""
+    kp = np.broadcast_to(np.asarray(k_plus, dtype=float), w.shape)
+    hi = float((kp.max() + 1) - w.min() + (kp.max() + 1))
+    lo = float(kp.min() - w.max() - (kp.max() + 1))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        delta = tree_ball_pivots(kp, w + mid)
+        if np.all(np.isfinite(delta)) and np.all(delta > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+tree_ball_weights = st.one_of(
+    st.lists(st.floats(-1, 1), min_size=2, max_size=40),
+    st.lists(st.integers(-2, 3).map(float), min_size=2, max_size=40),
+    st.integers(2, 300).map(lambda n: list(np.linspace(0.3, 0.17, n))),
+)
+
+
+@given(st.one_of(st.integers(1, 3), st.lists(st.integers(1, 4), min_size=300,
+                                             max_size=300)),
+       tree_ball_weights, st.floats(-1, 1))
+def test_tree_ball_loop_equals_the_pivot_arrays(k_plus, weights, shift):
+    w = np.array(weights)
+    if not np.isscalar(k_plus):
+        k_plus = k_plus[: w.shape[0]]
+    pivots = tree_ball_pivots(k_plus, w + shift)
+    assert tree_ball_is_positive(k_plus, w + shift) == bool(
+        np.all(np.isfinite(pivots)) and np.all(pivots > 0.0))
+    # at the default tolerance and at a few ulps of the Gershgorin bracket
+    # (|ends| < 16), where the last decisions turn on the pivots' rounding
+    for tol in (1e-11, 4 * np.spacing(16.0)):
+        assert tree_ball_bottom_eigenvalue(k_plus, w, tol=tol) == \
+            reference_tree_ball_bottom(k_plus, w, tol=tol)
+
+
+def test_tree_ball_positivity_refuses_infinite_and_nan_pivots():
+    # a -inf weight makes a +inf pivot, which is not a certificate
+    for w in ([0.0, -np.inf, 0.0], [0.0, np.nan, 0.0], [np.nan, 0.0, 0.0]):
+        assert not np.all(np.isfinite(tree_ball_pivots(2, np.array(w))))
+        assert tree_ball_is_positive(2, w) is False
+    assert tree_ball_is_positive(2, [0.0, 0.0, 0.0]) is True
+
+
 def test_tree_ball_pivots_all_positive_at_safe_shift():
     d = 3
     w = np.full(11, tree_bottom_of_spectrum(d) - 1e-9)

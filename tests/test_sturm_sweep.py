@@ -22,9 +22,9 @@ from hardy_lab import (
     optimality_probe,
     smallest_eigenvalue,
 )
-from hardy_lab import optimality
+from hardy_lab import optimality, spectral_ops
 from hardy_lab.optimality import default_probe_bases
-from hardy_lab.spectral_ops import TridiagonalForm
+from hardy_lab.spectral_ops import _SWEEP_BLOCK, TridiagonalForm
 
 SAFE_MIN = 2.2250738585072014e-308
 
@@ -47,12 +47,31 @@ def reference_count(form, x):
     return count
 
 
-def reference_bottom(form):
+def float_pivots(form, x):
+    """The guarded pivots of reference_count, over Python floats: they round
+    like numpy's float64 scalars and iterate several times faster."""
+    diag = form.diagonal.tolist()
+    off2 = (form.offdiagonal * form.offdiagonal).tolist()
+    pivmin = max(max(off2, default=0.0), 1.0) * SAFE_MIN
+    q = 1.0
+    for i, d in enumerate(diag):
+        q = d - x - (off2[i - 1] / q if i else 0.0)
+        if abs(q) < pivmin:
+            q = -pivmin
+        yield q
+
+
+def float_count(form, x):
+    """reference_count from float_pivots, for bisections on long forms."""
+    return sum(q < 0.0 for q in float_pivots(form, x))
+
+
+def reference_bottom(form, count=reference_count):
     lo, hi = eigenvalue_bounds(form)
     tol = 1e-11 * max(1.0, hi - lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if reference_count(form, mid) >= 1:
+        if count(form, mid) >= 1:
             hi = mid
         else:
             lo = mid
@@ -117,6 +136,109 @@ def test_bisection_equals_reference_on_a_hardy_section():
     w = closed_form_weight(model, 0, 300).values
     form = hardy_form_matrix(model, w, 1, 300)
     assert smallest_eigenvalue(form) == reference_bottom(form)
+
+
+@st.composite
+def settling_forms(draw):
+    """Forms of two to three sweep blocks whose tail pivots settle, as a
+    critical tree's do: constant squared coupling e and a diagonal rising to
+    2 sqrt(e), so the tail certificate fires at shifts below the bottom.
+    Dips in the diagonal and bumps in the coupling, some at block starts,
+    put negative pivots past a block start; zero couplings split the form.
+    """
+    n = draw(st.integers(2 * _SWEEP_BLOCK + 1, 3 * _SWEEP_BLOCK))
+    e = draw(st.sampled_from([0.25, 1.0, 2.0, 3.0]))
+    c = draw(st.floats(0.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    diag = 2.0 * np.sqrt(e) - c / np.arange(1.0, n + 1.0) ** 2
+    off2 = np.full(n - 1, e)
+    boundaries = [b + k for b in (_SWEEP_BLOCK, 2 * _SWEEP_BLOCK) for k in (-1, 0, 1)
+                  if b + k < n]
+    for _ in range(draw(st.integers(0, 3))):
+        row = int(rng.choice(boundaries)) if rng.random() < 0.5 else int(rng.integers(n))
+        diag[row] -= draw(st.sampled_from([1e-9, 1e-4, 0.1, 1.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        off2[int(rng.integers(n - 1))] *= draw(st.sampled_from([1.0 + 1e-9, 1.5, 4.0]))
+    if draw(st.booleans()):
+        off2[rng.random(n - 1) < 0.001] = 0.0
+    return TridiagonalForm(diagonal=diag, offdiagonal=-np.sqrt(off2), r_lo=0)
+
+
+@given(settling_forms())
+def test_certified_sweeps_equal_full_counts(form):
+    bottom = smallest_eigenvalue(form)
+    assert bottom == reference_bottom(form, count=float_count)
+    for x in (-0.5, -1e-3, -1e-6, -1e-9, bottom - 1e-10, bottom, bottom + 1e-10, 0.1):
+        assert count_eigenvalues_below(form, x) == reference_count(form, x)
+
+
+@given(st.integers(2 * _SWEEP_BLOCK + 1, 3 * _SWEEP_BLOCK),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_certified_counts_with_pivmin_sized_pivots(n, seed, coupled):
+    # zero couplings past a block start and diagonal entries within pivmin
+    # of the shift: a pivot there counts as negative however small its
+    # positive value, so a floor below pivmin certifies nothing
+    rng = np.random.default_rng(seed)
+    diag = rng.choice([1.0, 0.5, 5e-324, 1e-310, 0.0, -5e-324], size=n,
+                      p=[0.9, 0.05, 0.02, 0.01, 0.01, 0.01])
+    off = np.zeros(n - 1)
+    if coupled:  # the first block's pivots then carry over from row to row
+        off[: _SWEEP_BLOCK] = -0.25
+    form = TridiagonalForm(diagonal=diag, offdiagonal=off, r_lo=0)
+    for x in (0.0, 5e-324, -5e-324, 1e-310, 0.5):
+        assert count_eigenvalues_below(form, x) == reference_count(form, x)
+
+
+def first_negative_row(form, x):
+    """Rows a sweep without the tail certificate reads before it stops."""
+    return next((i + 1 for i, q in enumerate(float_pivots(form, x)) if q < 0.0), form.n)
+
+
+def test_tail_certificate_fires_on_a_tree_section(monkeypatch):
+    # the closed-form weight of tree:2 is critical: below the bottom, the
+    # pivots of the tail settle at an attracting fixed point
+    r_max = 12_000
+    model = make_tree(2, r_max + 1)
+    w = closed_form_weight(model, 0, r_max).values
+    form = hardy_form_matrix(model, w, 1, r_max)
+    sweeps = []
+    real_sweep, real_count = spectral_ops._pivot_sweep, spectral_ops._negative_pivots
+    rows = [0]
+
+    def sweep(run, *args):
+        def counted():
+            for row in run:
+                rows[0] += 1
+                yield row
+        return real_sweep(counted(), *args)
+
+    def count(whole, x, limit):
+        rows[0] = 0
+        negative = real_count(whole, x, limit)
+        sweeps.append((x, negative, rows[0]))
+        return negative
+
+    monkeypatch.setattr(spectral_ops, "_pivot_sweep", sweep)
+    monkeypatch.setattr(spectral_ops, "_negative_pivots", count)
+    bottom = smallest_eigenvalue(form)
+    monkeypatch.undo()
+    assert bottom == reference_bottom(form, count=float_count)
+    certified, plain_rows = [], 0
+    for x, negative, swept in sweeps:
+        plain = first_negative_row(form, x)
+        plain_rows += plain
+        if swept < plain:
+            certified.append((x, swept))
+            assert not negative and swept % _SWEEP_BLOCK == 0
+        else:
+            assert swept == plain
+    # every certified shift lies below the bottom, the far ones stop one
+    # block in, and the sweeps read about 72 % of the rows they did without
+    assert len(certified) >= 8
+    assert all(x < bottom for x, _ in certified)
+    assert sum(x < -1e-6 for x, _ in certified) >= 5
+    assert all(swept == _SWEEP_BLOCK for x, swept in certified if x < -1e-6)
+    assert sum(swept for _, _, swept in sweeps) < 0.75 * plain_rows
 
 
 def sections(depth):
