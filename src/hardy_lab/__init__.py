@@ -65,7 +65,6 @@ from .hardy_weights import (
     series_remainder_bound,
     tree_bottom_of_spectrum,
     tree_weight,
-    u_gamma,
 )
 from .optimality import (
     CriticalityResult,

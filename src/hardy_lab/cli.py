@@ -251,6 +251,8 @@ def _probe_bases(args, r_max):
 
 
 def cmd_verify(args):
+    if args.seed is not None and args.seed < 0:
+        raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
     model = _parse_model_spec(args.model)
     gamma = _parse_gamma(args.gamma)
     depth = model.depth

@@ -9,10 +9,11 @@ ratio w(r) = (difference operator applied to v)(r) / v(r).  Two independent
 routes to w are kept side by side on purpose:
 
   * ``fitzsimmons_weight`` evaluates the ratio numerically from exact ground
-    values: each ratio of consecutive values is one quotient of exact
-    integers, rounded and square-rooted at 40 significant digits in
-    ``decimal``, so that depth never degrades the result (u decays like
-    1/area and underflows doubles on fast-growing models);
+    values, integer pairs over one area array (``_ground_pairs``): each
+    ratio of consecutive values is one quotient of exact integers, rounded
+    and square-rooted at 40 significant digits in ``decimal``, so that
+    depth never degrades the result (u decays like 1/area and underflows
+    doubles on fast-growing models);
   * ``general_closed_form`` and ``tree_weight`` evaluate the algebraic
     closed forms, which involve only the degree ratio kappa.
 
@@ -50,20 +51,27 @@ def _check_gamma(gamma):
     gamma = Fraction(_as_exact(gamma, "gamma"))
     if gamma < 0:
         raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
+    # the float routes read float(gamma): it must not overflow, nor round to 0
+    try:
+        fits = not gamma or float(gamma) > 0
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise InvalidParameterError("gamma must be 0 or lie within the float64 "
+                                    "range, about [5e-324, 1.8e308]")
     return gamma
 
 
-def u_gamma(model, gamma, r_max):
-    """Ground profile values u(0) = gamma, u(r) = r / area(r), as Fractions.
-
-    Returns a list indexed by radius up to r_max.  Being exact, ratios of
-    consecutive values stay exact regardless of how fast the area grows.
-    """
-    gamma = _check_gamma(gamma)
+def _ground_pairs(model, gamma, r_max):
+    """u(0..r_max) as unreduced integer pairs u(r) = p[r] / q[r], from one
+    ``area_values`` call; u(0) is the checked gamma.  Quotients of the pairs
+    are correctly rounded, so they depend on the value of u alone."""
     if r_max < 1:
         raise InvalidParameterError("r_max must be at least 1")
-    return [gamma] + [Fraction(r, 1) / Fraction(model.area(r))
-                      for r in range(1, r_max + 1)]
+    areas = model.area_values(1, r_max)
+    p = [gamma.numerator, *(r * a.denominator for r, a in enumerate(areas, 1))]
+    q = [gamma.denominator, *(a.numerator for a in areas)]
+    return p, q
 
 
 def _decimal_of(k):
@@ -73,34 +81,31 @@ def _decimal_of(k):
     return decimal.Decimal(k.numerator) / decimal.Decimal(k.denominator)
 
 
-def _root_defect(near, p, q):
-    """1 - sqrt(near / u) for u = p / q, from one quotient of exact integers."""
-    ratio = decimal.Decimal(near.numerator * q) / decimal.Decimal(near.denominator * p)
-    return 1 - ratio.sqrt()
-
-
 def fitzsimmons_weight(model, gamma, r_max, dps=DEFAULT_DPS):
     """Weight profile from the ground ratio, computed numerically.
 
-    With u(r) = p / q, each ratio u(r +- 1) / u(r) is the quotient of the
-    exact integer cross products p' q and q' p, rounded once to ``dps``
-    digits in ``decimal``, so no intermediate value ever leaves a
-    representable range; the square roots and the weight are taken at the
-    same precision and rounded to float once.  Entries below the support
-    (the origin when gamma = 0) are 0.  Needs radial data one sphere past
-    r_max.
+    With u = p / q (``_ground_pairs``), the exact cross products
+    x = p(r + 1) q(r) and y = q(r + 1) p(r) give u(r + 1) / u(r) = x / y at
+    r and u(r) / u(r + 1) = y / x at r + 1.  Each is converted to ``decimal``
+    once and each ratio rounded once to ``dps`` digits; the square roots and
+    the weight are taken at the same precision and rounded to float once.
+    The degrees are the stored ``k_plus(r)``, ``k_minus(r)``: no view is
+    shared with the closed forms.  Entries below the support (the origin
+    when gamma = 0) are 0.  Needs radial data one sphere past r_max.
     """
     gamma = _check_gamma(gamma)
-    u = u_gamma(model, gamma, r_max + 1)
+    p, q = _ground_pairs(model, gamma, r_max + 1)
     r_min = 0 if gamma > 0 else 1
     w = np.zeros(r_max + 1)
     with decimal.localcontext(decimal.Context(prec=dps)):
-        for r in range(r_min, r_max + 1):
-            p, q = u[r].numerator, u[r].denominator
-            term = _decimal_of(model.k_plus(r)) * _root_defect(u[r + 1], p, q)
-            if r > 0:
-                term += _decimal_of(model.k_minus(r)) * _root_defect(u[r - 1], p, q)
-            w[r] = float(term)
+        for r in range(r_max + 1):
+            x, y = decimal.Decimal(p[r + 1] * q[r]), decimal.Decimal(q[r + 1] * p[r])
+            if r >= r_min:
+                term = _decimal_of(model.k_plus(r)) * (1 - (x / y).sqrt())
+                if r > 0:
+                    term += _decimal_of(model.k_minus(r)) * (1 - inward.sqrt())
+                w[r] = float(term)
+            inward = y / x  # u(r) / u(r + 1), read at r + 1
     return w
 
 
@@ -393,36 +398,15 @@ def check_superharmonic_ground(model, gamma, r_max):
 
     The defect (difference operator applied to u) is evaluated in exact
     arithmetic, so the verdict at equality cases (antitrees sit exactly on
-    the boundary) does not hinge on float rounding.  For gamma = 0 the
-    origin is excluded: u vanishes there and the check starts at radius 1.
-    Also reports the equivalent kappa-form margin min over r >= 2 of
-    kappa(r) - 1/r - (1 - 1/r) kappa(r - 1).
+    the boundary) does not hinge on float rounding.  By area compatibility,
+    defect(r) / u(r) = k_minus(r) margin(r) for r >= 2, with the kappa-form
+    margin(r) = kappa(r) - 1/r - (1 - 1/r) kappa(r - 1), also reported; at
+    r <= 1 the ratios are two exact gamma terms.  For gamma = 0 the origin
+    is excluded: u vanishes there and the check starts at radius 1.
     """
     gamma = _check_gamma(gamma)
     if r_max < 2:
         raise InvalidParameterError("r_max must be at least 2")
-    u = u_gamma(model, gamma, r_max + 1)
-    r_min = 0 if gamma > 0 else 1
-
-    worst_ratio = math.inf
-    bad_low = False
-    bad_high = False
-    for r in range(r_min, r_max + 1):
-        # defect / u(r) = k_plus (1 - u(r+1)/u(r)) + k_minus (1 - u(r-1)/u(r)) over
-        # the positive denominator b e p q1 q0, with k_plus = a/b, k_minus = c/e
-        # and u(r + i) = p_i / q_i; its float is one correctly rounded int / int
-        kp, km = model.k_plus(r), model.k_minus(r)
-        a, b, c, e = kp.numerator, kp.denominator, km.numerator, km.denominator
-        p, q = u[r].numerator, u[r].denominator
-        p1, q1 = u[r + 1].numerator, u[r + 1].denominator
-        p0, q0 = (u[r - 1].numerator, u[r - 1].denominator) if r else (0, 1)
-        num = a * e * q0 * (q1 * p - p1 * q) + c * b * q1 * (q0 * p - p0 * q)
-        worst_ratio = min(worst_ratio, num / (b * e * p * q1 * q0))
-        violated = num < 0
-        if violated and r >= 2:
-            bad_high = True
-        elif violated:
-            bad_low = True
 
     # kappa(r) - 1/r - (1 - 1/r) kappa(r - 1) as num / (r q(r) q(r - 1)), p = k_plus,
     # q = k_minus; the triple products pass 2**53, so they are taken on Python ints
@@ -432,6 +416,16 @@ def check_superharmonic_ground(model, gamma, r_max):
     r = np.arange(2, r_max + 1, dtype=object)
     num = r * p[2:] * q[1:-1] - q[2:] * q[1:-1] - (r - 1) * p[1:-1] * q[2:]
     kappa_margin = float(min(num / (r * q[2:] * q[1:-1])))
+
+    # defect / u at r = 0 (gamma > 0 only) and 1, then num / (r q(r - 1)) at
+    # r >= 2, each rounded once and minimized in radius order
+    ga1, km1 = gamma * model.area(1), model.k_minus(1)
+    low = [model.k_plus(1) - km1 - km1 * ga1]
+    if gamma > 0:
+        low.insert(0, model.k_plus(0) * (1 - 1 / ga1))
+    worst_ratio = min(map(float, [*low, *num / (r * q[1:-1])]))
+    bad_low = min(low) < 0
+    bad_high = min(num) < 0
 
     # For r >= 2 the defect sign is gamma-free and equivalent to the kappa
     # margin; a violation there means the model, not the run, is out of

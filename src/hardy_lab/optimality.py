@@ -27,9 +27,9 @@ from .greens import transience_test
 from .hardy_weights import (
     _check_gamma,
     _closed_form,
+    _ground_pairs,
     _kappa_longdouble,
     closed_form_weight,
-    u_gamma,
 )
 from .radial_model import _log_of_exact, _window_blocks, expand_vertex_graph
 from .reporting import VerificationReport
@@ -535,8 +535,8 @@ def check_ground_state_identity(model, gamma, radius, level="radial", tol=1e-10)
     """
     gamma = _check_gamma(gamma)
     r_min = 0 if gamma > 0 else 1
-    u = u_gamma(model, gamma, radius + 1)
-    sqrt_u = np.array([math.sqrt(float(x)) for x in u])
+    p, q = _ground_pairs(model, gamma, radius + 1)
+    sqrt_u = np.array([math.sqrt(a / b) for a, b in zip(p, q)])
     w = closed_form_weight(model, gamma, radius).values
 
     worst = 0.0
@@ -590,8 +590,8 @@ def check_ground_state_transform(model, gamma, radius, n_samples=100,
     if radius < 3:
         raise InvalidParameterError("radius must be at least 3")
     graph = expand_vertex_graph(model, radius)
-    u = u_gamma(model, gamma, radius)
-    v = np.array([math.sqrt(float(x)) for x in u])[graph.radius_of]
+    p, q = _ground_pairs(model, gamma, radius)
+    v = np.array([math.sqrt(a / b) for a, b in zip(p, q)])[graph.radius_of]
     w = closed_form_weight(model, gamma, radius).values
 
     interior = graph.radius_of <= radius - 1

@@ -518,7 +518,7 @@ class VertexGraph:
         return int(self.edges.shape[0])
 
 
-def expand_vertex_graph(model, radius, max_vertices=MAX_VERTEX_EXPANSION):
+def expand_vertex_graph(model, radius):
     """Materialize the ball of the given radius as an explicit graph.
 
     One wiring rule serves all integer radial data: between spheres r and
@@ -527,7 +527,7 @@ def expand_vertex_graph(model, radius, max_vertices=MAX_VERTEX_EXPANSION):
     simple and every vertex has the stored k_plus and k_minus; trees and
     antitrees come out in their usual numbering.  Non-integer data, and data
     with k_plus(r) > vol(r + 1), has no such realization and is refused.
-    Vertex and edge counts are checked against ``max_vertices`` and
+    Vertex and edge counts are checked against MAX_VERTEX_EXPANSION and
     MAX_EDGE_EXPANSION before anything is allocated.
     """
     radius = _as_radius(radius)
@@ -547,9 +547,9 @@ def expand_vertex_graph(model, radius, max_vertices=MAX_VERTEX_EXPANSION):
         raise NoCanonicalRealizationError(
             "some k_plus(r) exceeds vol(r + 1): no simple graph has this data")
     n = sum(sizes)
-    if n > max_vertices:
+    if n > MAX_VERTEX_EXPANSION:
         raise SizeLimitExceededError(
-            f"ball of radius {radius} has {n} vertices, cap is {max_vertices}"
+            f"ball of radius {radius} has {n} vertices, cap is {MAX_VERTEX_EXPANSION}"
         )
     n_edges = sum(kp * v for kp, v in zip(k_plus, sizes))
     if n_edges > MAX_EDGE_EXPANSION:

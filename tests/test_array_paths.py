@@ -325,10 +325,15 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     monkeypatch.setattr(RadialModel, "area_values", spied_areas)
     # transience and properness read the degrees, and properness and the
     # Green route share one scan of the window (a geometric tail needs
-    # none); exact areas are formed only for the Green tail bound's window
-    # and for log G on 0..128
-    for spec, scans, area_passes in [("antitree:poly:2:3000", 1, [(1500, 3000), (1, 129)]),
-                                     ("tree:2:100000", 0, [(1, 129)])]:
+    # none); exact areas are formed once per reader of the ground pairs
+    # u = r / area(r) (the ratio route of superharmonic-sqrt-ground on
+    # 1..513, the ground-state identity on 1..65 and 1..7 and the transform
+    # on 1..8; superharmonic-ground reads the degrees alone), for the Green
+    # tail bound's window and for log G on 0..128
+    ground = [(1, 513), (1, 65), (1, 7), (1, 8)]
+    for spec, scans, area_passes in [("antitree:poly:2:3000", 1,
+                                      ground + [(1500, 3000), (1, 129)]),
+                                     ("tree:2:100000", 0, ground + [(1, 129)])]:
         calls.clear()
         passes.clear()
         cli.main(["verify", "--model", spec, "--suite", "all"])
@@ -337,3 +342,20 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
         assert calls["_window_transience"] == scans, spec
         assert passes == area_passes, spec
         assert calls["kappa"] <= 3, spec
+
+
+def test_superharmonic_ground_reads_no_area_and_no_radius_past_one(monkeypatch):
+    # defect / u at r >= 2 is k_minus times the kappa margin, from the degree
+    # arrays; only the two gamma terms at r <= 1 read per-radius data
+    models = [(make_tree(3, 200), Fraction(1, 3)), (poly_antitree(2, 200), Fraction(0)),
+              (make_custom([Fraction(3, 2)] * 40, [0] + [Fraction(5, 4)] * 40), Fraction(2))]
+    seen = []
+    for name in ("k_plus", "k_minus", "vol", "area", "kappa", "area_values"):
+        def spied(self, *args, _name=name, _method=vars(RadialModel)[name]):
+            seen.append((_name, *args))
+            return _method(self, *args)
+        monkeypatch.setattr(RadialModel, name, spied)
+    for model, gamma in models:
+        seen.clear()
+        check_superharmonic_ground(model, gamma, model.depth - 1)
+        assert seen and all(name != "area_values" and r <= 1 for name, r, *_ in seen), seen

@@ -312,6 +312,22 @@ def test_malformed_gamma_exits_2(capsys):
     assert err.startswith("error:") and "abc" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "weight"])
+@pytest.mark.parametrize("gamma", ["1e400", "1e-400"])
+def test_gamma_outside_the_float_range_exits_2(capsys, command, gamma):
+    code, out, err = run(capsys, command, "--model", "tree:2:100", "--gamma", gamma)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: gamma") and err.count("\n") == 1 and len(err) < 200, err
+
+
+def test_negative_seed_exits_2_before_any_check(capsys):
+    with mock.patch.object(cli, "check_criticality_agreement") as first_check:
+        code, out, err = run(capsys, "verify", "--model", "tree:2:100", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be nonnegative, got -1\n"
+    first_check.assert_not_called()
+
+
 def test_missing_model_file_exits_2(capsys, tmp_path):
     missing = tmp_path / "nonexistent.model"
     code, out, err = run(capsys, "verify", "--model", f"file:{missing}")

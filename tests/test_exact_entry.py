@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -14,12 +15,13 @@ from hardy_lab import (
     Tail,
     check_superharmonic_ground,
     closed_form_weight,
+    fitzsimmons_weight,
     load_model,
     make_antitree,
     make_custom,
     make_tree,
     save_model,
-    u_gamma,
+    tree_weight,
 )
 from hardy_lab import cli
 from hardy_lab.greens import _area_window, _quadratic_tail_bound
@@ -73,11 +75,28 @@ def test_non_numbers_are_refused(bad):
         Tail("eventually-geometric", kappa_inf=bad)
 
 
+@pytest.mark.parametrize("gamma", [Fraction(10) ** 400, 10 ** 309, Fraction(1, 10 ** 400),
+                                   Fraction(math.ulp(0.0)) / 3],
+                         ids=["1e400", "1e309", "1e-400", "ulp/3"])
+def test_gamma_outside_the_float_range_is_refused(gamma):
+    tree = make_tree(2, 40)
+    for call in (lambda: closed_form_weight(tree, gamma, 5),
+                 lambda: fitzsimmons_weight(tree, gamma, 5),
+                 lambda: check_superharmonic_ground(tree, gamma, 5),
+                 lambda: tree_weight(2, gamma, 0)):
+        with pytest.raises(InvalidParameterError, match="gamma") as info:
+            call()
+        assert len(str(info.value)) < 200
+    # the extreme floats themselves are taken
+    for gamma in (math.ulp(0.0), sys.float_info.max):
+        assert closed_form_weight(tree, gamma, 5).gamma == Fraction(gamma)
+
+
 def test_float_gamma_comes_back_as_a_fraction():
     tree = make_tree(2, 40)
     profile = closed_form_weight(tree, 0.5, 10)
     assert type(profile.gamma) is Fraction and profile.gamma == Fraction(1, 2)
-    assert u_gamma(tree, 0.1, 3)[0] == Fraction(0.1)
+    assert closed_form_weight(tree, 0.1, 3).gamma == Fraction(0.1)
     report = check_superharmonic_ground(tree, 0.25, 20)
     assert report.params["gamma"] == Fraction(1, 4)
     assert "exact" not in report.params and "tol" not in report.params

@@ -24,10 +24,13 @@ from hardy_lab import (
     make_antitree,
     make_custom,
     make_tree,
-    u_gamma,
 )
 from hardy_lab.radial_model import _parse
 from hardy_lab.spectral_ops import radial_laplacian
+
+
+def u_gamma(model, gamma, r_max):
+    return [Fraction(gamma)] + [Fraction(r, model.area(r)) for r in range(1, r_max + 1)]
 
 
 def _mpf_of(x):

@@ -21,8 +21,8 @@ from hardy_lab import (
     sqrt_pair_defect,
     tree_bottom_of_spectrum,
     tree_weight,
-    u_gamma,
 )
+from hardy_lab.hardy_weights import _ground_pairs
 
 
 def test_half_line_weight_values():
@@ -71,11 +71,16 @@ def test_sqrt_pair_defect_edge_values():
 
 
 def test_ground_profile_is_exact():
-    m = make_tree(2, 20)
-    u = u_gamma(m, Fraction(1, 2), 10)
-    assert u[0] == Fraction(1, 2)
-    for r in range(1, 11):
-        assert u[r] == Fraction(r, 2 ** r)
+    p, q = _ground_pairs(make_tree(2, 20), Fraction(1, 2), 10)
+    assert list(map(Fraction, p, q)) == [Fraction(1, 2)] + [Fraction(r, 2 ** r)
+                                                            for r in range(1, 11)]
+    # fractional areas: u(r) = r / area(r) still comes as two ints
+    m = make_custom([Fraction(3, 2), Fraction(5, 3), 2], [0, Fraction(1, 2), 3, Fraction(7, 4)])
+    p, q = _ground_pairs(m, Fraction(0), 3)
+    assert {type(x) for x in p + q} == {int}
+    assert list(map(Fraction, p, q)) == [0] + [Fraction(r, m.area(r)) for r in range(1, 4)]
+    with pytest.raises(InvalidParameterError, match="r_max must be at least 1"):
+        fitzsimmons_weight(m, 0, -1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
