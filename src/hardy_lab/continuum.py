@@ -297,12 +297,11 @@ def _residual_and_psi_max(space, r_min, r_max, h_step, which, n_points):
     return scaled, max(float(psi.max()), -float(psi.min()))
 
 
-def check_harmonicity(space, r_min, r_max, h_step=1e-3, which="sqrt-u",
-                      n_points=200, factor_window=(3.2, 4.8), tol=1e-4):
+def check_harmonicity(space, r_min, r_max, h_step=1e-3, which="sqrt-u", n_points=200):
     """Second-order convergence check of the harmonicity residual.
 
     Runs the residual at h_step and h_step/2; passes when the coarse
-    residual is below tol and the ratio of the two sits in factor_window
+    residual is below tol and the ratio of the two sits in [3.2, 4.8]
     (the clean-second-order value is 4).  It also passes when both
     residuals are below the roundoff floor of a second difference,
     ROUNDOFF_FLOOR * eps * max|psi| / h_step**2: a profile that solves the
@@ -313,7 +312,8 @@ def check_harmonicity(space, r_min, r_max, h_step=1e-3, which="sqrt-u",
     fine, _ = _residual_and_psi_max(space, r_min, r_max, h_step / 2.0,
                                     which, n_points)
     factor = coarse / fine if fine > 0.0 else math.inf
-    ok = coarse <= tol and factor_window[0] <= factor <= factor_window[1]
+    tol = 1e-4
+    ok = coarse <= tol and 3.2 <= factor <= 4.8
     floor = ROUNDOFF_FLOOR * np.finfo(float).eps * psi_max / (h_step * h_step)
     notes = ()
     if not ok and max(coarse, fine) <= floor:
@@ -369,7 +369,7 @@ def closed_form_weight_fn(space):
     return None
 
 
-def check_closed_form_agreement(space, r_min, r_max, n_points=200, tol=1e-9):
+def check_closed_form_agreement(space, r_min, r_max, n_points=200):
     """Master density weight against the family closed form on a grid.
 
     For spaces without their own closed form the status is
@@ -384,6 +384,7 @@ def check_closed_form_agreement(space, r_min, r_max, n_points=200, tol=1e-9):
             params={"space": space.label},
             notes=("no family closed form for this density",),
         )
+    tol = 1e-9
     grid = _grid(r_min, r_max, n_points)
     a, b = density_weight(space, grid), closed(grid)
     worst = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))

@@ -14,7 +14,8 @@ class InvalidParameterError(HardyLabError):
 
 
 class InconsistentModelError(HardyLabError):
-    """Radial data violates the area compatibility identity.
+    """Radial data violates the area compatibility identity, or a model
+    file's rows break its geometric tail line.
 
     Carries the first offending radius in ``.radius``.
     """

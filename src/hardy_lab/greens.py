@@ -305,7 +305,7 @@ class GreenComparison:
     report: VerificationReport
 
 
-def compare_to_green(model, r_max, tol=1e-10):
+def compare_to_green(model, r_max):
     """Check that the gamma = 0 weight dominates the Green weight.
 
     The domination claim (nonnegative margins, decreasing to zero) is proved
@@ -315,6 +315,7 @@ def compare_to_green(model, r_max, tol=1e-10):
     """
     if r_max < 3:
         raise InvalidParameterError("r_max must be at least 3 to see a trend")
+    tol = 1e-10
     w_opt = closed_form_weight(model, 0, r_max).values
     w_g, profile = green_weight(model, r_max)
     margins = w_opt - w_g

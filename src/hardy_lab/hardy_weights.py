@@ -49,15 +49,14 @@ def tree_bottom_of_spectrum(d):
 def _check_gamma(gamma):
     # exact like the radial data: a float gamma is taken at its binary value
     gamma = Fraction(_as_exact(gamma, "gamma"))
-    if gamma < 0:
-        raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
-    # the float routes read float(gamma): it must not overflow, nor round to 0
+    # the float routes read float(gamma): it must not overflow, nor round to 0;
+    # the message shows no value, which may have hundreds of digits
     try:
         fits = not gamma or float(gamma) > 0
     except OverflowError:
         fits = False
     if not fits:
-        raise InvalidParameterError("gamma must be 0 or lie within the float64 "
+        raise InvalidParameterError("gamma must be 0 or positive within the float64 "
                                     "range, about [5e-324, 1.8e308]")
     return gamma
 
@@ -460,7 +459,7 @@ def check_superharmonic_ground(model, gamma, r_max):
     )
 
 
-def check_superharmonic_sqrt_ground(model, gamma, r_max, tol=1e-12, dps=DEFAULT_DPS):
+def check_superharmonic_sqrt_ground(model, gamma, r_max):
     """Verify that sqrt(u) is superharmonic, i.e. the weight is nonnegative.
 
     Uses the numerically computed Rayleigh ratio at ``dps`` digits, which is
@@ -474,7 +473,8 @@ def check_superharmonic_sqrt_ground(model, gamma, r_max, tol=1e-12, dps=DEFAULT_
     gamma = _check_gamma(gamma)
     if r_max < 2:
         raise InvalidParameterError("r_max must be at least 2")
-    w = fitzsimmons_weight(model, gamma, r_max, dps=dps)
+    tol, dps = 1e-12, DEFAULT_DPS
+    w = fitzsimmons_weight(model, gamma, r_max)
     r_min = 0 if gamma > 0 else 1
     min_weight = float(np.min(w[r_min:]))
 

@@ -184,8 +184,9 @@ def criticality_energy(model, n, gamma=0):
     )
 
 
-def check_criticality_agreement(model, n_values=(10, 100, 1000), gamma=0, rtol=1e-10):
+def check_criticality_agreement(model, n_values=(10, 100, 1000), gamma=0):
     """Report agreement of the two criticality routes and their decay."""
+    rtol = 1e-10
     results = [criticality_energy(model, n, gamma=gamma) for n in n_values]
     max_rel = max(res.rel_diff for res in results)
     values = [res.closed_form for res in results]
@@ -245,12 +246,13 @@ def helper_sum(n):
     return float(_pairwise_sums(terms, 1, n)[0]) / math.log(n) ** 2
 
 
-def check_cutoff_decay(n_small=10 ** 3, n_large=10 ** 6, lo=0.4, hi=0.6):
+def check_cutoff_decay():
     """Ratio test for the 1/log n decay of the cutoff functional.
 
     Exact 1/log n decay would give log(n_small)/log(n_large); lower-order
     terms shift the ratio, and the [lo, hi] window tolerates them.
     """
+    n_small, n_large, lo, hi = 10 ** 3, 10 ** 6, 0.4, 0.6
     small = helper_sum(n_small)
     large = helper_sum(n_large)
     ratio = large / small
@@ -289,7 +291,7 @@ def ground_weight_mass_terms(model, r_max, gamma=0):
     return terms
 
 
-def check_null_criticality(model, gamma=0, r_max=10 ** 4, min_increment_ratio=0.7):
+def check_null_criticality(model, gamma=0, r_max=10 ** 4):
     """Divergence test for the ground-weight mass sum.
 
     Partial sums are compared at r_max/4, r_max/2 and r_max: both late
@@ -298,6 +300,7 @@ def check_null_criticality(model, gamma=0, r_max=10 ** 4, min_increment_ratio=0.
     ratio 1, polynomial divergence more; a convergent sum sends the ratio
     to 0 and fails.
     """
+    min_increment_ratio = 0.7
     if r_max < 16:
         raise InvalidParameterError("r_max too small to compare increments")
     terms = ground_weight_mass_terms(model, r_max, gamma=gamma)
@@ -337,8 +340,7 @@ def default_probe_bases(r_max, window):
     return bases
 
 
-def optimality_probe(model, weight_values, lam, window, r_max,
-                     bases=None, threshold=-1e-9):
+def optimality_probe(model, weight_values, lam, window, r_max, bases=None):
     """Try to refute improving the weight by lam on windows [b, b + window].
 
     For each base the Dirichlet section on [1, r_max] with the inflated
@@ -368,6 +370,7 @@ def optimality_probe(model, weight_values, lam, window, r_max,
     """
     if not 0 < lam < math.inf:  # also refuses NaN
         raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
+    threshold = -1e-9
     if window < 0:
         raise InvalidParameterError("window must be nonnegative")
     if r_max > model.depth - 1:
@@ -418,10 +421,6 @@ def optimality_probe(model, weight_values, lam, window, r_max,
                 if not negative:
                     good[stop:end] = trail[stop:end]
         (refuted if negative else unrefuted).append(b)
-    notes = [
-        "a refuted base is conclusive; an unrefuted base only means the "
-        "section was too short to decide",
-    ]
     params = {
         "model": model.label,
         "lam": lam,
@@ -441,12 +440,12 @@ def optimality_probe(model, weight_values, lam, window, r_max,
             "refuted_fraction": len(refuted) / len(bases),
         },
         params=params,
-        notes=tuple(notes),
+        notes=("a refuted base is conclusive; an unrefuted base only means the "
+               "section was too short to decide",),
     )
 
 
-def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0,
-                         b_values=None, threshold=-1e-9):
+def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0, b_values=None):
     """Refute the multiplicatively inflated weight (1 + lam) w outside a ball.
 
     The weight is inflated on all radii >= r_lo and the Dirichlet form is
@@ -459,6 +458,7 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0,
     """
     if not 0 < lam < math.inf:  # also refuses NaN
         raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
+    threshold = -1e-9
     if r_lo < 1:
         raise InvalidParameterError("r_lo must be at least 1")
     if b_max is None:
@@ -486,11 +486,8 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0,
     diag, coupling, pivmin = _sturm_rows(
         hardy_form_matrix(model, inflated, r_lo, b_values[-1])
     )
-    first_refuted = None
-    checked = 0
-    row, q = 0, 1.0
-    for b in b_values:
-        checked += 1
+    first_refuted, row, q = None, 0, 1.0
+    for checked, b in enumerate(b_values, 1):
         stop = b - r_lo + 1
         negative, q = _pivot_sweep(
             zip(diag[row:stop], coupling[row:stop]), threshold, q, pivmin
@@ -524,7 +521,7 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0,
 
 # -- ground state identity ----------------------------------------------------
 
-def check_ground_state_identity(model, gamma, radius, level="radial", tol=1e-10):
+def check_ground_state_identity(model, gamma, radius, level="radial"):
     """Verify (difference operator on sqrt u) = weight * sqrt u pointwise.
 
     level "radial" applies the radial operator to the exact ground profile;
@@ -534,6 +531,7 @@ def check_ground_state_identity(model, gamma, radius, level="radial", tol=1e-10)
     back to an honest graph.
     """
     gamma = _check_gamma(gamma)
+    tol = 1e-10
     r_min = 0 if gamma > 0 else 1
     p, q = _ground_pairs(model, gamma, radius + 1)
     sqrt_u = np.array([math.sqrt(a / b) for a, b in zip(p, q)])
@@ -571,8 +569,7 @@ def check_ground_state_identity(model, gamma, radius, level="radial", tol=1e-10)
     )
 
 
-def check_ground_state_transform(model, gamma, radius, n_samples=100,
-                                 seed=2026, tol=1e-11):
+def check_ground_state_transform(model, gamma, radius, seed=2026):
     """Quadratic-form identity behind every Hardy claim here, on random data.
 
     For v = sqrt(ground) and any finitely supported phi,
@@ -587,28 +584,28 @@ def check_ground_state_transform(model, gamma, radius, n_samples=100,
     then drop out of the right side on their own.
     """
     gamma = _check_gamma(gamma)
+    n_samples, tol = 100, 1e-11
     if radius < 3:
         raise InvalidParameterError("radius must be at least 3")
     graph = expand_vertex_graph(model, radius)
     p, q = _ground_pairs(model, gamma, radius)
     v = np.array([math.sqrt(a / b) for a, b in zip(p, q)])[graph.radius_of]
-    w = closed_form_weight(model, gamma, radius).values
+    w = closed_form_weight(model, gamma, radius).values[graph.radius_of]
 
     interior = graph.radius_of <= radius - 1
     if gamma == 0:
         interior &= graph.radius_of >= 1
     n_interior = int(np.count_nonzero(interior))
     x, y = graph.edges[:, 0], graph.edges[:, 1]
+    vxy = v[x] * v[y]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         phi = np.zeros(graph.n_vertices)
         phi[interior] = rng.standard_normal(n_interior)
-        lhs = vertex_energy(graph, phi) - float(
-            np.sum(w[graph.radius_of] * phi * phi)
-        )
+        lhs = vertex_energy(graph, phi) - float(np.sum(w * phi * phi))
         g = np.divide(phi, v, out=np.zeros_like(phi), where=v > 0)
-        rhs = float(np.sum(v[x] * v[y] * (g[x] - g[y]) ** 2))
+        rhs = float(np.sum(vxy * (g[x] - g[y]) ** 2))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return VerificationReport(
         check="ground-state-transform",
@@ -627,7 +624,7 @@ def check_ground_state_transform(model, gamma, radius, n_samples=100,
 
 # -- structural side checks ---------------------------------------------------
 
-def check_bounded_oscillation(model, r_max, bound=100.0):
+def check_bounded_oscillation(model, r_max):
     """Window check that consecutive ground values have bounded ratios.
 
     The exact ratio u(r+1)/u(r) = (1 + 1/r)/kappa(r) is evaluated on
@@ -637,6 +634,7 @@ def check_bounded_oscillation(model, r_max, bound=100.0):
     """
     if r_max > model.depth - 1:
         raise NeedsTailError(f"ratios to {r_max} need depth > {r_max}")
+    bound = 100.0
     kp, km = model.exact_degrees(r_max)
     r = np.arange(1, r_max + 1, dtype=kp.dtype)
     # (1 + 1/r) / kappa(r) as one exact quotient, rounded once
@@ -668,20 +666,17 @@ def _ground_decreasing(model, r_max):
     return True
 
 
-def check_properness(model, r_max=None):
+def check_properness(model):
     """Proxy for the ground profile vanishing at infinity.
 
     Requires a transient verdict.  The second half of u(r) = r / area(r)
-    on [1, r_max] must be strictly decreasing, decided exactly from the
+    on [1, depth] must be strictly decreasing, decided exactly from the
     degrees: u(r + 1) < u(r) exactly when (r + 1) k_minus(r) < r k_plus(r).
-    The total drop log u(1) - log u(r_max) must be at least log 2.  A
+    The total drop log u(1) - log u(depth) must be at least log 2.  A
     geometric tail upgrades the window verdict to a certificate, since
     r / area(r) -> 0 whenever area grows at a fixed ratio > 1.
     """
-    if r_max is None:
-        r_max = model.depth
-    if r_max < 1:
-        raise InvalidParameterError(f"properness needs r_max >= 1, got {r_max}")
+    r_max = model.depth
     if not transience_test(model):
         return VerificationReport(
             check="properness-proxy",
@@ -711,7 +706,7 @@ def check_properness(model, r_max=None):
     )
 
 
-def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
+def check_lambda0_bound(model):
     """Certify the spectral-bottom lower bound on homogeneous models.
 
     For models with kappa(r) and k_minus(r) constant over the stored range
@@ -723,6 +718,7 @@ def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
     elimination pivots, at sizes far beyond dense reach.
     """
     depth = model.depth
+    tol = 1e-9
     kap0 = model.kappa(1)
     km0 = model.k_minus(1)
     # kappa and k_minus are constant exactly when k_plus and k_minus are
@@ -738,12 +734,9 @@ def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
             notes=("kappa or k_minus varies; the constant-ratio bound does not apply",),
         )
     shift = float(km0) * (math.sqrt(float(kap0)) - 1.0) ** 2
-    radii = sorted(set(min(int(R), depth - 1) for R in section_radii))
-    bottoms = []
+    radii = sorted({min(R, depth - 1) for R in (64, 256, 1024)})
     zeros = np.zeros(depth)
-    for R in radii:
-        form = hardy_form_matrix(model, zeros, 0, R)
-        bottoms.append(smallest_eigenvalue(form))
+    bottoms = [smallest_eigenvalue(hardy_form_matrix(model, zeros, 0, R)) for R in radii]
     decreasing = all(b2 < b1 + tol for b1, b2 in zip(bottoms, bottoms[1:]))
     above = all(b >= shift - tol for b in bottoms)
 
@@ -756,9 +749,7 @@ def check_lambda0_bound(model, section_radii=(64, 256, 1024), tol=1e-9):
     ball_radius = max(radii)
     k_plus = kp[: ball_radius + 1]
     if km0 == 1 and not any(k_plus % 1):
-        vertex_bottom = tree_ball_bottom_eigenvalue(
-            k_plus, np.zeros(ball_radius + 1), tol=1e-11
-        )
+        vertex_bottom = tree_ball_bottom_eigenvalue(k_plus, np.zeros(ball_radius + 1))
         residuals["vertex_ball_bottom"] = vertex_bottom
         vertex_ok = vertex_bottom >= shift - tol
     ok = decreasing and above and vertex_ok

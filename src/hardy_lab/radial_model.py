@@ -659,7 +659,8 @@ def _parse(token, where, convert=Fraction):
 
 
 def load_model(path):
-    """Read a model written by save_model, as a make_custom model."""
+    """Read a model written by save_model, as a make_custom model; the rows
+    must satisfy a geometric tail line: k_plus(r) = kappa_inf k_minus(r) from its start."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
     lines = [ln.strip() for ln in raw_lines]
@@ -708,6 +709,11 @@ def load_model(path):
         raise InvalidParameterError(
             f"{path}: exactly the final row must use '-' for k_plus"
         )
-    return make_custom(
-        k_plus[:-1], k_minus, vol, tail=tail, label=label or "custom"
-    )
+    model = make_custom(k_plus[:-1], k_minus, vol, tail=tail, label=label or "custom")
+    if tail and tail.kind == "eventually-geometric":
+        a, b = tail.kappa_inf.numerator, tail.kappa_inf.denominator
+        for r in range(tail.start, depth):
+            if k_plus[r] * b != a * k_minus[r]:
+                raise InconsistentModelError(
+                    r, f"{path}: kappa({r}) differs from the tail line's kappa_inf")
+    return model

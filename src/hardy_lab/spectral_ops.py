@@ -258,11 +258,11 @@ def eigenvalue_bounds(form):
     return lo, hi
 
 
-def smallest_eigenvalue(form, tol=None):
+def smallest_eigenvalue(form):
     """Bottom eigenvalue of the form by bisection on the Sturm count.
 
     The count is monotone in the shift, so bisection inside the Gershgorin
-    interval converges unconditionally; default tolerance is 1e-11 times the
+    interval converges unconditionally; the tolerance is 1e-11 times the
     interval width (at least 1e-11 absolute).  Each step only asks whether
     the count is at least 1, so its sweep stops at the first negative pivot:
     the pivots before it are those of the full count, and so is the decision.
@@ -274,8 +274,7 @@ def smallest_eigenvalue(form, tol=None):
     the result is the same float.
     """
     lo, hi = eigenvalue_bounds(form)
-    if tol is None:
-        tol = 1e-11 * max(1.0, hi - lo)
+    tol = 1e-11 * max(1.0, hi - lo)
     rows = _whole_form_rows(form)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -292,7 +291,7 @@ def vertex_energy(graph, values):
     """Sum over edges of (phi(x) - phi(y))**2 on an expanded graph."""
     vals = np.asarray(values, dtype=float)
     diffs = vals[graph.edges[:, 0]] - vals[graph.edges[:, 1]]
-    return float(diffs @ diffs)
+    return float(np.sum(diffs * diffs))  # no BLAS dot: it rounds by thread count
 
 
 def vertex_laplacian(graph, values):

@@ -129,8 +129,9 @@ def test_criterion_05_criticality_routes_agree_and_decay():
     assert rep.residuals["value_at_largest_n"] == pytest.approx(
         0.15323405529728517, rel=1e-9
     )
-    decay = check_cutoff_decay(n_small=10 ** 3, n_large=10 ** 6)
+    decay = check_cutoff_decay()
     assert decay.status == "pass"
+    assert (decay.params["n_small"], decay.params["n_large"]) == (10 ** 3, 10 ** 6)
     assert 0.4 <= decay.residuals["ratio"] <= 0.6
 
 
@@ -170,8 +171,9 @@ def test_criterion_07_inflated_weight_refuted_baseline_survives():
 def test_criterion_08_spectral_bottom_bound_certified():
     for d in (2, 3, 4):
         model = make_tree(d, 1100)
-        rep = check_lambda0_bound(model, section_radii=(64, 256, 1024))
+        rep = check_lambda0_bound(model)
         assert rep.status == "pass", f"d={d}"
+        assert rep.params["section_radii"] == [64, 256, 1024]
         shift = (math.sqrt(d) - 1.0) ** 2
         assert rep.residuals["final_gap"] >= -1e-9
         assert rep.residuals["vertex_ball_bottom"] >= shift - 1e-9
@@ -215,13 +217,12 @@ def test_criterion_10_continuum_residuals_second_order():
     ]
     for space in spaces:
         for which in ("sqrt-u", "sqrt-u-log"):
-            rep = check_harmonicity(
-                space, 0.5, 5.0, h_step=1e-3, which=which,
-                factor_window=(3.2, 4.8), tol=1e-4,
-            )
+            rep = check_harmonicity(space, 0.5, 5.0, h_step=1e-3, which=which)
             assert rep.status == "pass", (space.label, which)
+            assert rep.residuals["residual_coarse"] <= 1e-4
+            assert 3.2 <= rep.residuals["convergence_factor"] <= 4.8
     for space in spaces[2:]:
-        agree = check_closed_form_agreement(space, 0.1, 10.0, tol=1e-10)
+        agree = check_closed_form_agreement(space, 0.1, 10.0)
         assert agree.status == "pass", space.label
         assert agree.residuals["max_rel_diff"] <= 1e-10
 
@@ -235,9 +236,8 @@ def test_criterion_11_ground_state_transform_identity():
         (make_antitree(lambda r: r + 1, 14), Fraction(0)),
     ]
     for model, gamma in cases:
-        rep = check_ground_state_transform(
-            model, gamma, radius=8, n_samples=100, seed=2026, tol=1e-11
-        )
+        rep = check_ground_state_transform(model, gamma, radius=8, seed=2026)
         assert rep.status == "pass", (model.label, str(gamma))
+        assert rep.params["n_samples"] == 100
         assert rep.residuals["max_rel_residual"] <= 1e-11
         assert rep.params["seed"] == 2026

@@ -62,7 +62,9 @@ def test_log_areas_are_bit_identical_to_per_radius_logs(model):
 
 
 def test_log_areas_survive_a_file_round_trip(tmp_path):
-    model = varying_tree(600)
+    # varying_tree's degrees with no tail: a model file refuses the geometric
+    # tail that varying_tree declares, since its rows break it
+    model = make_custom([2 + r % 3 for r in range(600)], [0] + [1] * 600)
     path = tmp_path / "varying.model"
     save_model(model, path)
     back = load_model(path)
@@ -173,7 +175,7 @@ def scalar_sqrt_ground_kappa_margin(model, r_max):
 
 
 def assert_scans_match(model):
-    lam = check_lambda0_bound(model, section_radii=(16, 32))
+    lam = check_lambda0_bound(model)
     first = scalar_first_inhomogeneous(model)
     if first is None:
         assert lam.status != "hypothesis-not-met"

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import os
@@ -313,9 +314,9 @@ def test_malformed_gamma_exits_2(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "weight"])
-@pytest.mark.parametrize("gamma", ["1e400", "1e-400"])
+@pytest.mark.parametrize("gamma", ["1e400", "1e-400", "-1e400", "-1"])
 def test_gamma_outside_the_float_range_exits_2(capsys, command, gamma):
-    code, out, err = run(capsys, command, "--model", "tree:2:100", "--gamma", gamma)
+    code, out, err = run(capsys, command, "--model", "tree:2:100", f"--gamma={gamma}")
     assert (code, out) == (2, "")
     assert err.startswith("error: gamma") and err.count("\n") == 1 and len(err) < 200, err
 
@@ -349,6 +350,19 @@ def test_bad_integer_in_model_file_exits_2(tmp_path, capsys, bad_line):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "'x'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "green", "model"])
+def test_model_file_whose_rows_break_its_tail_line_exits_2(tmp_path, capsys, command):
+    # the half line is recurrent; a geometric tail line of ratio 2 once gave it
+    # a bounded-oscillation pass and a closed-form Green function
+    path = tmp_path / "line.model"
+    lines = ["radial-model v1", "tail geometric 2 1", "0 1 0 1"]
+    lines += [f"{r} 1 1 1" for r in range(1, 1200)] + ["1200 - 1 1"]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, command, "--model", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: kappa(1) differs from the tail line's kappa_inf\n"
 
 
 @pytest.mark.parametrize("depth", [120, 600, 1200])
@@ -490,26 +504,106 @@ UNREAD_EXPORTS = {"green_function_exact", "general_closed_form", "tree_weight",
                   "series_remainder_bound", "ball_form_matrix"}
 
 
+PACKAGE = Path(hardy_lab.__file__).parent
+
+
+def _exports():
+    return {alias.asname or alias.name
+            for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _trees(paths):
+    return [(path, ast.parse(path.read_text())) for path in sorted(paths)]
+
+
 def test_every_other_export_has_a_reader_in_the_package():
-    package = Path(hardy_lab.__file__).parent
-    exports = {alias.asname or alias.name
-               for node in ast.parse((package / "__init__.py").read_text()).body
-               if isinstance(node, ast.ImportFrom) for alias in node.names}
     loaded = set()
-    for module in package.glob("*.py"):
+    for module, tree in _trees(PACKAGE.glob("*.py")):
         if module.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(module.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert exports - loaded == UNREAD_EXPORTS
+    assert _exports() - loaded == UNREAD_EXPORTS
+
+
+# defaulted parameters of exports that only tests set: oracle knobs
+UNSET_PARAMETERS = {
+    # the sweep oracles of test_sturm_sweep.py drive arbitrary annuli through them
+    ("inflation_refutation", "r_lo"), ("inflation_refutation", "b_values"),
+    # the 50-digit reference of test_acceptance.py and test_hardy_weights.py
+    ("fitzsimmons_weight", "dps"),
+    # compared against a reference at several tolerances in test_spectral_ops.py
+    ("tree_ball_bottom_eigenvalue", "tol"),
+}
+
+
+def test_every_defaulted_parameter_of_an_export_has_a_caller():
+    # a check's thresholds are fixed and written into its report's params: a
+    # default that no verdict path, command or benchmark workload passes is a
+    # constant, not a parameter
+    signatures = {name: inspect.signature(getattr(hardy_lab, name)).parameters
+                  for name in _exports() if inspect.isfunction(getattr(hardy_lab, name))}
+    defaulted = {(name, p) for name, params in signatures.items()
+                 for p, spec in params.items() if spec.default is not spec.empty}
+    passed = set()
+    bench = PACKAGE.parent.parent / "bench"
+    for _, tree in _trees([*PACKAGE.glob("*.py"), *bench.glob("*.py")]):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in signatures:
+                passed |= {(name, p) for p in list(signatures[name])[:len(node.args)]}
+                passed |= {(name, kw.arg) for kw in node.keywords}
+    assert defaulted - passed == UNSET_PARAMETERS
+
+
+BLAS_NAMES = {"@", "dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg"}
+
+
+def _used_names(node):
+    """The operator, attribute or imported module path a node names."""
+    if isinstance(getattr(node, "op", None), ast.MatMult):
+        return {"@"}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return set(node.name.split("."))
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split("."))
+    return set()
+
+
+def test_no_blas_call_in_the_package():
+    # BLAS splits a long product across threads, so its rounding, and every
+    # byte printed from it, would follow the host's thread count
+    found = [f"{module.name}:{node.lineno}"
+             for module, tree in _trees(PACKAGE.glob("*.py")) for node in ast.walk(tree)
+             if _used_names(node) & BLAS_NAMES]
+    assert found == []
+
+
+def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
+    # antitree:poly:2's radius-8 ball has 11568 edges, enough for OpenBLAS to
+    # split a dot product; two threads at most
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "hardy_lab.cli", "verify", "--model",
+                               "antitree:poly:2:1200", "--json"], capture_output=True, env=env)
+        assert done.returncode in (0, 1, 3), done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 def test_importing_the_command_line_loads_no_mpmath():
     # a fresh interpreter: this test process has mpmath loaded for the references
-    src = str(Path(hardy_lab.__file__).parent.parent)
+    src = str(PACKAGE.parent)
     probe = "import sys, hardy_lab.cli; print('mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout

@@ -76,8 +76,8 @@ def test_non_numbers_are_refused(bad):
 
 
 @pytest.mark.parametrize("gamma", [Fraction(10) ** 400, 10 ** 309, Fraction(1, 10 ** 400),
-                                   Fraction(math.ulp(0.0)) / 3],
-                         ids=["1e400", "1e309", "1e-400", "ulp/3"])
+                                   Fraction(math.ulp(0.0)) / 3, -Fraction(10) ** 400, -1],
+                         ids=["1e400", "1e309", "1e-400", "ulp/3", "-1e400", "-1"])
 def test_gamma_outside_the_float_range_is_refused(gamma):
     tree = make_tree(2, 40)
     for call in (lambda: closed_form_weight(tree, gamma, 5),

@@ -281,7 +281,7 @@ def test_probe_window_must_fit(tree2):
 
 
 def test_ground_state_transform_residual(tree2):
-    rep = check_ground_state_transform(tree2, 0, radius=8, n_samples=50, seed=11)
+    rep = check_ground_state_transform(tree2, 0, radius=8, seed=11)
     assert rep.status == "pass"
     assert rep.residuals["max_rel_residual"] <= 1e-11
 
@@ -351,13 +351,8 @@ def test_properness_window_is_decided_exactly_on_a_tie(tie, status):
     assert rep.residuals["log_drop"] == log_u[0] - log_u[-1]
 
 
-def test_properness_needs_a_radius():
-    with pytest.raises(InvalidParameterError, match="r_max"):
-        check_properness(make_tree(2, 40), r_max=0)
-
-
 def test_lambda0_bound_on_trees(tree2):
-    rep = check_lambda0_bound(tree2, section_radii=(16, 64, 256))
+    rep = check_lambda0_bound(tree2)
     assert rep.status == "pass"
     shift = (math.sqrt(2) - 1) ** 2
     assert rep.residuals["shift"] == pytest.approx(shift, rel=1e-15)
@@ -366,6 +361,6 @@ def test_lambda0_bound_on_trees(tree2):
 
 
 def test_lambda0_bound_needs_homogeneous_model(antitree_linear):
-    rep = check_lambda0_bound(antitree_linear, section_radii=(16, 64))
+    rep = check_lambda0_bound(antitree_linear)
     assert rep.status == "hypothesis-not-met"
     assert rep.params["first_inhomogeneous_radius"] >= 2

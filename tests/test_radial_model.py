@@ -210,6 +210,61 @@ def test_save_load_antitree_round_trip(tmp_path):
         assert back.area(r) == m.area(r)
 
 
+def _write_model(path, tail_line, rows):
+    lines = ["radial-model v1", tail_line]
+    lines += [f"{r} {'-' if r == len(rows) - 1 else kp} {km} {v}"
+              for r, (kp, km, v) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("tail_line, bad", [("tail geometric 2 1", 1),
+                                            ("tail geometric 2", 1),
+                                            ("tail geometric 1 1", None),
+                                            ("tail geometric 1 1300", None)])
+def test_a_geometric_tail_line_is_checked_against_the_rows(tmp_path, tail_line, bad):
+    # the half line: k_plus = k_minus = vol = 1, kappa = 1 at every radius
+    path = tmp_path / "line.model"
+    _write_model(path, tail_line, [(1, 0 if r == 0 else 1, 1) for r in range(1201)])
+    if bad is None:
+        assert load_model(path).tail.kind == "eventually-geometric"
+    else:
+        with pytest.raises(InconsistentModelError, match=f"kappa\\({bad}\\)") as info:
+            load_model(path)
+        assert info.value.radius == bad
+
+
+def test_a_geometric_tail_line_is_checked_from_its_start_exactly(tmp_path):
+    # kappa 3 at radius 1, then 3/2 from radius 2 on; the last row has no k_plus
+    rows = [(1, 0, 1), (3, 1, 1), (3, 2, Fraction(3, 2)), (3, 2, Fraction(9, 4)),
+            (3, 2, Fraction(27, 8)), (None, 2, Fraction(81, 16))]
+    path = tmp_path / "late.model"
+    _write_model(path, "tail geometric 3/2 2", rows)
+    assert load_model(path).tail.kappa_inf == Fraction(3, 2)
+    _write_model(path, "tail geometric 3/2 1", rows)
+    with pytest.raises(InconsistentModelError) as info:
+        load_model(path)
+    assert info.value.radius == 1
+    # one part in 10**40 off at radius 3 is caught
+    rows[3] = (3 + Fraction(1, 10 ** 40), 2, Fraction(9, 4))
+    rows[4] = (3, 2, rows[3][0] * Fraction(9, 8))
+    rows[5] = (None, 2, rows[4][2] * Fraction(3, 2))
+    _write_model(path, "tail geometric 3/2 2", rows)
+    with pytest.raises(InconsistentModelError) as info:
+        load_model(path)
+    assert info.value.radius == 3
+
+
+def test_saved_geometric_tails_load_back(tmp_path):
+    path = tmp_path / "saved.model"
+    late = make_custom([1, 3, 3, 3, 3], [0, 1, 2, 2, 2, 2],
+                       tail=Tail("eventually-geometric", kappa_inf=Fraction(3, 2), start=2))
+    for model in (make_tree(2, 1200), make_tree(5, 40), late):
+        save_model(model, path)
+        back = load_model(path)
+        assert back.tail == model.tail
+        assert back.radial_data() == model.radial_data()
+
+
 def test_expand_tree_counts():
     g = expand_vertex_graph(make_tree(2, 8), 5)
     assert g.n_vertices == 2 ** 6 - 1
