@@ -171,6 +171,32 @@ class GreenProfile:
         return int(self.values.shape[0] - 1)
 
 
+def _stretch_log(ell, s, hi, x):
+    """l(s) from x = l(hi + 1), where ell[s..hi] are log kappa values > 0.
+
+    area(s + 1) G(s) = sum_{k < K} exp(-c_k) + exp(x - c_K), K = hi + 1 - s,
+    with c_k = ell[s] + ... + ell[s + k - 1] increasing from c_0 = 0: every
+    term is at most 1 and the nearest ones dominate.  Each c_k is a cumsum
+    plus the cumsum of its exact (TwoSum) rounding errors, formed one block
+    of radii at a time with (c, comp, rest) carried across blocks.  The
+    term k = 0 is kept out of the sum, which enters log1p.  exp(x - c_K)
+    cannot overflow: as the areas increase above hi, area(hi + 2) G(hi + 1)
+    is at most depth + kappa_inf / (kappa_inf - 1), so x < 50.
+    """
+    c = comp = rest = 0.0  # rest: the terms 1 <= k < K
+    for b0, b1 in _window_blocks(s, hi + 1):
+        step = ell[b0:b1]
+        sums = np.cumsum(np.concatenate(([c], step)))
+        prev, new = sums[:-1], sums[1:]
+        back = new - prev
+        errs = np.cumsum(np.concatenate(([comp], (prev - (new - back)) + (step - back))))
+        terms = np.exp(-prev)
+        terms -= terms * errs[:-1]  # exp(-c_k), to first order in the error
+        rest += terms[1:].sum() if b0 == s else terms.sum()
+        c, comp = float(new[-1]), float(errs[-1])
+    return math.log1p(rest + math.exp((x - c) - comp))
+
+
 def _log_green(model, r_max):
     """l(r) = log(area(r + 1) G(r)) and the GreenProfile (log G = l - log
     area) on 0..r_max, the profile with its tail metadata.
@@ -179,6 +205,16 @@ def _log_green(model, r_max):
     a geometric tail, or 0 for a truncated one, by G(r) = G(r + 1) +
     1/area(r + 1), i.e. l(r) = log(1 + exp(l(r + 1) - log kappa(r + 1))):
     a step contracting where kappa > 1, whose values stay of order one.
+
+    Runs of equal kappa end at the step's float fixed point and are filled.
+    Only l(0..r_max) is reported: on the top stretch [s, depth - 2], s >=
+    r_max, on which every kappa(r + 1) > 1 (the areas increase), a walk
+    that meets a change of kappa, so no run to fill, takes one sum for l(s)
+    in place of a step per radius (see ``_stretch_log``).  Below s the
+    steps are taken one radius at a time, and so are the stretches where
+    the areas fall: there a sum's terms exceed 1 and the farthest ones,
+    with the largest exponents, dominate; rounding those exponents to
+    doubles costs eps times their size.
     """
     if not transience_test(model):
         raise NoGreenFunctionError(
@@ -205,27 +241,36 @@ def _log_green(model, r_max):
     ell = np.empty(depth)
     np.log(model.kappa_floats(depth - 1)[1:], out=ell[:-1])
     ell[-1] = x = top
+    # [s, depth - 2], s >= r_max: the top stretch on which the areas increase
+    no_growth = ell[r_max:depth - 1] <= 0
+    s = r_max + no_growth.size - int(no_growth[::-1].argmax()) if no_growth.any() else r_max
     view = memoryview(ell)
     breaks = None
     hi = depth - 2
     while hi >= 0:
         for r in range(hi, -1, -1):
+            if r > s and view[r - 1] != view[r]:
+                # kappa changes below r, so no run to fill: one sum to s
+                view[s] = x = _stretch_log(ell, s, r, x)
+                hi = s - 1
+                break
             z = x - view[r]  # then log(1 + exp(z)), without overflow
             y = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
             if y == x:
+                # the step at r returns its input, and so does every step
+                # below it in the same run of equal log kappa: fill the run,
+                # whose start is found among the log kappa values ell[:r + 1]
+                # still holds
+                if breaks is None:
+                    breaks = np.flatnonzero(ell[1:r + 1] != ell[:r]) + 1
+                i = np.searchsorted(breaks, r, side="right")
+                start = int(breaks[i - 1]) if i else 0
+                ell[start:r + 1] = x
+                hi = start - 1
                 break
             view[r] = x = y
         else:
             break
-        # the step at r returns its input, and so does every step below it
-        # in the same run of equal log kappa: fill the run, whose start is
-        # found among the log kappa values ell[:r + 1] still holds
-        if breaks is None:
-            breaks = np.flatnonzero(ell[1:r + 1] != ell[:r]) + 1
-        i = np.searchsorted(breaks, r, side="right")
-        start = int(breaks[i - 1]) if i else 0
-        ell[start:r + 1] = x
-        hi = start - 1
     ell = ell[: r_max + 1]
     log_values = ell - model.log_area_floats(r_max + 1)[1:]
     with np.errstate(under="ignore"):

@@ -10,8 +10,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # more random cases for the bit-exact sweep, spectral, ground-ratio, radial
-# storage and Green window oracles, in one CI step ("Oracles with more
-# examples"): pytest tests/test_sturm_sweep.py tests/test_spectral_ops.py
+# storage, Green window and Green weight oracles, in one CI step ("Oracles
+# with more examples"): pytest tests/test_sturm_sweep.py tests/test_spectral_ops.py
 # tests/test_ground_ratio.py tests/test_radial_model.py tests/test_greens.py
 # --hypothesis-profile=ci
 settings.register_profile("ci", parent=settings.get_profile("suite"), max_examples=300)

@@ -73,18 +73,25 @@ def test_green_weight_on_trees_is_exact_to_rounding(d):
     assert np.max(np.abs(w[1:] - (math.sqrt(d) - 1) ** 2)) <= 1e-15
 
 
-def _green_weight_reference(model, r_max, dps=50):
-    """The Green weight from the truncated sums G(r) = sum 1/area(n), n > r,
-    evaluated at ``dps`` digits straight from its definition."""
+def _mp(x):
+    """An int or Fraction as an mpf at the working precision."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _green_weight_reference(model, r_max, dps=50, g_depth=0):
+    """The Green weight from the sums G(r) = g_depth + sum 1/area(n) over
+    depth >= n > r, evaluated at ``dps`` digits straight from its
+    definition; g_depth = 0 truncates G at the stored depth."""
     with mpmath.workdps(dps):
-        g = [mpmath.mpf(0)] * (model.depth + 1)
+        g = [mpmath.mpf(0)] * model.depth + [_mp(g_depth)]
         for r in range(model.depth - 1, -1, -1):
-            g[r] = g[r + 1] + 1 / mpmath.mpf(model.area(r + 1))
+            g[r] = g[r + 1] + 1 / _mp(model.area(r + 1))
         ref = []
         for r in range(r_max + 1):
-            w = model.k_plus(r) * (1 - mpmath.sqrt(g[r + 1] / g[r]))
+            w = _mp(model.k_plus(r)) * (1 - mpmath.sqrt(g[r + 1] / g[r]))
             if r > 0:
-                w += model.k_minus(r) * (1 - mpmath.sqrt(g[r - 1] / g[r]))
+                w += _mp(model.k_minus(r)) * (1 - mpmath.sqrt(g[r - 1] / g[r]))
             ref.append(float(w))
     return np.array(ref)
 
@@ -115,6 +122,48 @@ def test_green_route_survives_areas_that_climb_and_fall():
     # tail is below 2**-1200 of G(r) here
     assert np.max(np.abs(w - _green_weight_reference(model, 128))) <= 1e-14
     assert np.all(np.isfinite(green_weight(model, 1000)[1].log_values))
+
+
+_extra_degree = st.one_of(
+    st.integers(1, 3),
+    st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _increasing_models(draw):
+    """Models whose areas increase at every radius, with the G(depth) of
+    their tail: polynomial antitrees (truncated at depth) and custom models
+    with k_plus > k_minus, periodic degrees and a declared geometric tail."""
+    depth = draw(st.integers(6, 1000))
+    if draw(st.booleans()):
+        a, b, p = draw(st.integers(1, 5)), draw(st.integers(0, 10)), draw(st.integers(1, 3))
+        return make_antitree(lambda r: a * r ** p + b * r + 1, depth), 0
+    period = draw(st.lists(st.tuples(_exact_degree, _extra_degree), min_size=1, max_size=6))
+    tail_km, tail_extra = draw(st.tuples(_exact_degree, _extra_degree))
+    start = draw(st.integers(1, depth - 1))
+    degrees = [period[r % len(period)] for r in range(start)]
+    degrees += [(tail_km, tail_extra)] * (depth - start)
+    k_minus = [km for km, _ in degrees]
+    k_plus = [km + extra for km, extra in degrees]
+    kappa = Fraction(k_plus[-1]) / k_minus[-1]
+    model = make_custom(k_plus, [0] + k_minus[1:] + [tail_km],
+                        tail=Tail("eventually-geometric", kappa_inf=kappa, start=start))
+    # sum over n > depth of 1/area(n), area(n) = area(depth) kappa**(n - depth)
+    return model, 1 / (model.area(depth) * (kappa - 1))
+
+
+@given(case=_increasing_models(), data=st.data())
+def test_green_weight_on_increasing_areas_matches_50_digits(case, data):
+    # the summed stretch, in blocks of 3 radii (several carries) or whole
+    model, g_depth = case
+    r_max = data.draw(st.integers(3, min(300, model.depth - 3)))
+    block = data.draw(st.sampled_from([3, radial_model._WINDOW_BLOCK]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_model, "_WINDOW_BLOCK", block)
+        w, _ = green_weight(model, r_max)
+    ref = _green_weight_reference(model, r_max, g_depth=g_depth)
+    assert np.max(np.abs(w - ref) / ref) <= 2e-14
 
 
 def test_optimal_weight_dominates_green_on_tree(tree2):
@@ -379,6 +428,64 @@ def test_green_recursion_matches_one_step_per_radius(runs):
                         tail=Tail("eventually-geometric", kappa_inf=Fraction(3)))
     ell, _ = greens._log_green(model, model.depth - 1)
     assert ell.tobytes() == reference_log_green(model).tobytes()
+
+
+def _growing_custom_model(depth):
+    # kappa(r) = (r + 3)/(r + 1) up to depth - 1000, then a geometric tail
+    # with kappa 2, whose top value log 2 is a fixed point of its step
+    start = depth - 1000
+    k_plus = [r + 3 for r in range(start)] + [2] * 1000
+    k_minus = [0] + [r + 1 for r in range(1, start)] + [1] * 1001
+    return make_custom(k_plus, k_minus,
+                       tail=Tail("eventually-geometric", kappa_inf=2, start=start))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_antitree(lambda r: (r + 1) ** 2, 20_000),
+    lambda: _growing_custom_model(20_000),
+    # kappa(r) = (r // 2 + 3)/(r // 2 + 1): runs of two, too short to reach
+    # a fixed point
+    lambda: make_custom([r // 2 + 3 for r in range(20_000)],
+                        [0] + [r // 2 + 1 for r in range(1, 20_001)]),
+], ids=["antitree-poly-2", "custom-geometric-tail", "custom-runs-of-two"])
+def test_green_recursion_sums_the_stretch_above_r_max(monkeypatch, build):
+    # about one step per reported radius: the increasing stretch above
+    # r_max is one sum, not 20000 steps
+    model = build()
+    counting = CountingMath()
+    monkeypatch.setattr(greens, "math", counting)
+    greens._log_green(model, 128)
+    assert counting.log1p_calls <= 130
+
+
+def test_green_recursion_keeps_falling_areas_on_the_loop():
+    # the model of test_green_route_survives_areas_that_climb_and_fall: its
+    # only increasing stretch above r = 128 is the tail run, filled at its
+    # fixed point, so every step below is the loop's
+    k_plus = [4] * 600 + [1] * 600 + [2] * 1200
+    k_minus = [0] + [1] * 600 + [4] * 600 + [1] * 1200
+    model = make_custom(k_plus, k_minus,
+                        tail=Tail("eventually-geometric", kappa_inf=2, start=1201))
+    ell, _ = greens._log_green(model, 128)
+    assert ell.tobytes() == reference_log_green(model)[:129].tobytes()
+
+
+@pytest.mark.parametrize("block", [1000, radial_model._WINDOW_BLOCK])
+@pytest.mark.parametrize("x", [0.0, 20.0])
+def test_stretch_sum_is_not_misled_by_cumsum_rounding(monkeypatch, block, x):
+    # a constant log kappa whose low bits a plain cumsum rounds the same way
+    # at every step within a binade of the partial sums: that sum lands
+    # about 20 ulp off
+    monkeypatch.setattr(radial_model, "_WINDOW_BLOCK", block)
+    ell = np.full(8192, 2.0 ** -10 + 0.4 * 2.0 ** -50)
+    with mpmath.workdps(40):
+        c = total = mpmath.mpf(0)
+        for v in ell:
+            total += mpmath.exp(-c)
+            c += mpmath.mpf(float(v))
+        ref = float(mpmath.log(total + mpmath.exp(x - c)))
+    got = greens._stretch_log(ell, 0, ell.size - 1, x)
+    assert abs(got - ref) <= math.ulp(ref)
 
 
 def test_green_recursion_fixed_point_on_a_run_of_one():
