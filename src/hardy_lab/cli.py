@@ -76,8 +76,11 @@ def _parse_model_spec(text):
         p, depth = _spec_int(parts[2], text), _spec_int(parts[3], text)
         if p < 0:
             raise InvalidParameterError("antitree exponent must be nonnegative")
-        return make_antitree(map(pow, range(1, depth + 2), itertools.repeat(p)), depth,
-                             label=f"antitree(poly,{p})")
+        if p < 63 and (depth + 1) ** p < 2 ** 63:  # (r + 1)**p fits int64 up to r = depth
+            sizes = np.arange(1, depth + 2, dtype=np.int64) ** p
+        else:
+            sizes = map(pow, range(1, depth + 2), itertools.repeat(p))
+        return make_antitree(sizes, depth, label=f"antitree(poly,{p})")
     if parts[0] == "file" and len(parts) >= 2:
         return load_model(text.partition(":")[2])
     raise InvalidParameterError(

@@ -8,10 +8,13 @@ on the distance to the root.  The boundary area
     area(r) = k_minus(r) * vol(r) = k_plus(r - 1) * vol(r - 1)
 
 ties the three sequences together; constructors reject data that breaks the
-identity.  Radial data is always exact: every entry is an int or a
+identity.  Radial data is always exact: every value is an int or a
 Fraction, floats are taken at their exact binary value on entry, so
 downstream checks can separate genuine numerical error from modelling
-error.
+error.  A sequence of ints that all lie below 2**63 is stored as an int64
+array and any other as an object array of the values; the accessors return
+Python ints and Fractions either way, and no product of stored entries is
+ever formed in int64.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ MAX_EDGE_EXPANSION = 2_000_000
 
 # Integers below this are exact in float64.
 _EXACT_FLOAT_LIMIT = 2 ** 53
+# Integer sequences whose entries all lie below this are stored as int64.
+_INT64_LIMIT = 2 ** 63
 _FLOAT_MAX = sys.float_info.max
 # Radii per block in the scans of the tail window [depth/2, depth]: a scan
 # holds arrays of about this length, never of the window's.
@@ -99,6 +104,40 @@ def _frozen(arr):
     return arr
 
 
+def _stored(values):
+    """An object array of exact nonnegative values as a model stores it:
+    int64 when every entry is an int below 2**63, the array itself
+    otherwise."""
+    if set(map(type, values)) == {int} and values.max() < _INT64_LIMIT:
+        return values.astype(np.int64)
+    return values
+
+
+def _object_views(*arrays):
+    """The stored arrays as object arrays of their values, each int64
+    buffer converted once: contiguous int64 slices of one 1-D array become
+    slices of one object copy of it, and a zero-stride view a zero-stride
+    view of one int.  Object arrays come back as they are."""
+    copies, out = {}, []
+    for a in arrays:
+        base = a if a.base is None else a.base
+        if a.dtype == object:
+            pass
+        elif a.strides == (0,):
+            a = np.broadcast_to(np.array(a.item(0), dtype=object), a.shape)
+        elif (isinstance(base, np.ndarray) and base.ndim == 1
+                and base.strides == a.strides == (a.itemsize,)):
+            if id(base) not in copies:
+                copies[id(base)] = _frozen(base.astype(object))
+            start = (a.__array_interface__["data"][0]
+                     - base.__array_interface__["data"][0]) // a.itemsize
+            a = copies[id(base)][start:start + len(a)]
+        else:
+            a = _frozen(a.astype(object))
+        out.append(a)
+    return out
+
+
 def _log_of_exact(v):
     # math.log takes arbitrary-size ints, which keeps huge sphere volumes usable
     if isinstance(v, Fraction):
@@ -147,14 +186,16 @@ class RadialModel:
     raises NeedsTailError; rebuild the model deeper instead of guessing.
     Use the ``make_*`` constructors rather than instantiating directly.
 
-    The data is held exactly, in read-only object arrays of ints and
-    Fractions built once by the constructors: k_plus over radii 0..depth-1,
-    k_minus and vol over 0..depth (entry 0 of k_minus is never read).  An
-    antitree's three arrays are offset views of one array of sphere sizes.
-    A tree stores its degrees as zero-stride views of d and 1 and no
-    volumes (vol is None), since d**r is formed per call.  The per-radius
-    accessors return the stored values, and area(r) is always
-    k_minus(r) * vol(r).
+    The data is held exactly, in read-only arrays built once by the
+    constructors: k_plus over radii 0..depth-1, k_minus and vol over
+    0..depth (entry 0 of k_minus is never read).  Each array is int64 when
+    all its entries are ints below 2**63, and an object array of ints and
+    Fractions otherwise; the constructors decide this once.  An antitree's
+    three arrays are offset views of one array of sphere sizes.  A tree
+    stores its degrees as zero-stride views of d and 1 and no volumes (vol
+    is None), since d**r is formed per call.  The per-radius accessors
+    return Python ints and Fractions, never numpy scalars, and area(r) is
+    always k_minus(r) * vol(r), multiplied as Python ints.
 
     The bulk views are each built once, on first use, over the whole stored
     depth and kept read-only; the range accessors slice them, so no longer
@@ -201,13 +242,14 @@ class RadialModel:
             )
 
     def _volume(self, r):
-        return self._k_plus[0] ** r if self._vol is None else self._vol[r]
+        # item() gives a Python int from int64 storage, so d**r never wraps
+        return self._k_plus.item(0) ** r if self._vol is None else self._vol.item(r)
 
     def k_plus(self, r):
         """Outward degree at radius r (defined for r < depth)."""
         r = _as_radius(r)
         self._need(r, self._depth - 1, "k_plus")
-        return self._k_plus[r]
+        return self._k_plus.item(r)
 
     def k_minus(self, r):
         """Inward degree at radius r; the origin has none, so k_minus(0) = 0."""
@@ -215,7 +257,7 @@ class RadialModel:
         if r == 0:
             return 0
         self._need(r, self._depth, "k_minus")
-        return self._k_minus[r]
+        return self._k_minus.item(r)
 
     def vol(self, r):
         """Number of vertices on the sphere of radius r."""
@@ -229,7 +271,7 @@ class RadialModel:
         if r == 0:
             return 0
         self._need(r, self._depth, "area")
-        return self._k_minus[r] * self._volume(r)
+        return self._k_minus.item(r) * self._volume(r)
 
     def kappa(self, r):
         """Degree ratio k_plus(r) / k_minus(r) as an exact Fraction."""
@@ -239,7 +281,7 @@ class RadialModel:
                 "kappa(0) is undefined because the origin has no inward sphere"
             )
         self._need(r, self._depth - 1, "kappa")
-        return Fraction(self._k_plus[r]) / Fraction(self._k_minus[r])
+        return Fraction(self._k_plus.item(r)) / Fraction(self._k_minus.item(r))
 
     # -- bulk views (built once over the stored range, returned read-only) --
 
@@ -247,10 +289,11 @@ class RadialModel:
     def _degrees(self):
         """k_plus(0..depth-1) and k_minus(0..depth) as floats, the same in
         exact form (see ``exact_degrees``), and kappa(0..depth-1) as floats;
-        SizeLimitExceededError when a degree is past the float64 range."""
+        SizeLimitExceededError when a degree is past the float64 range.
+        On int64 storage the float views are one cast each."""
         n, kp, km = self._depth, self._k_plus, self._k_minus
         try:
-            floats = [np.array(kp, dtype=float), np.array(km, dtype=float)]
+            floats = [kp.astype(float), km.astype(float)]
         except OverflowError:
             past = np.append(kp > _FLOAT_MAX, False) | (km > _FLOAT_MAX)
             r = int(np.argmax(past))
@@ -260,15 +303,22 @@ class RadialModel:
         floats[1][0] = 0.0  # k_minus(0), whatever entry 0 stores
         kappa = np.empty(n)
         kappa[0] = np.nan
-        if (set(map(type, itertools.chain(kp, km))) == {int}
-                and max(kp.max(), km.max(), n) ** 2 < _EXACT_FLOAT_LIMIT):
+        # int64 storage holds ints only; object storage may hold any
+        ints = (kp.dtype != object and km.dtype != object
+                or set(map(type, itertools.chain(kp, km))) == {int})
+        top = int(max(kp.max(), km.max())) if ints else math.inf
+        if max(top, n) ** 2 < _EXACT_FLOAT_LIMIT:
             exact = floats
+        else:
+            kp, km = _object_views(kp, km)
+            # a tree's broadcast k_minus stores 1 at the origin
+            exact = [kp, km if km[0] == 0 else _frozen(np.concatenate(([0], km[1:])))]
+        if top < _EXACT_FLOAT_LIMIT:
+            # both degrees exact in float64: one division rounds correctly
             np.divide(floats[0][1:], floats[1][1:n], out=kappa[1:])
         else:
-            # the stored arrays themselves, but for a tree's broadcast k_minus
-            exact = [kp, km if km[0] == 0 else _frozen(np.concatenate(([0], km[1:])))]
             # one correctly rounded division per radius, as float(Fraction)
-            kappa[1:] = np.fromiter(map(operator.truediv, kp[1:], km[1:n]),
+            kappa[1:] = np.fromiter(map(operator.truediv, exact[0][1:], exact[1][1:n]),
                                     dtype=float, count=n - 1)
         return (*map(_frozen, floats), *exact, _frozen(kappa))
 
@@ -294,8 +344,10 @@ class RadialModel:
         these arrays, so kappa ratios compare and subtract exactly through
         cross products.  They are the float views when every stored degree
         is an integer small enough for those products to stay below 2**53,
-        and the stored object arrays of ints and Fractions otherwise; the
-        choice is made once per model, whatever r_hi is.
+        and object arrays of the ints and Fractions otherwise, never int64;
+        the choice is made once per model, whatever r_hi is.  Degrees
+        stored as int64 are converted once, and an antitree's two arrays
+        are views of one object copy of its sphere sizes.
         """
         upto = self._upto(r_hi, self._depth - 1, "k_plus")
         return self._degrees[2][upto], self._degrees[3][upto]
@@ -348,10 +400,14 @@ class RadialModel:
             raise InvalidParameterError("area values start at radius 1")
         self._need(r_hi, self._depth, "area")
         if self._vol is None:
+            d = self._k_plus.item(0)
             return np.fromiter(itertools.accumulate(
-                self._k_plus[r_lo:r_hi], operator.mul, initial=self._volume(r_lo)),
+                itertools.repeat(d, max(0, r_hi - r_lo)), operator.mul, initial=d ** r_lo),
                 dtype=object, count=max(0, r_hi - r_lo + 1))
-        return self._k_minus[r_lo:r_hi + 1] * self._vol[r_lo:r_hi + 1]
+        # the object loop casts int64 entries to Python ints in buffered
+        # chunks, so the products are exact and no object copy is kept
+        return np.multiply(self._k_minus[r_lo:r_hi + 1], self._vol[r_lo:r_hi + 1],
+                           dtype=object)
 
     def log_area_floats(self, r_hi):
         """Natural log of area(0..r_hi); entry 0 is -inf.
@@ -369,8 +425,8 @@ class RadialModel:
         """
         r_max = self._depth if r_max is None else _as_radius(r_max)
         self._need(r_max, self._depth, "radial_data")
-        return [(r, self._k_plus[r] if r < self._depth else None,
-                 self._k_minus[r] if r else 0, self._volume(r))
+        return [(r, self._k_plus.item(r) if r < self._depth else None,
+                 self._k_minus.item(r) if r else 0, self._volume(r))
                 for r in range(r_max + 1)]
 
 
@@ -391,8 +447,9 @@ def make_tree(d, depth):
     else:
         tail = Tail("unspecified")
     return RadialModel(
-        k_plus=np.broadcast_to(np.array(d, dtype=object), depth),
-        k_minus=np.broadcast_to(np.array(1, dtype=object), depth + 1),
+        k_plus=np.broadcast_to(np.array(d, dtype=np.int64 if d < _INT64_LIMIT else object),
+                               depth),
+        k_minus=np.broadcast_to(np.array(1, dtype=np.int64), depth + 1),
         vol=None,
         tail=tail,
         label=f"tree(d={d})",
@@ -405,17 +462,24 @@ def make_antitree(sphere_sizes, depth, label=None):
     ``sphere_sizes`` is a callable r -> s(r) or an iterable of positive
     integers with s(0) = 1, of which the first depth + 1 are read.
     Complete joins give k_plus(r) = s(r + 1), k_minus(r) = s(r - 1) and
-    vol(r) = s(r), so area(r) = s(r - 1) * s(r).
+    vol(r) = s(r), so area(r) = s(r - 1) * s(r).  A one-dimensional numpy
+    array of an integer type that fits int64 is read as is, its checks done
+    in C; other input is read entry by entry.  The sizes are stored as
+    int64 when they all lie below 2**63, and as Python ints otherwise.
     """
     depth = _as_depth(depth, "antitree")
-    raw = map(sphere_sizes, range(depth + 1)) if callable(sphere_sizes) else sphere_sizes
     # [0, s(0), ..., s(depth)]: k_plus, k_minus and vol are offset views of it
-    s = np.fromiter(itertools.chain((0,), itertools.islice(raw, depth + 1)), dtype=object)
+    if (isinstance(sphere_sizes, np.ndarray) and sphere_sizes.ndim == 1
+            and sphere_sizes.dtype.kind in "iu" and np.can_cast(sphere_sizes.dtype, np.int64)):
+        s = np.concatenate(([0], sphere_sizes[:depth + 1])).astype(np.int64, copy=False)
+    else:
+        raw = map(sphere_sizes, range(depth + 1)) if callable(sphere_sizes) else sphere_sizes
+        s = np.fromiter(itertools.chain((0,), itertools.islice(raw, depth + 1)), dtype=object)
     if len(s) < depth + 2:
         raise InvalidParameterError(
             f"need sphere sizes up to radius {depth}, got {len(s) - 1} values")
     sizes = s[1:]
-    if set(map(type, sizes)) != {int} or sizes.min() < 1:
+    if s.dtype == object and set(map(type, sizes)) != {int} or sizes.min() < 1:
         for r, v in enumerate(sizes):  # to name the radius of a bad entry
             try:
                 sizes[r] = v = operator.index(v)
@@ -427,6 +491,8 @@ def make_antitree(sphere_sizes, depth, label=None):
                 raise InvalidParameterError(f"sphere size at radius {r} must be positive")
     if sizes[0] != 1:
         raise InvalidParameterError("sphere size at the origin must be 1")
+    if s.dtype == object and sizes.max() < _INT64_LIMIT:
+        s = s.astype(np.int64)
     s = _frozen(s)
     return RadialModel(
         k_plus=s[2:],
@@ -490,8 +556,8 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
                     f"k_minus*vol = {lhs} but k_plus*vol from radius {r - 1} = {rhs}",
                 )
 
-    return RadialModel(k_plus=kp, k_minus=km, vol=vv, tail=tail or Tail("unspecified"),
-                       label=label)
+    return RadialModel(k_plus=_stored(kp), k_minus=_stored(km), vol=_stored(vv),
+                       tail=tail or Tail("unspecified"), label=label)
 
 
 @dataclass(frozen=True)

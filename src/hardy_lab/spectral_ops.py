@@ -412,7 +412,9 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     bottom eigenvalue, and a failed elimination implies a singular leading
     block, which by interlacing also rules the shift out.  Works at ball
     sizes where a dense matrix is impossible.  ``k_plus`` is as in
-    tree_ball_pivots.
+    tree_ball_pivots.  The bisection also stops when the midpoint equals an
+    end, which happens before the bracket is ``tol`` wide once one ulp of
+    the bottom exceeds ``tol`` (a bottom past 2**16 at the default).
     """
     kp, w = _tree_ball_levels(k_plus, weight_values)
     # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
@@ -422,6 +424,8 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     kp, w = kp.tolist(), w.tolist()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
         if _tree_pivots_positive(kp, w, mid):
             lo = mid
         else:

@@ -33,7 +33,7 @@ from hardy_lab import (
     save_model,
     sqrt_pair_defect,
 )
-from hardy_lab import cli
+from hardy_lab import cli, radial_model
 from hardy_lab.hardy_weights import _kappa_longdouble
 
 
@@ -344,6 +344,53 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
         assert calls["_window_transience"] == scans, spec
         assert passes == area_passes, spec
         assert calls["kappa"] <= 3, spec
+
+
+def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, capsys):
+    # int64 storage: tree:2 and antitree:poly:1 keep float64-exact degrees
+    # and build no object array of the model's length; antitree:poly:2's
+    # degree products pass 2**53, and its exact degrees are two views of one
+    # object copy of its sphere sizes, made once
+    converted, area_lengths, models = [], [], {}
+    object_views, area_values = radial_model._object_views, vars(RadialModel)["area_values"]
+    parse = cli._parse_model_spec
+
+    def spied_views(*arrays):
+        converted.append([len(a) for a in arrays])
+        return object_views(*arrays)
+
+    def spied_areas(self, r_lo, r_hi):
+        areas = area_values(self, r_lo, r_hi)
+        area_lengths.append(len(areas))
+        return areas
+
+    def kept(text):
+        models[text] = parse(text)
+        return models[text]
+
+    monkeypatch.setattr(radial_model, "_object_views", spied_views)
+    monkeypatch.setattr(RadialModel, "area_values", spied_areas)
+    monkeypatch.setattr(cli, "_parse_model_spec", kept)
+    depth = 100_000
+    for p, converts in [(None, False), (1, False), (2, True)]:
+        spec = f"tree:2:{depth}" if p is None else f"antitree:poly:{p}:{depth}"
+        converted.clear()
+        area_lengths.clear()
+        cli.main(["verify", "--model", spec, "--suite", "all"])
+        capsys.readouterr()
+        model = models[spec]
+        assert model._k_plus.dtype == model._k_minus.dtype == np.int64, spec
+        # exact areas come in ground ranges and window blocks (with the
+        # two radii past a block that its differences read) only
+        assert 0 < max(area_lengths) <= radial_model._WINDOW_BLOCK + 2, spec
+        kp, km = model.exact_degrees(depth - 1)
+        if converts:
+            assert converted == [[depth, depth + 1]]
+            assert kp.dtype == km.dtype == object
+            assert kp.base is km.base and kp.base.shape == (depth + 2,)
+        else:
+            assert converted == [], spec
+            assert kp.dtype == km.dtype == float, spec
 
 
 def test_superharmonic_ground_reads_no_area_and_no_radius_past_one(monkeypatch):

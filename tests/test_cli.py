@@ -11,14 +11,16 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import hardy_lab
-from hardy_lab import cli, make_antitree, make_custom, save_model
+from hardy_lab import cli, make_antitree, make_custom, save_model, spectral_ops
 from hardy_lab.cli import main
 from hardy_lab.continuum import MAX_GRID_POINTS
+from object_storage import object_storage
 
 
 def run(capsys, *argv):
@@ -495,6 +497,60 @@ def test_saved_random_model_verifies_like_its_source(model, gamma):
             with open(out, encoding="utf-8") as fh:
                 outputs.append((code, fh.read()))
     assert outputs[1] == outputs[0]
+
+
+def _outputs(tmp_path, spec, model):
+    """verify --json at gamma 0 and 1/3 and the model --out file, as bytes,
+    with ``spec`` read as ``model``."""
+    outputs = []
+    with mock.patch.object(cli, "_parse_model_spec", lambda text: model):
+        for gamma in ("0", "1/3"):
+            out = tmp_path / "verify.json"
+            code = main(["verify", "--model", spec, "--gamma", gamma, "--json",
+                         "--out", str(out)])
+            outputs.append((code, out.read_bytes()))
+        out = tmp_path / "saved.model"
+        assert main(["model", "--model", spec, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    return outputs
+
+
+@pytest.mark.parametrize("spec, stored", [
+    ("tree:2:1200", np.int64), ("tree:3:1200", np.int64),
+    ("antitree:poly:1:1200", np.int64), ("antitree:poly:2:1200", np.int64),
+    # 511**7 < 2**63 == 512**7: the last size past int64 makes the whole
+    # array of sizes Python ints
+    ("antitree:poly:7:510", np.int64), ("antitree:poly:7:511", object),
+])
+def test_every_storage_of_a_model_prints_the_same_bytes(tmp_path, spec, stored):
+    source = cli._parse_model_spec(spec)
+    assert source._k_plus.dtype == source._k_minus.dtype == stored
+    forms = [source, object_storage(source)]
+    if spec.startswith("antitree"):
+        p, depth = map(int, spec.split(":")[2:])
+        # read entry by entry, then stored like the spec's sizes
+        forms.append(make_antitree([(r + 1) ** p for r in range(depth + 1)], depth,
+                                   label=source.label))
+    assert forms[1]._k_plus.dtype == object
+    expected = _outputs(tmp_path, spec, source)
+    for model in forms[1:]:
+        assert _outputs(tmp_path, spec, model) == expected
+
+
+def test_lambda0_on_trees_past_an_ulp_of_tol_exits_0(capsys, monkeypatch):
+    # the bottom of tree:100000's spectrum is past 2**16, where one ulp is
+    # more than the bisection's tol; the bisection used never to return
+    calls = []
+
+    def counted(*args, _positive=spectral_ops._tree_pivots_positive):
+        calls.append(1)
+        assert len(calls) <= 200, "the bisection does not stop"
+        return _positive(*args)
+
+    monkeypatch.setattr(spectral_ops, "_tree_pivots_positive", counted)
+    for spec in ("tree:66100:200", "tree:100000:200"):
+        code, out, _ = run(capsys, "verify", "--model", spec, "--suite", "lambda0")
+        assert code == 0 and out.startswith("PASS")
 
 
 # exported only for tests: named oracles and the acceptance helpers

@@ -22,6 +22,7 @@ from hardy_lab import (
     save_model,
 )
 from hardy_lab.radial_model import _decimal_text
+from object_storage import object_storage
 
 
 def test_tree_radial_data():
@@ -74,20 +75,29 @@ def test_custom_volumes_satisfy_area_identity(kp, km):
         assert m.vol(r) > 0
 
 
+def _numpy_sizes(sizes):
+    # uint64 past int64, which make_antitree reads entry by entry
+    return np.array(sizes, dtype=np.int64 if max(sizes) < 2 ** 63 else np.uint64)
+
+
 _SIZE_FORMS = {"callable": lambda sizes: sizes.__getitem__, "list": list, "tuple": tuple,
-               "numpy": lambda sizes: np.array(sizes, dtype=np.int64)}
-_exact_entries = st.integers(1, 10 ** 9) | st.fractions(Fraction(1, 50), 50)
+               "numpy": _numpy_sizes}
+# around the float64 and int64 limits of the storage choice
+_EDGE_INTEGERS = st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63])
+_exact_entries = st.integers(1, 10 ** 9) | st.fractions(Fraction(1, 50), 50) | _EDGE_INTEGERS
 
 
 @st.composite
-def stored_models(draw, kind):
+def built_models(draw, kind):
     """Trees, antitrees given in each accepted form, and custom models with
-    int and Fraction entries; degrees on both sides of the float64 choice."""
+    int and Fraction entries, as their constructors store them; degrees on
+    both sides of the float64 choice, and entries around 2**53 and 2**63."""
     depth = draw(st.integers(2, 30))
     if kind == "tree":
-        return make_tree(draw(st.integers(1, 3) | st.integers(10 ** 8, 10 ** 12)), depth)
+        return make_tree(draw(st.integers(1, 3) | st.integers(10 ** 8, 10 ** 12)
+                              | _EDGE_INTEGERS), depth)
     if kind == "antitree":
-        sizes = [1] + draw(st.lists(st.integers(1, 10 ** 9), min_size=depth,
+        sizes = [1] + draw(st.lists(st.integers(1, 10 ** 9) | _EDGE_INTEGERS, min_size=depth,
                                     max_size=depth + 3))
         return make_antitree(_SIZE_FORMS[draw(st.sampled_from(sorted(_SIZE_FORMS)))](sizes),
                              depth)
@@ -95,6 +105,11 @@ def stored_models(draw, kind):
     kp = draw(st.lists(entries, min_size=depth, max_size=depth))
     km = [0] + draw(st.lists(entries, min_size=depth, max_size=depth))
     return make_custom(kp, km)
+
+
+def stored_models(kind):
+    """Models as built, or with their data held in object arrays."""
+    return built_models(kind).flatmap(lambda m: st.sampled_from([m, object_storage(m)]))
 
 
 def _log_exact(a):
@@ -133,6 +148,72 @@ def test_bulk_views_match_the_accessors(kind, data):
     hi = data.draw(st.integers(lo - 1, n))
     assert _same_objects(m.area_values(lo, hi), area[lo:hi + 1])
     assert _same_bits(m.log_area_floats(n), [-math.inf] + [_log_exact(a) for a in area[1:]])
+
+
+def _same_exact_form(view, twin):
+    if view.dtype == float:
+        return twin.dtype == float and view.tobytes() == twin.tobytes()
+    return twin.dtype == object and _same_objects(view, list(twin))
+
+
+@pytest.mark.parametrize("kind", ["tree", "antitree", "custom"])
+@given(data=st.data())
+def test_int64_and_object_storage_give_the_same_views(kind, data):
+    m = data.draw(built_models(kind))
+    twin = object_storage(m)
+    n = m.depth
+    stored = [a for a in (m._k_plus, m._k_minus, m._vol) if a is not None]
+    # an antitree's three arrays are views of its one array of sphere sizes
+    for group in [stored] if kind == "antitree" else [[a] for a in stored]:
+        fits = all(type(x) is int and x < 2 ** 63 for a in group for x in a.tolist())
+        assert all(a.dtype == (np.int64 if fits else object) for a in group)
+        assert not any(a.flags.writeable for a in group)
+    for a, b in [(m.k_plus_floats(n - 1), twin.k_plus_floats(n - 1)),
+                 (m.k_minus_floats(n), twin.k_minus_floats(n)),
+                 (m.kappa_floats(n - 1), twin.kappa_floats(n - 1)),
+                 (m.log_area_floats(n), twin.log_area_floats(n))]:
+        assert a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
+    for view, other in zip(m.exact_degrees(n - 1), twin.exact_degrees(n - 1)):
+        assert view.dtype in (float, object) and _same_exact_form(view, other)
+    lo = data.draw(st.integers(1, n))
+    hi = data.draw(st.integers(lo - 1, n))
+    areas = m.area_values(lo, hi)
+    assert areas.dtype == object and _same_objects(areas, list(twin.area_values(lo, hi)))
+    rows = m.radial_data()
+    assert rows == twin.radial_data()
+    assert {type(x) for row in rows for x in row[1:]} <= {int, Fraction, type(None)}
+    scalars = [f(r) for r in range(n) for f in (m.k_plus, m.k_minus, m.vol, m.area)]
+    assert {type(x) for x in scalars + [m.vol(n), m.area(n)]} <= {int, Fraction}
+    assert all(type(m.kappa(r)) is Fraction for r in range(1, n))
+
+
+def test_exact_degrees_of_int64_storage_share_one_object_copy():
+    # degrees past 2**26.5 take the object path, converted once from the
+    # one array of sphere sizes that k_plus and k_minus are views of
+    m = make_antitree(np.array([1, 2 ** 40, 3, 2 ** 62, 5, 6], dtype=np.int64), 5)
+    assert m._k_plus.dtype == np.int64
+    kp, km = m.exact_degrees(4)
+    assert kp.dtype == km.dtype == object and kp.base is km.base
+    assert kp.base.tolist() == [0, 1, 2 ** 40, 3, 2 ** 62, 5, 6]
+    assert list(map(type, kp.base)) == [int] * 7
+    # a tree's degrees stay zero-stride views of one int
+    tree = make_tree(2 ** 62, 1000)
+    kp, km = tree.exact_degrees(999)
+    assert kp.dtype == object and kp.strides == (0,) and type(kp[0]) is int
+    assert km.tolist() == [0] + [1] * 999
+
+
+@pytest.mark.parametrize("model", [
+    make_custom([1, 2 ** 53 + 1, 1], [0, 3, 1, 1]),
+    make_antitree(np.array([1, 7, 3, 5, 2 ** 53 + 1, 1]), 5),
+], ids=["custom", "antitree"])
+def test_kappa_of_int64_degrees_past_2_53_is_rounded_once(model):
+    # 2**53 + 1 rounds to 2**53 in float64: a division of the float views
+    # would land on 3002399751580330.5, not on (2**53 + 1) / 3 itself
+    r = 1 if model.k_plus(1) > 2 ** 53 else 3
+    assert model.kappa(r) == Fraction(2 ** 53 + 1, 3)
+    for m in (model, object_storage(model)):
+        assert m.kappa_floats(r)[r] == 3002399751580331.0
 
 
 @given(st.integers(2, 12), st.data())

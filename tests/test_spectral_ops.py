@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from hardy_lab import (
     vertex_energy,
     vertex_laplacian,
 )
+from hardy_lab import spectral_ops
 
 finite_floats = st.floats(min_value=-5, max_value=5, allow_nan=False)
 
@@ -227,6 +229,29 @@ def test_tree_ball_loop_equals_the_pivot_arrays(k_plus, weights, shift):
     for tol in (1e-11, 4 * np.spacing(16.0)):
         assert tree_ball_bottom_eigenvalue(k_plus, w, tol=tol) == \
             reference_tree_ball_bottom(k_plus, w, tol=tol)
+
+
+@pytest.mark.parametrize("d", [66_100, 100_000, 10 ** 6])
+def test_tree_ball_bisection_stops_where_an_ulp_passes_tol(d, monkeypatch):
+    # the bottom (sqrt(d) - 1)**2 passes 2**16 at d > 66049, where one ulp
+    # exceeds tol = 1e-11: the midpoint stops moving before the bracket is
+    # tol wide, and the bisection must stop there instead of spinning
+    calls = []
+
+    def counted(*args, _positive=spectral_ops._tree_pivots_positive):
+        calls.append(args[2])
+        assert len(calls) <= 200, "the bisection does not stop"
+        return _positive(*args)
+
+    monkeypatch.setattr(spectral_ops, "_tree_pivots_positive", counted)
+    bottom = tree_ball_bottom_eigenvalue(d, np.zeros(201))
+    ulp = np.spacing(bottom)
+    assert ulp > 1e-11 and len(calls) < 100
+    assert bottom == pytest.approx((math.sqrt(d) - 1) ** 2, rel=1e-5)
+    monkeypatch.undo()
+    # the decision turns within one ulp of the result
+    assert tree_ball_is_positive(d, np.full(201, bottom - ulp))
+    assert not tree_ball_is_positive(d, np.full(201, bottom + ulp))
 
 
 def test_tree_ball_positivity_refuses_infinite_and_nan_pivots():
