@@ -55,7 +55,7 @@ from .optimality import (
     inflation_refutation,
     optimality_probe,
 )
-from .radial_model import _decimal_text, load_model, make_antitree, make_tree, save_model
+from .radial_model import _as_depth, _decimal_text, load_model, make_antitree, make_tree, save_model
 from .reporting import VerificationReport, _atomic_write, csv_text, json_text
 
 SUITES = ("all", "criticality", "nullcrit", "probe", "lambda0")
@@ -76,6 +76,7 @@ def _parse_model_spec(text):
         p, depth = _spec_int(parts[2], text), _spec_int(parts[3], text)
         if p < 0:
             raise InvalidParameterError("antitree exponent must be nonnegative")
+        depth = _as_depth(depth, "antitree")  # before the sizes array is built
         if p < 63 and (depth + 1) ** p < 2 ** 63:  # (r + 1)**p fits int64 up to r = depth
             sizes = np.arange(1, depth + 2, dtype=np.int64) ** p
         else:
@@ -115,6 +116,13 @@ def _emit(text, out):
         sys.stdout.write(text)
     else:
         _atomic_write(out, text)
+
+
+def _emit_reports(reports, args):
+    """Summary lines, or json with --json; returns the exit code."""
+    _emit(json_text(reports) if args.json
+          else "".join(r.summary_line() + "\n" for r in reports), args.out)
+    return _exit_code(reports)
 
 
 def _exit_code(reports):
@@ -315,11 +323,7 @@ def cmd_verify(args):
 
     for r in reports:
         r.params.setdefault("seed", seed)
-    if args.json:
-        _emit(json_text(reports), args.out)
-    else:
-        _emit("".join(r.summary_line() + "\n" for r in reports), args.out)
-    return _exit_code(reports)
+    return _emit_reports(reports, args)
 
 
 def cmd_continuum(args):
@@ -332,23 +336,15 @@ def cmd_continuum(args):
         rows = np.column_stack((grid, w, c, np.abs(w - c))).tolist()
         _emit(csv_text(("r", "w", "closed_form", "abs_diff"), rows), args.out)
         return 0
-    reports = [
-        cont.check_harmonicity(space, args.r_min, args.r_max,
-                               h_step=args.step, which="sqrt-u",
-                               n_points=args.n_points),
-        cont.check_harmonicity(space, args.r_min, args.r_max,
-                               h_step=args.step, which="sqrt-u-log",
-                               n_points=args.n_points),
+    return _emit_reports([
+        *(cont.check_harmonicity(space, args.r_min, args.r_max, h_step=args.step,
+                                 which=which, n_points=args.n_points)
+          for which in ("sqrt-u", "sqrt-u-log")),
         cont.check_closed_form_agreement(space, args.r_min, args.r_max,
                                          n_points=args.n_points),
         cont.check_harmonic_condition(space, args.r_min, args.r_max,
                                       n_points=args.n_points),
-    ]
-    if args.json:
-        _emit(json_text(reports), args.out)
-    else:
-        _emit("".join(r.summary_line() + "\n" for r in reports), args.out)
-    return _exit_code(reports)
+    ], args)
 
 
 # -- parser --------------------------------------------------------------------

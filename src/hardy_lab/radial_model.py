@@ -42,6 +42,7 @@ from .errors import (
 TAIL_KINDS = ("finite", "eventually-geometric", "unspecified")
 
 MAX_VERTEX_EXPANSION = 100_000
+MAX_DEPTH = 10 ** 7  # trees and antitrees; verify at this depth peaks below 1 GB
 MAX_EDGE_EXPANSION = 2_000_000
 
 # Integers below this are exact in float64.
@@ -78,6 +79,8 @@ def _as_depth(depth, what):
         raise InvalidParameterError(f"{what} depth must be an integer, got {depth!r}") from None
     if depth < 2:
         raise InvalidParameterError(f"{what} depth must be at least 2, got {depth}")
+    if depth > MAX_DEPTH:
+        raise SizeLimitExceededError(f"{what} depth {depth} is past the cap {MAX_DEPTH}")
     return depth
 
 

@@ -258,31 +258,34 @@ def eigenvalue_bounds(form):
     return lo, hi
 
 
+def _bisect_bottom(lo, hi, tol, positive_at):
+    """Bisect [lo, hi] for a bottom below which positive_at(x) is True:
+    halve until the bracket is at most ``tol`` wide or the midpoint equals
+    an end, and return the midpoint."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and mid not in (lo, hi):
+        if positive_at(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def smallest_eigenvalue(form):
     """Bottom eigenvalue of the form by bisection on the Sturm count.
 
-    The count is monotone in the shift, so bisection inside the Gershgorin
-    interval converges unconditionally; the tolerance is 1e-11 times the
-    interval width (at least 1e-11 absolute).  Each step only asks whether
-    the count is at least 1, so its sweep stops at the first negative pivot:
-    the pivots before it are those of the full count, and so is the decision.
-    It also stops at a tail certificate, a block start from which every
-    remaining pivot provably stays above a floor rho >= pivmin: the step
-    q -> fl(fl(d - x) - fl(e / q)) is monotone in q, d and e, so the
-    extremes of the remaining rows bound every later pivot (see
-    _negative_pivots).  Each step thus decides as the full sweep would, and
-    the result is the same float.
+    The count is monotone in the shift, so _bisect_bottom converges inside
+    the Gershgorin interval, to 1e-11 times its width (at least 1e-11
+    absolute) or to adjacent floats.  Each step only asks whether the count
+    is at least 1, so its sweep stops at the first negative pivot or at a
+    tail certificate (see _negative_pivots); either way it decides as the
+    full sweep would, and the result is the same float.
     """
     lo, hi = eigenvalue_bounds(form)
-    tol = 1e-11 * max(1.0, hi - lo)
     rows = _whole_form_rows(form)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _negative_pivots(rows, mid, 1):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_bottom(lo, hi, 1e-11 * max(1.0, hi - lo),
+                          lambda x: not _negative_pivots(rows, x, 1))
 
 
 # -- vertex-level forms ------------------------------------------------------
@@ -412,9 +415,9 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     bottom eigenvalue, and a failed elimination implies a singular leading
     block, which by interlacing also rules the shift out.  Works at ball
     sizes where a dense matrix is impossible.  ``k_plus`` is as in
-    tree_ball_pivots.  The bisection also stops when the midpoint equals an
-    end, which happens before the bracket is ``tol`` wide once one ulp of
-    the bottom exceeds ``tol`` (a bottom past 2**16 at the default).
+    tree_ball_pivots.  _bisect_bottom also stops at adjacent floats, before
+    the bracket is ``tol`` wide once one ulp of the bottom exceeds ``tol``
+    (a bottom past 2**16 at the default).
     """
     kp, w = _tree_ball_levels(k_plus, weight_values)
     # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
@@ -422,12 +425,4 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     hi = float((kp.max() + 1) - w.min() + (kp.max() + 1))
     lo = float(kp.min() - w.max() - (kp.max() + 1))
     kp, w = kp.tolist(), w.tolist()
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-            break
-        if _tree_pivots_positive(kp, w, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_bottom(lo, hi, tol, lambda x: _tree_pivots_positive(kp, w, x))

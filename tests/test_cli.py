@@ -664,3 +664,31 @@ def test_importing_the_command_line_loads_no_mpmath():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out == "False\n"
+
+
+def test_lambda0_on_a_tree_past_an_ulp_of_tol_exits_0(capsys, monkeypatch):
+    # one ulp of each section bottom near d = 1e11 exceeds the bisection
+    # tolerance; a call counter, not a timeout, shows that no bisection spins
+    calls = []
+
+    def counted(*args, _negative=spectral_ops._negative_pivots):
+        calls.append(args[1])
+        assert len(calls) <= 2000, "a bisection does not stop"
+        return _negative(*args)
+
+    monkeypatch.setattr(spectral_ops, "_negative_pivots", counted)
+    code, out, _ = run(capsys, "verify", "--model", "tree:100000000000:300",
+                       "--suite", "lambda0")
+    assert code == 0
+    assert out.startswith("PASS               spectral-bottom-bound ")
+
+
+@pytest.mark.parametrize("command, spec", [("verify", "tree:2:1000000000"),
+                                           ("verify", "antitree:poly:1:1000000000"),
+                                           ("model", "tree:2:1000000000"),
+                                           ("model", "antitree:poly:3:10000001")])
+def test_model_depth_past_the_cap_exits_2_naming_it(capsys, command, spec):
+    family, depth = spec.split(":")[0], spec.split(":")[-1]
+    code, out, err = run(capsys, command, "--model", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: {family} depth {depth} is past the cap 10000000\n"

@@ -202,6 +202,29 @@ def test_the_roundoff_floor_decides_nothing_on_truncation_residuals():
     assert rep.status == "fail" and rep.notes == ()
 
 
+@pytest.mark.parametrize("space, step", [("dr:2:2", "1e-6"), ("dr:2:2", "1e-8"),
+                                         ("hyperbolic:3", "1e-20")])
+def test_residuals_under_the_roundoff_floor_but_over_tol_are_inconclusive(capsys, space,
+                                                                          step):
+    # the floor grows like 1 / step**2 and passes tol; at 1e-20 r +- step
+    # rounds to r, the stencil collapses and both residuals are exactly 1
+    main(["continuum", "--space", space, "--step", step])
+    lines = capsys.readouterr().out.splitlines()[:2]
+    assert [ln.split()[:2] for ln in lines] == [["INCONCLUSIVE", "harmonicity-sqrt-u"],
+                                                ["INCONCLUSIVE", "harmonicity-sqrt-u-log"]]
+    rep = check_harmonicity(damek_ricci_space(2, 2) if space == "dr:2:2"
+                            else hyperbolic_space(3), 0.5, 8.0, h_step=float(step))
+    assert rep.status == "inconclusive"
+    assert "roundoff floor" in rep.notes[0] and "above tol 0.0001" in rep.notes[0]
+
+
+def test_residuals_under_the_roundoff_floor_and_tol_pass(capsys):
+    # residuals of about 2e-6 and 8e-6 at step 1e-5: under the floor and tol
+    main(["continuum", "--space", "dr:2:2", "--step", "1e-5"])
+    lines = capsys.readouterr().out.splitlines()[:2]
+    assert [ln.split()[0] for ln in lines] == ["PASS", "PASS"]
+
+
 def test_stencil_must_not_cross_origin():
     with pytest.raises(OriginSingularityError):
         check_harmonicity(hyperbolic_space(3), 5e-4, 5.0)

@@ -21,7 +21,7 @@ from hardy_lab import (
     make_tree,
     save_model,
 )
-from hardy_lab.radial_model import _decimal_text
+from hardy_lab.radial_model import MAX_DEPTH, _decimal_text
 from object_storage import object_storage
 
 
@@ -384,6 +384,15 @@ def test_expand_guards():
     custom = make_custom([3, 3, 3], [0, 2, 2, 2])
     with pytest.raises(NoCanonicalRealizationError):
         expand_vertex_graph(custom, 2)
+
+
+def test_depth_past_the_cap_is_refused():
+    # refused before any sphere size is read or any array is built
+    assert make_tree(2, MAX_DEPTH).depth == MAX_DEPTH
+    for build in (lambda depth: make_tree(2, depth),
+                  lambda depth: make_antitree(lambda r: r + 1, depth)):
+        with pytest.raises(SizeLimitExceededError, match=f"past the cap {MAX_DEPTH}$"):
+            build(MAX_DEPTH + 1)
 
 
 def test_expand_custom_integer_data_uses_the_stub_rule():

@@ -7,6 +7,7 @@ decisions, bit for bit, as loops over this count.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -71,6 +72,8 @@ def reference_bottom(form, count=reference_count):
     tol = 1e-11 * max(1.0, hi - lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            return mid
         if count(form, mid) >= 1:
             hi = mid
         else:
@@ -129,6 +132,44 @@ def test_bisection_equals_reference_on_random_forms():
             form = TridiagonalForm(diagonal=rng.normal(size=n), offdiagonal=off,
                                    r_lo=0)
         assert smallest_eigenvalue(form) == reference_bottom(form)
+
+
+def assert_bottom_stops_at_adjacent_floats(form, monkeypatch):
+    """smallest_eigenvalue(form) equals reference_bottom where one ulp of
+    the bottom exceeds the tolerance, in fewer than 100 _negative_pivots
+    calls; a call counter stops a bisection that spins."""
+    calls = []
+
+    def counted(*args, _negative=spectral_ops._negative_pivots):
+        calls.append(args[1])
+        assert len(calls) <= 200, "the bisection does not stop"
+        return _negative(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral_ops, "_negative_pivots", counted)
+        bottom = smallest_eigenvalue(form)
+    lo, hi = eigenvalue_bounds(form)
+    assert np.spacing(bottom) > 1e-11 * (hi - lo) and len(calls) < 100
+    assert bottom == reference_bottom(form)
+
+
+@pytest.mark.parametrize("d", [7 * 10 ** 10, 10 ** 11, 10 ** 12, 2 ** 63])
+@pytest.mark.parametrize("r_lo, r_hi", [(0, 64), (1, 256)])
+def test_radial_bisection_stops_where_an_ulp_passes_tol(d, r_lo, r_hi, monkeypatch):
+    # the zero-weight sections of the lambda0 suite: tol = 1e-11 times a
+    # Gershgorin width of about 4 sqrt(d) falls below one ulp of a bottom
+    # near d
+    form = hardy_form_matrix(make_tree(d, 300), np.zeros(301), r_lo, r_hi)
+    assert_bottom_stops_at_adjacent_floats(form, monkeypatch)
+
+
+def test_bisection_stops_on_random_forms_near_1e12(monkeypatch):
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        form = TridiagonalForm(diagonal=1e12 + rng.uniform(-1e6, 1e6, size=n),
+                               offdiagonal=rng.normal(scale=1e5, size=n - 1), r_lo=0)
+        assert_bottom_stops_at_adjacent_floats(form, monkeypatch)
 
 
 def test_bisection_equals_reference_on_a_hardy_section():
