@@ -38,17 +38,21 @@ def _area_window(model):
     """area(depth), the last first difference and the smallest second
     difference of the exact areas on the window [depth/2, depth].
 
-    The areas are read in blocks that overlap by two radii, so that each
-    second difference lies in exactly one block.  Needs depth >= 3, which a
-    transient verdict on an unspecified tail implies.
+    No area is formed but area(depth): by the area identity, the first
+    difference area(r + 1) - area(r) is vol(r) (k_plus(r) - k_minus(r)).
+    The degrees and volumes are read in blocks that overlap by one radius,
+    so that each second difference lies in exactly one block, and each
+    block in int64 where that is exact (see ``RadialModel._window_block``);
+    the values come back as Python ints and Fractions.  Needs depth >= 3,
+    which a transient verdict on an unspecified tail implies.
     """
     smallest = None
     for s, e in _window_blocks(max(1, model.depth // 2), model.depth - 1):
-        areas = model.area_values(s, e + 1)  # second differences at s..e-1
-        d1 = np.diff(areas)
-        low = np.diff(d1).min()
+        kp, km, vol = model._window_block(s, e + 1, vol=True)
+        d1 = vol * (kp - km)  # first differences at s..e
+        low = np.diff(d1).min(keepdims=True).item()
         smallest = low if smallest is None else min(smallest, low)
-    return areas[-1], d1[-1], smallest
+    return model.area(model.depth), d1.item(-1), smallest
 
 
 def transience_test(model):
@@ -61,8 +65,9 @@ def transience_test(model):
     growth (all first differences positive, all second differences strictly
     positive) is read as at-least-quadratic (transient).  Anything else
     raises InconclusiveTransienceError.  The signs are decided exactly from
-    the degrees, in blocks, once per model (see
-    ``RadialModel._window_transience``).
+    the degrees, in blocks, once per model: in int64 on each block whose
+    largest entry times its largest factor proves every product exact, and
+    in Python ints on any other (see ``RadialModel._window_transience``).
     """
     t = model.tail
     if t.kind == "finite":

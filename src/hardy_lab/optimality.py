@@ -656,12 +656,13 @@ def check_bounded_oscillation(model, r_max):
 def _ground_decreasing(model, r_max):
     """Whether u(r) = r / area(r) strictly decreases on the second half of
     [1, r_max], decided exactly from the degrees: u(r + 1) < u(r) exactly
-    when (r + 1) k_minus(r) < r k_plus(r).  Tested in blocks, up to the
+    when (r + 1) k_minus(r) < r k_plus(r).  Tested in blocks, each in int64
+    where that is exact (see ``RadialModel._window_block``), up to the
     first that fails."""
-    kp, km = model.exact_degrees(r_max - 1)
     for s, e in _window_blocks(r_max // 2 + 1, r_max):
+        kp, km = model._window_block(s, e)
         r = np.arange(s, e, dtype=kp.dtype)
-        if not np.all((r + 1) * km[s:e] < r * kp[s:e]):
+        if not np.all((r + 1) * km < r * kp):
             return False
     return True
 
@@ -709,8 +710,9 @@ def check_properness(model):
 def check_lambda0_bound(model):
     """Certify the spectral-bottom lower bound on homogeneous models.
 
-    For models with kappa(r) and k_minus(r) constant over the stored range
-    the bottom of the spectrum is at least shift = k_minus (sqrt(kappa)-1)**2.
+    For models with kappa(r) and k_minus(r) constant over the stored range,
+    and k_plus(0) = k_plus(1) at the root as on every tree, the bottom of
+    the spectrum is at least shift = k_minus (sqrt(kappa)-1)**2.
     Dirichlet section bottoms decrease towards the true bottom, so the check
     asserts they are decreasing and all stay above shift - tol.  When the
     data is a tree's (k_minus = 1 and integer outward degrees), the ball
@@ -721,17 +723,24 @@ def check_lambda0_bound(model):
     tol = 1e-9
     kap0 = model.kappa(1)
     km0 = model.k_minus(1)
-    # kappa and k_minus are constant exactly when k_plus and k_minus are
-    kp, km = model.exact_degrees(depth - 1)
-    varies = np.flatnonzero((kp[2:] != kp[1]) | (km[2:] != km[1]))
-    if varies.size:
+    # kappa and k_minus are constant exactly when k_plus and k_minus are;
+    # where they are, the root is the one radius left to differ, and
+    # k_plus(0) != k_plus(1) can break the bound's root condition
+    # k_plus(0) >= d - sqrt(d) (antitree:poly:2:2)
+    kp, km = model._k_plus, model._k_minus[:depth]
+    varies = (kp[2:] != kp[1]) | (km[2:] != km[1])
+    first = None
+    if varies.any():
+        first, varied = int(varies.argmax()) + 2, "kappa or k_minus varies"
+    elif kp[0] != kp[1]:
+        first, varied = 0, "k_plus(0) differs from k_plus(1)"
+    if first is not None:
         return VerificationReport(
             check="spectral-bottom-bound",
             status="hypothesis-not-met",
             residuals={},
-            params={"model": model.label,
-                    "first_inhomogeneous_radius": int(varies[0]) + 2},
-            notes=("kappa or k_minus varies; the constant-ratio bound does not apply",),
+            params={"model": model.label, "first_inhomogeneous_radius": first},
+            notes=(f"{varied}; the constant-ratio bound does not apply",),
         )
     shift = float(km0) * (math.sqrt(float(kap0)) - 1.0) ** 2
     radii = sorted({min(R, depth - 1) for R in (64, 256, 1024)})

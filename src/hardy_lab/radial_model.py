@@ -13,8 +13,10 @@ Fraction, floats are taken at their exact binary value on entry, so
 downstream checks can separate genuine numerical error from modelling
 error.  A sequence of ints that all lie below 2**63 is stored as an int64
 array and any other as an object array of the values; the accessors return
-Python ints and Fractions either way, and no product of stored entries is
-ever formed in int64.
+Python ints and Fractions either way.  A product of stored entries is
+formed in int64 in one place only, the blocks of the tail-window scans
+(see ``RadialModel._window_block``), and only where a bound on the block
+proves every product exact.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ _FLOAT_MAX = sys.float_info.max
 # Radii per block in the scans of the tail window [depth/2, depth]: a scan
 # holds arrays of about this length, never of the window's.
 _WINDOW_BLOCK = 4096
+# A window block is scanned in int64 when its largest stored entry times its
+# largest factor lies below this: every product is then below 2**62 in size,
+# and every difference of two products below 2**63.
+_INT64_PRODUCT_LIMIT = 2 ** 62
 
 
 def _window_blocks(r_lo, r_hi):
@@ -370,18 +376,17 @@ class RadialModel:
         vol(r) d1(r) with d1 = k_plus - k_minus, and the second difference
         at r is vol(r) / k_minus(r + 1) times
         d2(r) = k_plus(r) d1(r + 1) - k_minus(r + 1) d1(r).  They are
-        scanned in blocks that share their boundary radius, and the scan
-        stops at the first block that rules out both answers.
+        scanned in blocks that share their boundary radius, each in int64
+        where that is exact and in Python ints otherwise (see
+        ``_window_block``), and the scan stops at the first block that
+        rules out both answers.
         """
         depth = self._depth
         lo = max(1, depth // 2)
-        kp, km = self.exact_degrees(depth - 1)
         grows = flat = bent = False  # some d1 > 0; some d1 <= 0; some d2 <= 0
         for s, e in _window_blocks(lo, depth):
-            kp_b, km_b = kp[s:e + 1], km[s:e + 1]
+            kp_b, km_b = self._window_block(s, min(e + 1, depth))
             d1 = kp_b - km_b
-            # a difference of two exact products (see exact_degrees): even
-            # where it rounds, its sign is exact
             d2 = kp_b[:-1] * d1[1:] - km_b[1:] * d1[:-1]
             grows = grows or bool(np.any(d1 > 0))
             flat = flat or bool(np.any(d1 <= 0))
@@ -391,6 +396,29 @@ class RadialModel:
         if not grows:
             return False
         return True if depth - 2 >= lo else None
+
+    def _window_block(self, s, e, vol=False):
+        """k_plus and k_minus, and vol too when asked, on radii s..e-1
+        (1 <= s < e <= depth), for the scans of the tail window.
+
+        The scans form products of an entry with a factor, a difference
+        k_plus - k_minus or a radius up to e, and differences of two such
+        products.  When every array is int64 and the block's largest entry
+        times its largest factor lies below 2**62, those are exact in
+        int64, and the stored slices come back as they are.  Any other
+        block (object storage, Fractions, a tree's volumes d**r or a failed
+        bound) comes back as object arrays of its exact ints and Fractions.
+        """
+        arrays = [self._k_plus[s:e], self._k_minus[s:e]]
+        if vol:
+            # a tree's vol(r) is d**r, its area from radius 1 on
+            arrays.append(self.area_values(s, e - 1) if self._vol is None else self._vol[s:e])
+        if all(a.dtype == np.int64 for a in arrays):
+            top = max(int(a.max()) for a in arrays)
+            gap = int(np.abs(arrays[0] - arrays[1]).max())
+            if top * max(gap, e) < _INT64_PRODUCT_LIMIT:
+                return arrays
+        return [np.asarray(a, dtype=object) for a in arrays]
 
     def area_values(self, r_lo, r_hi):
         """area(r_lo..r_hi) as an object array of exact values (r_lo >= 1).

@@ -10,8 +10,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # more random cases for the bit-exact sweep, spectral, ground-ratio, radial
-# storage, Green window and Green weight oracles, in one CI step ("Oracles
-# with more examples"): pytest tests/test_sturm_sweep.py tests/test_spectral_ops.py
+# storage, Green window, int64 window block (test_greens.py::
+# test_window_scans_match_on_object_storage) and Green weight oracles, in
+# one CI step ("Oracles with more examples"): pytest tests/test_sturm_sweep.py tests/test_spectral_ops.py
 # tests/test_ground_ratio.py tests/test_radial_model.py tests/test_greens.py
 # --hypothesis-profile=ci
 settings.register_profile("ci", parent=settings.get_profile("suite"), max_examples=300)

@@ -146,7 +146,8 @@ def scalar_first_inhomogeneous(model):
     for r in range(2, model.depth):
         if model.kappa(r) != model.kappa(1) or model.k_minus(r) != model.k_minus(1):
             return r
-    return None
+    # homogeneous from radius 1 on: the root's outward degree must match too
+    return 0 if model.k_plus(0) != model.k_plus(1) else None
 
 
 def scalar_kappa_constant_from(model):
@@ -327,14 +328,14 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     monkeypatch.setattr(RadialModel, "area_values", spied_areas)
     # transience and properness read the degrees, and properness and the
     # Green route share one scan of the window (a geometric tail needs
-    # none); exact areas are formed once per reader of the ground pairs
-    # u = r / area(r) (the ratio route of superharmonic-sqrt-ground on
-    # 1..513, the ground-state identity on 1..65 and 1..7 and the transform
-    # on 1..8; superharmonic-ground reads the degrees alone), for the Green
-    # tail bound's window and for log G on 0..128
+    # none); the Green tail bound's window reads the degrees and volumes,
+    # not the areas; exact areas are formed once per reader of the ground
+    # pairs u = r / area(r) (the ratio route of superharmonic-sqrt-ground
+    # on 1..513, the ground-state identity on 1..65 and 1..7 and the
+    # transform on 1..8; superharmonic-ground reads the degrees alone) and
+    # for log G on 0..128
     ground = [(1, 513), (1, 65), (1, 7), (1, 8)]
-    for spec, scans, area_passes in [("antitree:poly:2:3000", 1,
-                                      ground + [(1500, 3000), (1, 129)]),
+    for spec, scans, area_passes in [("antitree:poly:2:3000", 1, ground + [(1, 129)]),
                                      ("tree:2:100000", 0, ground + [(1, 129)])]:
         calls.clear()
         passes.clear()
@@ -391,6 +392,37 @@ def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, cap
         else:
             assert converted == [], spec
             assert kp.dtype == km.dtype == float, spec
+
+
+def test_deep_window_blocks_run_in_int64_where_the_bound_holds(monkeypatch, capsys):
+    # on antitree:poly:2 at 1e5 the window products stay near 4e15, so
+    # transience, properness and the Green tail bound read int64 blocks
+    # only; on antitree:poly:3 they pass 2**62 (k_plus - k_minus is about
+    # 6e10 beside sizes near 1e15), so every block is exact ints.  Forcing
+    # every block onto the exact path changes no byte of the report
+    dtypes = []
+    block = RadialModel._window_block
+
+    def spied(self, *args, **kwargs):
+        arrays = block(self, *args, **kwargs)
+        dtypes.extend(a.dtype for a in arrays)
+        return arrays
+
+    monkeypatch.setattr(RadialModel, "_window_block", spied)
+    reports = {}
+    for spec, dtype, limit in [("antitree:poly:2:100000", np.int64, None),
+                               ("antitree:poly:2:100000", object, 0),
+                               ("antitree:poly:3:100000", object, None)]:
+        dtypes.clear()
+        with monkeypatch.context() as patch:
+            if limit is not None:
+                patch.setattr(radial_model, "_INT64_PRODUCT_LIMIT", limit)
+            cli.main(["verify", "--model", spec, "--suite", "all", "--json"])
+        reports.setdefault(spec, set()).add(capsys.readouterr().out)
+        # 13 blocks of transience, 13 of properness and 13 of the area window
+        assert len(dtypes) == 13 * (2 + 2 + 3), spec
+        assert set(dtypes) == {np.dtype(dtype)}, spec
+    assert len(reports["antitree:poly:2:100000"]) == 1
 
 
 def test_superharmonic_ground_reads_no_area_and_no_radius_past_one(monkeypatch):

@@ -692,3 +692,17 @@ def test_model_depth_past_the_cap_exits_2_naming_it(capsys, command, spec):
     code, out, err = run(capsys, command, "--model", spec)
     assert (code, out) == (2, "")
     assert err == f"error: {family} depth {depth} is past the cap 10000000\n"
+
+
+def test_lambda0_needs_the_root_degree_of_radius_1(capsys):
+    # at depth 2 no radius past 1 is stored, so only k_plus(0) = k_plus(1)
+    # tells a tree from an antitree, whose k_plus(0) = 4 (or 8) misses the
+    # bound's root condition k_plus(0) >= d - sqrt(d) (d = 9 or 27)
+    for spec, code, status in [("antitree:poly:2:2", 3, "HYPOTHESIS-NOT-MET"),
+                               ("antitree:poly:3:2", 3, "HYPOTHESIS-NOT-MET"),
+                               ("tree:2:2", 0, "PASS"), ("tree:3:2", 0, "PASS")]:
+        got, out, _ = run(capsys, "verify", "--model", spec, "--suite", "lambda0", "--json")
+        (report,) = json.loads(out)
+        assert (got, report["status"].upper()) == (code, status), spec
+        if code:
+            assert report["params"]["first_inhomogeneous_radius"] == 0

@@ -28,6 +28,7 @@ from hardy_lab.greens import _area_window, _quadratic_tail_bound
 from hardy_lab.optimality import _ground_decreasing
 from hardy_lab.radial_model import RadialModel
 
+from object_storage import object_storage
 from whole_window import whole_area_window, whole_window_decreasing, whole_window_transience
 
 
@@ -296,6 +297,7 @@ def _mpmath_tail_bound(window):
 @given(model=st.one_of(_custom_models(), _antitrees()))
 @example(model=_ALTERNATING)
 @example(model=make_antitree(lambda r: (r + 1) ** 2, 40))
+@example(model=make_tree(3, 20))  # no stored volumes: vol(r) = 3**r
 def test_window_scans_in_blocks_match_the_whole_window(block, model):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(radial_model, "_WINDOW_BLOCK", block)
@@ -309,6 +311,94 @@ def test_window_scans_in_blocks_match_the_whole_window(block, model):
         if verdict:
             assert _quadratic_tail_bound(_area_window(model)) == \
                 _mpmath_tail_bound((last, d1[-1], d2.min()))
+
+
+@st.composite
+def _straddling_antitrees(draw):
+    """Antitrees whose window products straddle 2**62, the bound of
+    RadialModel._window_block: sizes near 2**b, b <= 62, apart by steps up
+    to 2**g with b + g near 62 (or g = 0, so that the radius is the larger
+    factor), the steps in any order, sorted or summed into convex growth,
+    so that the blocks of one window can fall on both sides of the bound."""
+    depth = draw(st.integers(3, 40))
+    b = draw(st.integers(31, 62))
+    g = draw(st.one_of(st.just(0), st.integers(max(0, 58 - b), min(b - 1, 64 - b))))
+    base = 2 ** b - draw(st.integers(0, 2 ** (b - 1)))
+    steps = draw(st.lists(st.integers(0, 2 ** g), min_size=depth, max_size=depth))
+    shape = draw(st.sampled_from(["any", "sorted", "convex"]))
+    if shape == "convex":
+        steps = list(itertools.accumulate(sorted(steps)))
+    elif shape == "sorted":
+        steps.sort()
+    return make_antitree([1] + [base + s for s in steps], depth)
+
+
+def _window_at_the_bound(top, gap):
+    """A model whose area window has first differences -top*gap and
+    top*gap at radii 8 and 9, and 0 after, in blocks whose largest entry is
+    top and largest factor gap: vol(r) = top from radius 1 on, so that
+    k_minus(r + 1) = k_plus(r), and k_plus dips by gap at radius 8.  Its
+    second difference at radius 8, 2 top gap, passes 2**63 where top gap
+    reaches 2**62: the case that a bound of 2**63, or <= for <, lets wrap."""
+    k_plus = [top] * 12
+    k_plus[8] -= gap
+    return make_custom(k_plus, [0, 1] + k_plus[1:], [1] + [top] * 12)
+
+
+@st.composite
+def _windows_at_the_bound(draw):
+    """_window_at_the_bound with top near 2**b and top * gap near 2**62,
+    often exactly 2**62."""
+    b = draw(st.integers(32, 62))
+    top = 2 ** b - draw(st.sampled_from([0, 1, 2 ** (b - 2)]))
+    gap = draw(st.one_of(st.just(2 ** (62 - b)),
+                         st.integers(2 ** max(0, 61 - b), min(2 ** (63 - b), top - 1))))
+    return _window_at_the_bound(top, gap)
+
+
+# one window block's largest entry times its largest factor is exactly
+# 2**62, and its second differences reach 2**62 - (-2**62) = 2**63
+_AT_THE_BOUND = _window_at_the_bound(2 ** 40, 2 ** 22)
+# sizes 2**40 + 2**r: the products pass 2**62 halfway through the window
+_ACROSS_THE_BOUND = make_antitree([1] + [2 ** 40 + 2 ** r for r in range(1, 31)], 30)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@given(model=st.one_of(_straddling_antitrees(), _windows_at_the_bound()))
+@example(model=_AT_THE_BOUND)
+@example(model=_window_at_the_bound(2 ** 40, 2 ** 22 + 1))
+@example(model=_ACROSS_THE_BOUND)
+@example(model=make_antitree([1] + [2 ** 62 - 1] * 6, 6))  # 3 k_minus(2) > 2**63
+def test_window_scans_match_on_object_storage(block, model):
+    # the int64 blocks of RadialModel._window_block against the Python ints
+    # of the same model stored as objects
+    twin = object_storage(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_model, "_WINDOW_BLOCK", block)
+        for r_max in range(1, model.depth + 1):
+            assert _ground_decreasing(model, r_max) is _ground_decreasing(twin, r_max), r_max
+        assert (RadialModel._window_transience.func(model)
+                is RadialModel._window_transience.func(twin))
+        window, expected = _area_window(model), _area_window(twin)
+    assert window == expected
+    assert list(map(type, window)) == list(map(type, expected)) == [int] * 3
+
+
+def test_one_window_takes_both_dtypes(monkeypatch):
+    monkeypatch.setattr(radial_model, "_WINDOW_BLOCK", 2)
+    seen = []
+    block = RadialModel._window_block
+
+    def spied(self, *args, **kwargs):
+        arrays = block(self, *args, **kwargs)
+        seen.append({a.dtype for a in arrays})
+        return arrays
+
+    monkeypatch.setattr(RadialModel, "_window_block", spied)
+    for scan in (RadialModel._window_transience.func, _area_window):
+        seen.clear()
+        scan(_ACROSS_THE_BOUND)
+        assert seen[0] == {np.dtype(np.int64)} and seen[-1] == {np.dtype(object)}
 
 
 _positive = st.one_of(st.integers(1, 10 ** 12),
