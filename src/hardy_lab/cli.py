@@ -12,10 +12,12 @@ Model specs: ``tree:<d>:<depth>``, ``antitree:poly:<p>:<depth>`` (sphere
 sizes (r+1)**p), or ``file:<path>``.  Space specs: ``hyperbolic:<d>``,
 ``dr:<p>:<q>``, or ``file:<path>``.
 
-Exit codes: 0 all checks passed (or plain tables were produced), 1 at least
-one check failed, 2 usage or domain error, 3 nothing failed but nothing
-passed either (only inconclusive / hypothesis-not-met results).  Output
-contains no timestamps; identical invocations produce identical bytes.
+Exit codes: 0 no check failed and at least one passed, though lines
+beside the passes may be inconclusive or hypothesis-not-met (or plain
+tables were produced), 1 at least one check failed, 2 usage or domain
+error, 3 nothing failed but nothing passed either (only inconclusive /
+hypothesis-not-met results).  Output contains no timestamps; identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -55,7 +57,15 @@ from .optimality import (
     inflation_refutation,
     optimality_probe,
 )
-from .radial_model import _as_depth, _decimal_text, load_model, make_antitree, make_tree, save_model
+from .radial_model import (
+    _antitree,
+    _as_depth,
+    _decimal_text,
+    load_model,
+    make_antitree,
+    make_tree,
+    save_model,
+)
 from .reporting import VerificationReport, _atomic_write, csv_text, json_text
 
 SUITES = ("all", "criticality", "nullcrit", "probe", "lambda0")
@@ -77,11 +87,15 @@ def _parse_model_spec(text):
         if p < 0:
             raise InvalidParameterError("antitree exponent must be nonnegative")
         depth = _as_depth(depth, "antitree")  # before the sizes array is built
+        label = f"antitree(poly,{p})"
         if p < 63 and (depth + 1) ** p < 2 ** 63:  # (r + 1)**p fits int64 up to r = depth
-            sizes = np.arange(1, depth + 2, dtype=np.int64) ** p
-        else:
-            sizes = map(pow, range(1, depth + 2), itertools.repeat(p))
-        return make_antitree(sizes, depth, label=f"antitree(poly,{p})")
+            # [0, 1, 2**p, ..., (depth + 1)**p], powered in place: the model
+            # keeps this one array
+            sizes = np.arange(depth + 2, dtype=np.int64)
+            np.power(sizes, p, out=sizes)
+            sizes[0] = 0
+            return _antitree(sizes, depth, label)
+        return make_antitree(map(pow, range(1, depth + 2), itertools.repeat(p)), depth, label)
     if parts[0] == "file" and len(parts) >= 2:
         return load_model(text.partition(":")[2])
     raise InvalidParameterError(

@@ -26,7 +26,7 @@ from .errors import (
     NotPositiveError,
 )
 from .hardy_weights import closed_form_weight
-from .radial_model import _window_blocks
+from .radial_model import _blocks_down, _window_blocks
 from .reporting import VerificationReport
 
 # The tail bound's arithmetic: 40 digits, and an exponent range that holds
@@ -176,8 +176,32 @@ class GreenProfile:
         return int(self.values.shape[0] - 1)
 
 
+class _LogKappa:
+    """log kappa(r + 1) at index r < depth - 1 of a model, read through
+    ``RadialModel._degree_block`` one slice at a time: it takes the place
+    of the whole array of them where a scan reads every radius."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getitem__(self, rs):
+        return np.log(self._model._degree_block(rs.start + 1, rs.stop + 1, exact=False)[4])
+
+
+def _run_start(ell, r):
+    """The smallest t <= r with ell[t] = ... = ell[r], read in blocks down
+    from r; ``ell`` is an array or a _LogKappa."""
+    for b0, b1 in _blocks_down(1, r + 1):
+        step = ell[b0 - 1:b1]
+        breaks = np.flatnonzero(step[1:] != step[:-1])
+        if breaks.size:
+            return b0 + int(breaks[-1])
+    return 0
+
+
 def _stretch_log(ell, s, hi, x):
-    """l(s) from x = l(hi + 1), where ell[s..hi] are log kappa values > 0.
+    """l(s) from x = l(hi + 1), where ell[s..hi] are log kappa values > 0
+    (``ell`` an array or a _LogKappa).
 
     area(s + 1) G(s) = sum_{k < K} exp(-c_k) + exp(x - c_K), K = hi + 1 - s,
     with c_k = ell[s] + ... + ell[s + k - 1] increasing from c_0 = 0: every
@@ -202,6 +226,12 @@ def _stretch_log(ell, s, hi, x):
     return math.log1p(rest + math.exp((x - c) - comp))
 
 
+def _step(x, lk):
+    """log(1 + exp(x - lk)), without overflow."""
+    z = x - lk
+    return z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+
+
 def _log_green(model, r_max):
     """l(r) = log(area(r + 1) G(r)) and the GreenProfile (log G = l - log
     area) on 0..r_max, the profile with its tail metadata.
@@ -220,6 +250,10 @@ def _log_green(model, r_max):
     the areas fall: there a sum's terms exceed 1 and the farthest ones,
     with the largest exponents, dominate; rounding those exponents to
     doubles costs eps times their size.
+
+    Above r_max log kappa is read one block of radii at a time from the top
+    (see ``_LogKappa``) and only the running value l(r + 1) is kept, so the
+    arrays held are of length r_max + 1 or of one block, whatever the depth.
     """
     if not transience_test(model):
         raise NoGreenFunctionError(
@@ -242,41 +276,54 @@ def _log_green(model, r_max):
             "values are lower bounds; the stated bound assumes the stored "
             "window's convex growth persists",
         )
-    # ell[r] holds log kappa(r + 1) until the step down replaces it by l(r)
-    ell = np.empty(depth)
-    np.log(model.kappa_floats(depth - 1)[1:], out=ell[:-1])
-    ell[-1] = x = top
+    log_kappa = _LogKappa(model)
     # [s, depth - 2], s >= r_max: the top stretch on which the areas increase
-    no_growth = ell[r_max:depth - 1] <= 0
-    s = r_max + no_growth.size - int(no_growth[::-1].argmax()) if no_growth.any() else r_max
-    view = memoryview(ell)
-    breaks = None
-    hi = depth - 2
-    while hi >= 0:
-        for r in range(hi, -1, -1):
-            if r > s and view[r - 1] != view[r]:
+    s = r_max
+    for b0, b1 in _blocks_down(r_max, depth - 1):
+        no_growth = np.flatnonzero(log_kappa[b0:b1] <= 0)
+        if no_growth.size:
+            s = b0 + int(no_growth[-1]) + 1
+            break
+    # the walk above r_max, from x = l(depth - 1), a block at a time
+    x, hi = top, depth - 2
+    while hi > r_max:
+        b0 = next(_blocks_down(r_max + 1, hi + 1))[0]
+        view = memoryview(log_kappa[b0 - 1:hi + 1])  # view[i]: radius b0 - 1 + i
+        for i in range(hi - b0 + 1, 0, -1):
+            r = b0 - 1 + i
+            if r > s and view[i - 1] != view[i]:
                 # kappa changes below r, so no run to fill: one sum to s
-                view[s] = x = _stretch_log(ell, s, r, x)
+                x = _stretch_log(log_kappa, s, r, x)
                 hi = s - 1
                 break
-            z = x - view[r]  # then log(1 + exp(z)), without overflow
-            y = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+            y = _step(x, view[i])
             if y == x:
                 # the step at r returns its input, and so does every step
-                # below it in the same run of equal log kappa: fill the run,
-                # whose start is found among the log kappa values ell[:r + 1]
-                # still holds
-                if breaks is None:
-                    breaks = np.flatnonzero(ell[1:r + 1] != ell[:r]) + 1
-                i = np.searchsorted(breaks, r, side="right")
-                start = int(breaks[i - 1]) if i else 0
+                # below it in the same run of equal log kappa: fill the run
+                hi = _run_start(log_kappa, r) - 1
+                break
+            x = y
+        else:
+            hi = b0 - 1
+    # ell[r] holds log kappa(r + 1) until the step down replaces it by l(r);
+    # l is x from hi + 1 to r_max (hi < depth - 1)
+    ell = np.empty(r_max + 1)
+    np.log(model.kappa_floats(hi + 1)[1:], out=ell[:hi + 1])
+    ell[hi + 1:] = x
+    view = memoryview(ell)
+    while hi >= 0:
+        for r in range(hi, -1, -1):
+            y = _step(x, view[r])
+            if y == x:
+                # fill the run, whose start is found among the log kappa
+                # values ell[:r + 1] still holds
+                start = _run_start(ell, r)
                 ell[start:r + 1] = x
                 hi = start - 1
                 break
             view[r] = x = y
         else:
             break
-    ell = ell[: r_max + 1]
     log_values = ell - model.log_area_floats(r_max + 1)[1:]
     with np.errstate(under="ignore"):
         values = np.exp(log_values)
@@ -338,6 +385,29 @@ def green_weight(model, r_max):
     return w, profile
 
 
+def _kappa_constant_from(model):
+    """The smallest radius r0 >= 1 with kappa constant on [r0, depth - 1].
+
+    One past the last radius whose kappa differs from kappa(depth - 1),
+    found block by block from the top down to the first block that holds
+    one.  Equal ratios round to equal floats, so only float ties need the
+    exact cross-product check, on the exact degrees of their block.
+    """
+    end = model.depth - 1
+    kap_end = model._degree_block(end, end + 1, exact=False)[4][0]
+    kp_end, km_end = model.k_plus(end), model.k_minus(end)
+    for s, e in _blocks_down(1, end):
+        same = model._degree_block(s, e, exact=False)[4] == kap_end
+        ties = np.flatnonzero(same)
+        if ties.size:
+            kp, km = model._degree_block(s, e)[2:4]
+            same[ties] = kp[ties] * km_end == kp_end * km[ties]
+        breaks = np.flatnonzero(~same)
+        if breaks.size:
+            return s + int(breaks[-1]) + 1
+    return 1
+
+
 @dataclass(frozen=True)
 class GreenComparison:
     """Pointwise comparison of the optimal weight against the Green weight.
@@ -371,17 +441,8 @@ def compare_to_green(model, r_max):
     margins = w_opt - w_g
     margins[0] = np.nan
 
-    end = model.depth - 1
-    kap_end = model.kappa(end)
-    # equal ratios round to equal floats, so only float ties need the exact
-    # cross-product check
-    kap = model.kappa_floats(end)
-    kp, km = model.exact_degrees(end)
-    same = kap[1:end] == kap[end]
-    ties = np.flatnonzero(same) + 1
-    same[ties - 1] = kp[ties] * km[end] == kp[end] * km[ties]
-    breaks = np.flatnonzero(~same)
-    r0 = int(breaks[-1]) + 2 if breaks.size else 1
+    kap_end = model.kappa(model.depth - 1)
+    r0 = _kappa_constant_from(model)
     t = model.tail
     hypothesis_met = (
         t.kind == "eventually-geometric"

@@ -726,14 +726,18 @@ def check_lambda0_bound(model):
     # kappa and k_minus are constant exactly when k_plus and k_minus are;
     # where they are, the root is the one radius left to differ, and
     # k_plus(0) != k_plus(1) can break the bound's root condition
-    # k_plus(0) >= d - sqrt(d) (antitree:poly:2:2)
-    kp, km = model._k_plus, model._k_minus[:depth]
-    varies = (kp[2:] != kp[1]) | (km[2:] != km[1])
+    # k_plus(0) >= d - sqrt(d) (antitree:poly:2:2); the stored degrees are
+    # compared in blocks, up to the first block that varies
+    kp, km = model._k_plus, model._k_minus
     first = None
-    if varies.any():
-        first, varied = int(varies.argmax()) + 2, "kappa or k_minus varies"
-    elif kp[0] != kp[1]:
-        first, varied = 0, "k_plus(0) differs from k_plus(1)"
+    for s, e in _window_blocks(2, depth):
+        varies = (kp[s:e] != kp[1]) | (km[s:e] != km[1])
+        if varies.any():
+            first, varied = s + int(varies.argmax()), "kappa or k_minus varies"
+            break
+    else:
+        if kp[0] != kp[1]:
+            first, varied = 0, "k_plus(0) differs from k_plus(1)"
     if first is not None:
         return VerificationReport(
             check="spectral-bottom-bound",
@@ -744,7 +748,7 @@ def check_lambda0_bound(model):
         )
     shift = float(km0) * (math.sqrt(float(kap0)) - 1.0) ** 2
     radii = sorted({min(R, depth - 1) for R in (64, 256, 1024)})
-    zeros = np.zeros(depth)
+    zeros = np.zeros(max(radii) + 1)
     bottoms = [smallest_eigenvalue(hardy_form_matrix(model, zeros, 0, R)) for R in radii]
     decreasing = all(b2 < b1 + tol for b1, b2 in zip(bottoms, bottoms[1:]))
     above = all(b >= shift - tol for b in bottoms)

@@ -52,8 +52,9 @@ _EXACT_FLOAT_LIMIT = 2 ** 53
 # Integer sequences whose entries all lie below this are stored as int64.
 _INT64_LIMIT = 2 ** 63
 _FLOAT_MAX = sys.float_info.max
-# Radii per block in the scans of the tail window [depth/2, depth]: a scan
-# holds arrays of about this length, never of the window's.
+# Radii per block in the scans of the tail window [depth/2, depth] and of
+# the whole depth: a scan holds arrays of about this length, never of the
+# range it scans.
 _WINDOW_BLOCK = 4096
 # A window block is scanned in int64 when its largest stored entry times its
 # largest factor lies below this: every product is then below 2**62 in size,
@@ -66,6 +67,13 @@ def _window_blocks(r_lo, r_hi):
     _WINDOW_BLOCK radii."""
     step = _WINDOW_BLOCK
     return ((s, min(s + step, r_hi)) for s in range(r_lo, r_hi, step))
+
+
+def _blocks_down(r_lo, r_hi):
+    """The blocks of ``_window_blocks(r_lo, r_hi)``'s kind from the top
+    down: (max(r_lo, r_hi - _WINDOW_BLOCK), r_hi) first."""
+    step = _WINDOW_BLOCK
+    return ((max(r_lo, e - step), e) for e in range(r_hi, r_lo, -step))
 
 
 def _as_radius(r):
@@ -124,22 +132,40 @@ def _stored(values):
 
 def _object_views(*arrays):
     """The stored arrays as object arrays of their values, each int64
-    buffer converted once: contiguous int64 slices of one 1-D array become
-    slices of one object copy of it, and a zero-stride view a zero-stride
-    view of one int.  Object arrays come back as they are."""
+    buffer converted once and only over the stretch that the arrays span:
+    contiguous int64 slices of one 1-D array become slices of one object
+    copy of that stretch, and a zero-stride view a zero-stride view of one
+    int.  Object arrays come back as they are."""
+    def offset(a, base):
+        return (a.__array_interface__["data"][0]
+                - base.__array_interface__["data"][0]) // a.itemsize
+
+    def shared(a):  # the 1-D base of a contiguous int64 slice, or None
+        base = a if a.base is None else a.base
+        if (a.dtype != object and a.strides != (0,) and isinstance(base, np.ndarray)
+                and base.ndim == 1 and base.strides == a.strides == (a.itemsize,)):
+            return base
+        return None
+
+    spans = {}
+    for a in arrays:
+        base = shared(a)
+        if base is not None:
+            lo, hi = spans.get(id(base), (len(base), 0))
+            start = offset(a, base)
+            spans[id(base)] = (min(lo, start), max(hi, start + len(a)))
     copies, out = {}, []
     for a in arrays:
-        base = a if a.base is None else a.base
+        base = shared(a)
         if a.dtype == object:
             pass
         elif a.strides == (0,):
             a = np.broadcast_to(np.array(a.item(0), dtype=object), a.shape)
-        elif (isinstance(base, np.ndarray) and base.ndim == 1
-                and base.strides == a.strides == (a.itemsize,)):
+        elif base is not None:
+            lo, hi = spans[id(base)]
             if id(base) not in copies:
-                copies[id(base)] = _frozen(base.astype(object))
-            start = (a.__array_interface__["data"][0]
-                     - base.__array_interface__["data"][0]) // a.itemsize
+                copies[id(base)] = _frozen(base[lo:hi].astype(object))
+            start = offset(a, base) - lo
             a = copies[id(base)][start:start + len(a)]
         else:
             a = _frozen(a.astype(object))
@@ -206,15 +232,22 @@ class RadialModel:
     return Python ints and Fractions, never numpy scalars, and area(r) is
     always k_minus(r) * vol(r), multiplied as Python ints.
 
-    The bulk views are each built once, on first use, over the whole stored
-    depth and kept read-only; the range accessors slice them, so no longer
-    request ever rebuilds one.  They are the degrees as floats, the degrees
-    in an exact form (see ``exact_degrees``) and kappa as floats, the
-    scale-free data that every full-depth float consumer reads.  The
-    transience verdict read from the tail window is kept the same way (see
-    ``_window_transience``).  Exact areas are never cached, because on a
-    tree they grow like d**r; ``area_values`` and ``log_area_floats`` form
-    them per call.
+    The bulk views are the degrees as floats, the degrees in an exact form
+    (see ``exact_degrees``) and kappa as floats, the scale-free data that
+    the float consumers read.  They are kept read-only over a prefix of the
+    radii, as large as the readers have asked for: the range accessors
+    slice it, and a request past it rebuilds it at least twice as long
+    (see ``_degrees``), so a deep model holds views of the radii its
+    readers need, not of its whole stored depth.  Scans that span the whole
+    depth read the same views one block of radii at a time through
+    ``_degree_block``.  How the views are formed (float or object exact
+    degrees, kappa by one float division or one Fraction division per
+    radius) is decided once per model from all its stored degrees (see
+    ``_degree_form``), so a view never depends on how far it reaches.  The
+    transience verdict read from the tail window is kept once per model too
+    (see ``_window_transience``).  Exact areas are never cached, because on
+    a tree they grow like d**r; ``area_values`` and ``log_area_floats``
+    form them per call.
     """
 
     def __init__(self, *, k_plus, k_minus, vol, tail, label):
@@ -226,6 +259,7 @@ class RadialModel:
         self._depth = depth
         self._tail = tail
         self._label = label
+        self._prefix = None  # the bulk views over radii 0.. (see _degrees)
 
     @property
     def depth(self):
@@ -292,58 +326,104 @@ class RadialModel:
         self._need(r, self._depth - 1, "kappa")
         return Fraction(self._k_plus.item(r)) / Fraction(self._k_minus.item(r))
 
-    # -- bulk views (built once over the stored range, returned read-only) --
+    # -- bulk views (read-only, over the prefix of radii the readers ask for) --
 
     @functools.cached_property
-    def _degrees(self):
-        """k_plus(0..depth-1) and k_minus(0..depth) as floats, the same in
-        exact form (see ``exact_degrees``), and kappa(0..depth-1) as floats;
-        SizeLimitExceededError when a degree is past the float64 range.
-        On int64 storage the float views are one cast each."""
-        n, kp, km = self._depth, self._k_plus, self._k_minus
-        try:
-            floats = [kp.astype(float), km.astype(float)]
-        except OverflowError:
-            past = np.append(kp > _FLOAT_MAX, False) | (km > _FLOAT_MAX)
-            r = int(np.argmax(past))
-            raise SizeLimitExceededError(
-                f"a degree of {self._label} at radius {r} is past the float64 range"
-            ) from None
-        floats[1][0] = 0.0  # k_minus(0), whatever entry 0 stores
-        kappa = np.empty(n)
-        kappa[0] = np.nan
+    def _degree_form(self):
+        """(exact degrees are the float views, kappa is a division of the
+        float views), decided once from all stored degrees; see
+        ``_degree_block``.  SizeLimitExceededError when a degree is past the
+        float64 range, naming the first radius that holds one."""
+        kp, km = self._k_plus, self._k_minus
+        if kp.dtype == object or km.dtype == object:
+            # float() of the largest degree overflows exactly when float()
+            # of some degree does
+            try:
+                float(max(kp.max(), km.max()))
+            except OverflowError:
+                past = np.append(kp > _FLOAT_MAX, False) | (km > _FLOAT_MAX)
+                raise SizeLimitExceededError(
+                    f"a degree of {self._label} at radius {int(np.argmax(past))} "
+                    "is past the float64 range"
+                ) from None
         # int64 storage holds ints only; object storage may hold any
         ints = (kp.dtype != object and km.dtype != object
                 or set(map(type, itertools.chain(kp, km))) == {int})
         top = int(max(kp.max(), km.max())) if ints else math.inf
-        if max(top, n) ** 2 < _EXACT_FLOAT_LIMIT:
-            exact = floats
-        else:
+        return max(top, self._depth) ** 2 < _EXACT_FLOAT_LIMIT, top < _EXACT_FLOAT_LIMIT
+
+    def _degree_block(self, s, e, exact=True):
+        """k_plus and k_minus as floats, the same in exact form (see
+        ``exact_degrees``), and kappa as floats, on radii s..e-1 (0 <= s <
+        e <= depth + 1; k_plus and kappa stop at depth - 1, and entry 0 of
+        kappa is NaN).  With exact=False the exact form is None where it
+        would be a copy that kappa does not need.
+
+        The float views are one cast of the stored slices.  The exact form
+        is the float views when every stored degree is an int small enough
+        for their products to stay exact, and object arrays otherwise (see
+        ``_object_views``).  kappa is one division of the float views when
+        every degree is exact in float64, and one correctly rounded
+        division per radius, as float(Fraction), otherwise.
+        """
+        exact_floats, divide = self._degree_form
+        n = min(e, self._depth)
+        kp, km = self._k_plus[s:n], self._k_minus[s:e]
+        floats = [kp.astype(float), km.astype(float)]
+        lo = 1 if s == 0 else 0  # kappa and k_minus at the origin
+        floats[1][:lo] = 0.0  # k_minus(0), whatever entry 0 stores
+        if exact_floats:
+            exact_views = floats
+        elif exact or not divide:
             kp, km = _object_views(kp, km)
-            # a tree's broadcast k_minus stores 1 at the origin
-            exact = [kp, km if km[0] == 0 else _frozen(np.concatenate(([0], km[1:])))]
-        if top < _EXACT_FLOAT_LIMIT:
-            # both degrees exact in float64: one division rounds correctly
-            np.divide(floats[0][1:], floats[1][1:n], out=kappa[1:])
+            if lo and km[0] != 0:  # a tree's broadcast k_minus stores 1 at the origin
+                km = _frozen(np.concatenate(([0], km[1:])))
+            exact_views = [kp, km]
         else:
-            # one correctly rounded division per radius, as float(Fraction)
-            kappa[1:] = np.fromiter(map(operator.truediv, exact[0][1:], exact[1][1:n]),
-                                    dtype=float, count=n - 1)
-        return (*map(_frozen, floats), *exact, _frozen(kappa))
+            exact_views = [None, None]
+        kappa = np.empty(n - s)
+        kappa[:lo] = np.nan
+        if divide:
+            # both degrees exact in float64: one division rounds correctly
+            np.divide(floats[0][lo:], floats[1][lo:n - s], out=kappa[lo:])
+        else:
+            kappa[lo:] = np.fromiter(map(operator.truediv, exact_views[0][lo:],
+                                         exact_views[1][lo:n - s]),
+                                     dtype=float, count=n - s - lo)
+        return (*map(_frozen, floats), *exact_views, _frozen(kappa))
+
+    def _degrees(self, n):
+        """The ``_degree_block`` views of radii 0..m-1 for some m >= n.
+
+        They are kept as a prefix cache.  A request past it drops the old
+        views and builds new ones over max(n, twice as many radii) radii, so
+        a reader's views cost what it reads, and readers that ask further
+        and further build O(log depth) times.  Views that reach radius
+        depth - 1 take k_minus(depth) too, so that no reader of the whole
+        stored depth rebuilds them for that one entry.
+        """
+        have = 0 if self._prefix is None else len(self._prefix[1])
+        if n > have:
+            self._prefix = None  # before the new views are built
+            m = max(n, 2 * have)
+            self._prefix = self._degree_block(0, self._depth + 1 if m >= self._depth else m)
+        return self._prefix
 
     def _upto(self, r_hi, last, what):
-        """slice(r_hi + 1), once radius r_hi is checked against ``last``."""
+        """r_hi + 1, once radius r_hi is checked against ``last``."""
         r_hi = _as_radius(r_hi)
         self._need(r_hi, last, what)
-        return slice(r_hi + 1)
+        return r_hi + 1
 
     def k_plus_floats(self, r_hi):
         """k_plus(0..r_hi) as a float array."""
-        return self._degrees[0][self._upto(r_hi, self._depth - 1, "k_plus")]
+        n = self._upto(r_hi, self._depth - 1, "k_plus")
+        return self._degrees(n)[0][:n]
 
     def k_minus_floats(self, r_hi):
         """k_minus(0..r_hi) as a float array (entry 0 is 0)."""
-        return self._degrees[1][self._upto(r_hi, self._depth, "k_minus")]
+        n = self._upto(r_hi, self._depth, "k_minus")
+        return self._degrees(n)[1][:n]
 
     def exact_degrees(self, r_hi):
         """k_plus(0..r_hi) and k_minus(0..r_hi) in arrays with exact products.
@@ -353,17 +433,21 @@ class RadialModel:
         these arrays, so kappa ratios compare and subtract exactly through
         cross products.  They are the float views when every stored degree
         is an integer small enough for those products to stay below 2**53,
-        and object arrays of the ints and Fractions otherwise, never int64;
-        the choice is made once per model, whatever r_hi is.  Degrees
-        stored as int64 are converted once, and an antitree's two arrays
-        are views of one object copy of its sphere sizes.
+        and object arrays of the ints and Fractions otherwise, never int64.
+        The choice is made once per model, from all its stored degrees, so
+        every r_hi gets the same kind of array.  Degrees stored as int64 are
+        converted over the prefix that the views cover, and an antitree's
+        two arrays are views of one object copy of that prefix of its
+        sphere sizes.
         """
-        upto = self._upto(r_hi, self._depth - 1, "k_plus")
-        return self._degrees[2][upto], self._degrees[3][upto]
+        n = self._upto(r_hi, self._depth - 1, "k_plus")
+        views = self._degrees(n)
+        return views[2][:n], views[3][:n]
 
     def kappa_floats(self, r_hi):
         """kappa(1..r_hi) as a float array, each rounded once; entry 0 is NaN."""
-        return self._degrees[4][self._upto(r_hi, self._depth - 1, "kappa")]
+        n = self._upto(r_hi, self._depth - 1, "kappa")
+        return self._degrees(n)[4][:n]
 
     @functools.cached_property
     def _window_transience(self):
@@ -506,6 +590,13 @@ def make_antitree(sphere_sizes, depth, label=None):
     else:
         raw = map(sphere_sizes, range(depth + 1)) if callable(sphere_sizes) else sphere_sizes
         s = np.fromiter(itertools.chain((0,), itertools.islice(raw, depth + 1)), dtype=object)
+    return _antitree(s, depth, label)
+
+
+def _antitree(s, depth, label=None):
+    """make_antitree from [0, s(0), ..., s(depth)], an int64 or object
+    array that the model keeps and freezes: no copy of an int64 array is
+    made, so a caller that builds one holds the sizes once."""
     if len(s) < depth + 2:
         raise InvalidParameterError(
             f"need sphere sizes up to radius {depth}, got {len(s) - 1} values")

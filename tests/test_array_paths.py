@@ -8,6 +8,7 @@ route is exercised as well as the float64 one.
 
 import functools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -306,7 +307,7 @@ def test_deep_model_keeps_its_exact_form_on_shallow_requests():
 
 def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     calls = Counter()
-    passes = []
+    passes, prefixes = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -314,18 +315,25 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_degrees", "_window_transience"):
-        view = functools.cached_property(counted(name, vars(RadialModel)[name].func))
-        view.__set_name__(RadialModel, name)
-        monkeypatch.setattr(RadialModel, name, view)
+    view = functools.cached_property(counted("_window_transience",
+                                             vars(RadialModel)["_window_transience"].func))
+    view.__set_name__(RadialModel, "_window_transience")
+    monkeypatch.setattr(RadialModel, "_window_transience", view)
     monkeypatch.setattr(RadialModel, "kappa", counted("kappa", vars(RadialModel)["kappa"]))
     area_values = vars(RadialModel)["area_values"]
+    degree_block = vars(RadialModel)["_degree_block"]
 
     def spied_areas(self, r_lo, r_hi):
         passes.append((r_lo, r_hi))
         return area_values(self, r_lo, r_hi)
 
+    def spied_block(self, s, e, exact=True):
+        if s == 0:  # the prefix views; the full-depth scans start at radius 1
+            prefixes.append(e)
+        return degree_block(self, s, e, exact)
+
     monkeypatch.setattr(RadialModel, "area_values", spied_areas)
+    monkeypatch.setattr(RadialModel, "_degree_block", spied_block)
     # transience and properness read the degrees, and properness and the
     # Green route share one scan of the window (a geometric tail needs
     # none); the Green tail bound's window reads the degrees and volumes,
@@ -333,25 +341,32 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     # pairs u = r / area(r) (the ratio route of superharmonic-sqrt-ground
     # on 1..513, the ground-state identity on 1..65 and 1..7 and the
     # transform on 1..8; superharmonic-ground reads the degrees alone) and
-    # for log G on 0..128
+    # for log G on 0..128.  The degree views grow with the radii asked for
+    # (criticality at 10, 100 and 1000, null-criticality to 10**4), at
+    # least doubling at each rebuild, and no verify builds them past
+    # radius 2 * 10**4, whatever the depth
     ground = [(1, 513), (1, 65), (1, 7), (1, 8)]
-    for spec, scans, area_passes in [("antitree:poly:2:3000", 1, ground + [(1, 129)]),
-                                     ("tree:2:100000", 0, ground + [(1, 129)])]:
+    for spec, scans in [("antitree:poly:2:3000", 1), ("tree:2:100000", 0),
+                        ("antitree:poly:1:100000", 1), ("antitree:poly:2:100000", 1)]:
         calls.clear()
         passes.clear()
+        prefixes.clear()
         cli.main(["verify", "--model", spec, "--suite", "all"])
         capsys.readouterr()
-        assert calls["_degrees"] == 1, spec
+        depth = int(spec.rpartition(":")[2])
+        assert prefixes[0] == 10 and max(prefixes) <= min(depth + 1, 2 * 10 ** 4 + 1), spec
+        assert all(b >= min(2 * a, depth) for a, b in zip(prefixes, prefixes[1:])), spec
         assert calls["_window_transience"] == scans, spec
-        assert passes == area_passes, spec
+        assert passes == ground + [(1, 129)], spec
         assert calls["kappa"] <= 3, spec
 
 
 def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, capsys):
     # int64 storage: tree:2 and antitree:poly:1 keep float64-exact degrees
-    # and build no object array of the model's length; antitree:poly:2's
-    # degree products pass 2**53, and its exact degrees are two views of one
-    # object copy of its sphere sizes, made once
+    # and build no object array; antitree:poly:2's degree products pass
+    # 2**53, and its exact degrees are two views of one object copy of the
+    # prefix of its sphere sizes that the views cover, made once per build
+    # of the views and never by the full-depth scans
     converted, area_lengths, models = [], [], {}
     object_views, area_values = radial_model._object_views, vars(RadialModel)["area_values"]
     parse = cli._parse_model_spec
@@ -386,12 +401,34 @@ def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, cap
         assert 0 < max(area_lengths) <= radial_model._WINDOW_BLOCK + 2, spec
         kp, km = model.exact_degrees(depth - 1)
         if converts:
-            assert converted == [[depth, depth + 1]]
+            # the views of criticality and null-criticality, and the whole
+            # stored depth
+            assert converted == [[n, n] for n in (10, 100, 1000, 10_001)] + [[depth, depth + 1]]
             assert kp.dtype == km.dtype == object
             assert kp.base is km.base and kp.base.shape == (depth + 2,)
         else:
             assert converted == [], spec
             assert kp.dtype == km.dtype == float, spec
+
+
+def test_deep_verify_memory_is_set_by_what_it_reads(capsys):
+    # at depth 1e6 a verify holds what it held at 1e4, plus the stored
+    # data: tree:2 stores none, antitree:poly:2 its int64 sphere sizes
+    # [0, s(0), ..., s(depth)]
+    def traced_peak(spec):
+        tracemalloc.start()
+        try:
+            cli.main(["verify", "--model", spec, "--suite", "all"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    depth = 10 ** 6
+    assert traced_peak(f"tree:2:{depth}") <= traced_peak("tree:2:10000") + 10 ** 6
+    sizes = 8 * (depth + 2)
+    assert (traced_peak(f"antitree:poly:2:{depth}")
+            <= traced_peak("antitree:poly:2:10000") + 10 ** 6 + sizes)
 
 
 def test_deep_window_blocks_run_in_int64_where_the_bound_holds(monkeypatch, capsys):

@@ -29,6 +29,7 @@ from hardy_lab.optimality import _ground_decreasing
 from hardy_lab.radial_model import RadialModel
 
 from object_storage import object_storage
+from whole_views import whole_kappa_constant_from, whole_log_green
 from whole_window import whole_area_window, whole_window_decreasing, whole_window_transience
 
 
@@ -585,3 +586,74 @@ def test_green_recursion_fixed_point_on_a_run_of_one():
                         tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
     ell, _ = greens._log_green(model, model.depth - 1)
     assert ell.tobytes() == reference_log_green(model).tobytes()
+
+
+@st.composite
+def _runs_models(draw):
+    """Runs of constant degrees, then a geometric tail: fixed points of the
+    Green step, filled runs and falling areas, at any radius."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 5), st.integers(1, 3)),
+                         min_size=1, max_size=8))
+    k_plus, k_minus = [], []
+    for length, kp, km in runs:
+        k_plus += [kp] * length
+        k_minus += [km] * length
+    tail_kp, tail_km = draw(st.sampled_from([(2, 1), (3, 1), (5, 2)]))
+    tail = draw(st.integers(1, 12))
+    k_plus += [tail_kp] * tail
+    k_minus += [tail_km] * tail
+    return make_custom(k_plus, [0] + k_minus,
+                       tail=Tail("eventually-geometric", kappa_inf=Fraction(tail_kp, tail_km)))
+
+
+# the areas climb as 4**r, fall by 4 per radius and climb again
+_CLIMB_AND_FALL = make_custom([4] * 60 + [1] * 60 + [2] * 120, [0] + [1] * 60 + [4] * 60 + [1] * 120,
+                              tail=Tail("eventually-geometric", kappa_inf=2, start=121))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@given(model=st.one_of(_runs_models(), _increasing_models().map(lambda case: case[0])))
+@example(model=_CLIMB_AND_FALL)
+@example(model=make_antitree(lambda r: (r + 1) ** 2, 60))
+@example(model=make_tree(3, 40))
+def test_green_recursion_in_blocks_matches_the_whole_depth(block, model):
+    # log kappa above r_max read block by block, against one whole array
+    depth = model.depth
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_model, "_WINDOW_BLOCK", block)
+        for r_max in sorted({0, 1, depth // 3, depth // 2, depth - 2, depth - 1}):
+            ell, _ = greens._log_green(model, r_max)
+            assert ell.tobytes() == whole_log_green(model, r_max).tobytes(), r_max
+
+
+_TAIL_KAPPAS = [(1, 1), (2, 1), (3, 2)]
+# ratios that round to the float of the kappa beside them, exactly one
+# part in 2**60 away
+_NEAR_TIES = [(2 ** 60 + 1, 2 ** 60), (2 ** 61 + 1, 2 ** 60), (3 * 2 ** 59 + 1, 2 ** 60)]
+
+
+@st.composite
+def _eventually_constant_kappa(draw):
+    """Degrees whose kappa is constant from a drawn radius on, and below it
+    the same kappa, ratios that round to its float without equalling it, or
+    other ratios."""
+    depth = draw(st.integers(3, 40))
+    tail = draw(st.sampled_from(_TAIL_KAPPAS))
+    start = draw(st.integers(1, depth - 1))
+    head = st.sampled_from(_TAIL_KAPPAS + _NEAR_TIES) | st.tuples(st.integers(1, 9),
+                                                                   st.integers(1, 9))
+    degrees = [draw(head) for _ in range(start)] + [tail] * (depth - start)
+    return make_custom([kp for kp, _ in degrees], [0] + [km for _, km in degrees[1:]] + [1])
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@given(model=_eventually_constant_kappa())
+@example(model=make_custom([3] * 7 + [2] * 13, [0] + [1] * 20))  # breaks at 6, inside a block
+@example(model=make_custom([1, 1, 2 ** 60 + 1] + [1] * 9, [0, 1, 2 ** 60] + [1] * 10))
+@example(model=make_tree(2, 30))
+def test_kappa_constant_from_in_blocks_matches_the_whole_depth(block, model):
+    expected = whole_kappa_constant_from(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_model, "_WINDOW_BLOCK", block)
+        for m in (model, object_storage(model)):
+            assert greens._kappa_constant_from(m) == expected

@@ -12,6 +12,7 @@ from hardy_lab import (
     InvalidParameterError,
     NeedsTailError,
     NoCanonicalRealizationError,
+    RadialModel,
     SizeLimitExceededError,
     Tail,
     expand_vertex_graph,
@@ -23,6 +24,7 @@ from hardy_lab import (
 )
 from hardy_lab.radial_model import MAX_DEPTH, _decimal_text
 from object_storage import object_storage
+from whole_views import whole_degrees
 
 
 def test_tree_radial_data():
@@ -185,6 +187,72 @@ def test_int64_and_object_storage_give_the_same_views(kind, data):
     scalars = [f(r) for r in range(n) for f in (m.k_plus, m.k_minus, m.vol, m.area)]
     assert {type(x) for x in scalars + [m.vol(n), m.area(n)]} <= {int, Fraction}
     assert all(type(m.kappa(r)) is Fraction for r in range(1, n))
+
+
+def _fresh(model):
+    """The same stored arrays in a new model, with no views built yet."""
+    return RadialModel(k_plus=model._k_plus, k_minus=model._k_minus, vol=model._vol,
+                       tail=model.tail, label=model.label)
+
+
+def _assert_prefix_views(model, reference, radii):
+    """Every bulk view of ``model`` at each radius of ``radii``, asked in
+    that order, against slices of the whole-depth ``reference``."""
+    for r in radii:
+        r_kp = min(r, model.depth - 1)  # k_plus and kappa end at depth - 1
+        pairs = [(model.k_plus_floats(r_kp), reference[0][:r_kp + 1]),
+                 (model.k_minus_floats(r), reference[1][:r + 1]),
+                 (model.kappa_floats(r_kp), reference[4][:r_kp + 1]),
+                 *zip(model.exact_degrees(r_kp), (reference[2][:r_kp + 1],
+                                                  reference[3][:r_kp + 1]))]
+        for view, whole in pairs:
+            assert view.dtype == whole.dtype, r
+            if view.dtype == object:
+                assert _same_objects(view, list(whole)), r
+            else:
+                assert view.tobytes() == whole.tobytes(), r
+            assert not view.flags.writeable
+
+
+_ORDERS = {"increasing": sorted, "decreasing": lambda radii: sorted(radii, reverse=True),
+           "repeated": lambda radii: [radii[0]] * 3 + radii, "as drawn": list}
+
+
+@pytest.mark.parametrize("kind", ["tree", "antitree", "custom"])
+@given(data=st.data())
+def test_prefix_views_are_slices_of_the_whole_depth_views(kind, data):
+    m = data.draw(built_models(kind))
+    reference = whole_degrees(m)
+    radii = data.draw(st.lists(st.integers(0, m.depth), min_size=1, max_size=8))
+    radii = _ORDERS[data.draw(st.sampled_from(sorted(_ORDERS)))](radii)
+    for model in (m, object_storage(m)):
+        _assert_prefix_views(model, reference, radii)
+
+
+@pytest.mark.parametrize("model", [
+    make_custom([2] * 39 + [2 ** 30], [0] + [1] * 40),
+    make_antitree(np.array([1] * 40 + [2 ** 30]), 40),
+    make_custom([2] * 39 + [Fraction(5, 2)], [0] + [1] * 40),
+    make_tree(2 ** 53 + 1, 40),
+], ids=["custom-int", "antitree", "custom-fraction", "tree-past-2**53"])
+def test_a_short_prefix_takes_the_exact_form_of_the_whole_model(model):
+    # the last degree alone makes the exact form objects (and, past 2**53
+    # or as a Fraction, kappa one Fraction division per radius): a prefix
+    # that stops short of it must take that form too
+    reference = whole_degrees(model)
+    assert reference[2].dtype == object
+    for radii in ([0, 1, 5], [38, 3, 3], [2, 40, 39]):
+        for m in (_fresh(model), object_storage(model)):
+            _assert_prefix_views(m, reference, radii)
+
+
+def test_a_degree_past_the_double_range_refuses_every_prefix():
+    # k_plus(1023) = 2**1024: no view is formed, however short
+    model = make_antitree(lambda r: 2 ** r, 1200)
+    for view in (model.k_plus_floats, model.k_minus_floats, model.kappa_floats,
+                 model.exact_degrees):
+        with pytest.raises(SizeLimitExceededError, match="at radius 1023 is past"):
+            view(1)
 
 
 def test_exact_degrees_of_int64_storage_share_one_object_copy():
