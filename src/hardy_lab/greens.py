@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import radial_model
 from .errors import (
     InconclusiveTransienceError,
     InvalidParameterError,
@@ -177,22 +178,42 @@ class GreenProfile:
 
 
 class _LogKappa:
-    """log kappa(r + 1) at index r < depth - 1 of a model, read through
-    ``RadialModel._degree_block`` one slice at a time: it takes the place
-    of the whole array of them where a scan reads every radius."""
+    """log kappa(r + 1) at index r < depth - 1 of a model, for the scans
+    of ``_log_green`` that read every radius: it takes the place of the
+    whole array of them.
+
+    The values are formed through ``RadialModel._degree_block`` one block
+    of the grid ``_window_blocks(0, depth - 1)`` at a time, and the grid
+    blocks of the last slice read are kept.  The scans read slices of at
+    most a block and a radius, so at most two blocks are kept, and a scan
+    that moves one way through overlapping slices (the walk's views and
+    its run starts) forms each value once.
+    """
 
     def __init__(self, model):
         self._model = model
+        self._step = radial_model._WINDOW_BLOCK
+        self._kept = {}  # grid block index -> its values
+
+    def _form(self, k):
+        s = k * self._step
+        e = min(s + self._step, self._model.depth - 1)
+        return np.log(self._model._degree_block(s + 1, e + 1, exact=False)[4])
 
     def __getitem__(self, rs):
-        return np.log(self._model._degree_block(rs.start + 1, rs.stop + 1, exact=False)[4])
+        step = self._step
+        k0, k1 = rs.start // step, (rs.stop - 1) // step
+        kept = self._kept
+        self._kept = {k: kept[k] if k in kept else self._form(k) for k in range(k0, k1 + 1)}
+        values = self._kept[k0] if k0 == k1 else np.concatenate(list(self._kept.values()))
+        return values[rs.start - k0 * step:rs.stop - k0 * step]
 
 
-def _run_start(ell, r):
-    """The smallest t <= r with ell[t] = ... = ell[r], read in blocks down
-    from r; ``ell`` is an array or a _LogKappa."""
+def _run_start(log_kappa, r):
+    """The smallest t <= r with log_kappa[t] = ... = log_kappa[r], read in
+    blocks down from r."""
     for b0, b1 in _blocks_down(1, r + 1):
-        step = ell[b0 - 1:b1]
+        step = log_kappa[b0 - 1:b1]
         breaks = np.flatnonzero(step[1:] != step[:-1])
         if breaks.size:
             return b0 + int(breaks[-1])
@@ -251,9 +272,9 @@ def _log_green(model, r_max):
     with the largest exponents, dominate; rounding those exponents to
     doubles costs eps times their size.
 
-    Above r_max log kappa is read one block of radii at a time from the top
-    (see ``_LogKappa``) and only the running value l(r + 1) is kept, so the
-    arrays held are of length r_max + 1 or of one block, whatever the depth.
+    Log kappa is read one block of radii at a time (see ``_LogKappa``), and
+    l(r) is kept for r <= r_max only, so the arrays held are of length
+    r_max + 1 or of a few blocks, whatever the depth.
     """
     if not transience_test(model):
         raise NoGreenFunctionError(
@@ -276,58 +297,49 @@ def _log_green(model, r_max):
             "values are lower bounds; the stated bound assumes the stored "
             "window's convex growth persists",
         )
-    log_kappa = _LogKappa(model)
-    # [s, depth - 2], s >= r_max: the top stretch on which the areas increase
+    # [s, depth - 2], s >= r_max: the top stretch on which the areas
+    # increase, i.e. log kappa(r + 1) > 0
     s = r_max
     for b0, b1 in _blocks_down(r_max, depth - 1):
-        no_growth = np.flatnonzero(log_kappa[b0:b1] <= 0)
+        no_growth = np.flatnonzero(model._kappa_at_most_one(b0 + 1, b1 + 1))
         if no_growth.size:
             s = b0 + int(no_growth[-1]) + 1
             break
-    # the walk above r_max, from x = l(depth - 1), a block at a time
+    # the walk down from x = l(depth - 1), a block at a time; l(r) is kept
+    # for r <= r_max only
+    log_kappa = _LogKappa(model)
+    out = np.empty(r_max + 1)
     x, hi = top, depth - 2
-    while hi > r_max:
-        b0 = next(_blocks_down(r_max + 1, hi + 1))[0]
-        view = memoryview(log_kappa[b0 - 1:hi + 1])  # view[i]: radius b0 - 1 + i
-        for i in range(hi - b0 + 1, 0, -1):
-            r = b0 - 1 + i
-            if r > s and view[i - 1] != view[i]:
+    out[depth - 1:] = x  # l(depth - 1), when r_max = depth - 1
+    while hi >= 0:
+        b0 = next(_blocks_down(0, hi + 1))[0]
+        o = max(b0 - 1, 0)
+        view = memoryview(log_kappa[o:hi + 1])  # view[r - o]: log kappa(r + 1)
+        for r in range(hi, b0 - 1, -1):
+            lk = view[r - o]
+            if r > s and view[r - o - 1] != lk:
                 # kappa changes below r, so no run to fill: one sum to s
                 x = _stretch_log(log_kappa, s, r, x)
+                out[s:] = x  # l(s), when s = r_max
                 hi = s - 1
                 break
-            y = _step(x, view[i])
+            y = _step(x, lk)
             if y == x:
                 # the step at r returns its input, and so does every step
                 # below it in the same run of equal log kappa: fill the run
-                hi = _run_start(log_kappa, r) - 1
-                break
-            x = y
-        else:
-            hi = b0 - 1
-    # ell[r] holds log kappa(r + 1) until the step down replaces it by l(r);
-    # l is x from hi + 1 to r_max (hi < depth - 1)
-    ell = np.empty(r_max + 1)
-    np.log(model.kappa_floats(hi + 1)[1:], out=ell[:hi + 1])
-    ell[hi + 1:] = x
-    view = memoryview(ell)
-    while hi >= 0:
-        for r in range(hi, -1, -1):
-            y = _step(x, view[r])
-            if y == x:
-                # fill the run, whose start is found among the log kappa
-                # values ell[:r + 1] still holds
-                start = _run_start(ell, r)
-                ell[start:r + 1] = x
+                start = _run_start(log_kappa, r)
+                out[start:r + 1] = x
                 hi = start - 1
                 break
-            view[r] = x = y
+            x = y
+            if r <= r_max:
+                out[r] = x
         else:
-            break
-    log_values = ell - model.log_area_floats(r_max + 1)[1:]
+            hi = b0 - 1
+    log_values = out - model.log_area_floats(r_max + 1)[1:]
     with np.errstate(under="ignore"):
         values = np.exp(log_values)
-    return ell, GreenProfile(values=values, log_values=log_values, tail_method=method,
+    return out, GreenProfile(values=values, log_values=log_values, tail_method=method,
                              tail_error_bound=bound, notes=notes)
 
 
@@ -397,10 +409,12 @@ def _kappa_constant_from(model):
     kap_end = model._degree_block(end, end + 1, exact=False)[4][0]
     kp_end, km_end = model.k_plus(end), model.k_minus(end)
     for s, e in _blocks_down(1, end):
-        same = model._degree_block(s, e, exact=False)[4] == kap_end
+        _, _, kp, km, kappa = model._degree_block(s, e, exact=False)
+        same = kappa == kap_end
         ties = np.flatnonzero(same)
         if ties.size:
-            kp, km = model._degree_block(s, e)[2:4]
+            if kp is None:  # exact degrees that kappa did not need
+                kp, km = model._degree_block(s, e)[2:4]
             same[ties] = kp[ties] * km_end == kp_end * km[ties]
         breaks = np.flatnonzero(~same)
         if breaks.size:

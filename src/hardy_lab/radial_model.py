@@ -392,6 +392,25 @@ class RadialModel:
                                      dtype=float, count=n - s - lo)
         return (*map(_frozen, floats), *exact_views, _frozen(kappa))
 
+    def _kappa_at_most_one(self, s, e):
+        """Whether the float of kappa(r) (see ``_degree_block``) is at most
+        1, for r in s..e-1 (1 <= s < e <= depth), read from the float
+        degrees where they decide it.
+
+        When every degree is exact in float64 it is at most 1 exactly when
+        k_plus(r) <= k_minus(r).  Otherwise each float degree is off by a
+        factor of at most 1 + 2**-53, so where one exceeds the other by more
+        than a factor 1 + 2**-50 the exact ratio lies below 1 or past
+        1 + 2**-53, the largest ratio that rounds to 1, on the same side as
+        theirs.  kappa is formed for the block only when some radius is
+        nearer to a tie.
+        """
+        divide = self._degree_form[1]
+        kp, km = self._k_plus[s:e].astype(float), self._k_minus[s:e].astype(float)
+        if not divide and not np.all((kp > km * (1 + 2 ** -50)) | (kp < km * (1 - 2 ** -50))):
+            return self._degree_block(s, e, exact=False)[4] <= 1
+        return kp <= km
+
     def _degrees(self, n):
         """The ``_degree_block`` views of radii 0..m-1 for some m >= n.
 

@@ -262,7 +262,6 @@ def test_window_scans_hold_no_window_length_array():
     # degrees past 2**26 take the object-array path: a whole-window array
     # of their products held 7.8 MB here
     model = make_antitree(map(pow, range(1, 100_002), itertools.repeat(2)), 100_000)
-    model.exact_degrees(1)  # the cached degree views are not the scans' to pay
     for scan in (transience_test, _area_window, check_properness):
         tracemalloc.start()
         try:
@@ -591,17 +590,20 @@ def test_green_recursion_fixed_point_on_a_run_of_one():
 @st.composite
 def _runs_models(draw):
     """Runs of constant degrees, then a geometric tail: fixed points of the
-    Green step, filled runs and falling areas, at any radius."""
+    Green step, filled runs and falling areas, at any radius.  Degrees
+    scaled by 2**60 take the object path, whose kappa is one Fraction
+    division per radius."""
     runs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 5), st.integers(1, 3)),
                          min_size=1, max_size=8))
+    scale = draw(st.sampled_from([1, 2 ** 60]))
     k_plus, k_minus = [], []
     for length, kp, km in runs:
-        k_plus += [kp] * length
-        k_minus += [km] * length
+        k_plus += [scale * kp] * length
+        k_minus += [scale * km] * length
     tail_kp, tail_km = draw(st.sampled_from([(2, 1), (3, 1), (5, 2)]))
     tail = draw(st.integers(1, 12))
-    k_plus += [tail_kp] * tail
-    k_minus += [tail_km] * tail
+    k_plus += [scale * tail_kp] * tail
+    k_minus += [scale * tail_km] * tail
     return make_custom(k_plus, [0] + k_minus,
                        tail=Tail("eventually-geometric", kappa_inf=Fraction(tail_kp, tail_km)))
 
@@ -611,19 +613,71 @@ _CLIMB_AND_FALL = make_custom([4] * 60 + [1] * 60 + [2] * 120, [0] + [1] * 60 + 
                               tail=Tail("eventually-geometric", kappa_inf=2, start=121))
 
 
+# kappa (2**53 + 3) / (2**53 + 2) rounds to 1, so log kappa is 0 on radii
+# 1..29 although their areas grow; kappa 2 above them
+_GROWTH_ROUNDED_AWAY = make_custom([2 ** 53 + 3] * 30 + [2] * 10, [0] + [2 ** 53 + 2] * 30 + [1] * 10,
+                                   tail=Tail("eventually-geometric", kappa_inf=2))
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 @given(model=st.one_of(_runs_models(), _increasing_models().map(lambda case: case[0])))
 @example(model=_CLIMB_AND_FALL)
+@example(model=_GROWTH_ROUNDED_AWAY)
 @example(model=make_antitree(lambda r: (r + 1) ** 2, 60))
 @example(model=make_tree(3, 40))
 def test_green_recursion_in_blocks_matches_the_whole_depth(block, model):
-    # log kappa above r_max read block by block, against one whole array
+    # log kappa read block by block, against one whole array
     depth = model.depth
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(radial_model, "_WINDOW_BLOCK", block)
         for r_max in sorted({0, 1, depth // 3, depth // 2, depth - 2, depth - 1}):
-            ell, _ = greens._log_green(model, r_max)
-            assert ell.tobytes() == whole_log_green(model, r_max).tobytes(), r_max
+            expected = whole_log_green(model, r_max).tobytes()
+            for m in (model, object_storage(model)):
+                ell, _ = greens._log_green(m, r_max)
+                assert ell.tobytes() == expected, r_max
+
+
+# (k_plus, k_minus) with kappa at or beside 1 in float64: 1 + 2**-53 is the
+# tie that rounds to 1, and 2**53 + 3 and 2**53 + 2 round two ulps apart
+# while their ratio rounds to 1
+_BESIDE_ONE = [(1, 1), (2, 1), (1, 2), (2 ** 60, 2 ** 60), (2 ** 60 + 1, 2 ** 60),
+               (2 ** 60 - 1, 2 ** 60), (2 ** 60 + 2 ** 7, 2 ** 60), (2 ** 60 + 2 ** 7 + 1, 2 ** 60),
+               (2 ** 53 + 3, 2 ** 53 + 2), (2 ** 53 + 2, 2 ** 53 + 3),
+               (Fraction(2 ** 60 + 1, 3), Fraction(2 ** 60, 3))]
+
+
+@given(degrees=st.lists(st.sampled_from(_BESIDE_ONE) | st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                        min_size=2, max_size=30))
+@example(degrees=_BESIDE_ONE)
+@example(degrees=[(3, 2), (2, 3), (1, 1)])
+def test_kappa_at_most_one_matches_the_kappa_floats(degrees):
+    model = make_custom([kp for kp, _ in degrees], [0] + [km for _, km in degrees[1:]] + [1])
+    expected = (model.kappa_floats(model.depth - 1)[1:] <= 1).tolist()
+    for m in (model, object_storage(model)):
+        assert m._kappa_at_most_one(1, m.depth).tolist() == expected
+        # one radius at a time, so that no radius nearer to a tie decides another's route
+        assert [m._kappa_at_most_one(r, r + 1).item() for r in range(1, m.depth)] == expected
+
+
+def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch):
+    # runs of 60 radii at kappa 2 and 3 in turn, each filled from its fixed
+    # point by the walk down, which then reads the run's start below it
+    depth = 3000
+    k_plus = [2 + (r // 60) % 2 for r in range(depth)]
+    model = make_custom(k_plus, [0] + [1] * depth,
+                        tail=Tail("eventually-geometric", kappa_inf=k_plus[-1], start=depth))
+    formed = []
+    degree_block = RadialModel._degree_block
+
+    def counted(self, s, e, exact=True):
+        formed.append(e - s)
+        return degree_block(self, s, e, exact)
+
+    monkeypatch.setattr(RadialModel, "_degree_block", counted)
+    ell, _ = greens._log_green(model, 128)
+    assert sum(formed) == depth - 1
+    monkeypatch.undo()
+    assert ell.tobytes() == whole_log_green(model, 128).tobytes()
 
 
 _TAIL_KAPPAS = [(1, 1), (2, 1), (3, 2)]
@@ -651,6 +705,8 @@ def _eventually_constant_kappa(draw):
 @example(model=make_custom([3] * 7 + [2] * 13, [0] + [1] * 20))  # breaks at 6, inside a block
 @example(model=make_custom([1, 1, 2 ** 60 + 1] + [1] * 9, [0, 1, 2 ** 60] + [1] * 10))
 @example(model=make_tree(2, 30))
+# degrees past 2**26, below 2**53: kappa needs no exact degrees, the ties do
+@example(model=make_custom([3 * 2 ** 30] * 6 + [3] * 9, [0] + [2 ** 30] * 6 + [1] * 9))
 def test_kappa_constant_from_in_blocks_matches_the_whole_depth(block, model):
     expected = whole_kappa_constant_from(model)
     with pytest.MonkeyPatch.context() as patch:
