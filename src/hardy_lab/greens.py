@@ -247,12 +247,6 @@ def _stretch_log(ell, s, hi, x):
     return math.log1p(rest + math.exp((x - c) - comp))
 
 
-def _step(x, lk):
-    """log(1 + exp(x - lk)), without overflow."""
-    z = x - lk
-    return z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
-
-
 def _log_green(model, r_max):
     """l(r) = log(area(r + 1) G(r)) and the GreenProfile (log G = l - log
     area) on 0..r_max, the profile with its tail metadata.
@@ -309,31 +303,33 @@ def _log_green(model, r_max):
     # for r <= r_max only
     log_kappa = _LogKappa(model)
     out = np.empty(r_max + 1)
+    kept = memoryview(out)
     x, hi = top, depth - 2
     out[depth - 1:] = x  # l(depth - 1), when r_max = depth - 1
     while hi >= 0:
         b0 = next(_blocks_down(0, hi + 1))[0]
         o = max(b0 - 1, 0)
-        view = memoryview(log_kappa[o:hi + 1])  # view[r - o]: log kappa(r + 1)
-        for r in range(hi, b0 - 1, -1):
-            lk = view[r - o]
-            if r > s and view[r - o - 1] != lk:
-                # kappa changes below r, so no run to fill: one sum to s
-                x = _stretch_log(log_kappa, s, r, x)
+        view = memoryview(log_kappa[o:hi + 1])  # view[i]: log kappa(o + i + 1)
+        s_i, r_max_i = s - o, r_max - o  # s and r_max as indices of view
+        for i in range(hi - o, b0 - o - 1, -1):
+            if i > s_i and view[i - 1] != view[i]:
+                # kappa changes below r = o + i, so no run to fill: one sum to s
+                x = _stretch_log(log_kappa, s, o + i, x)
                 out[s:] = x  # l(s), when s = r_max
                 hi = s - 1
                 break
-            y = _step(x, lk)
+            z = x - view[i]  # then log(1 + exp(z)), without overflow
+            y = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
             if y == x:
-                # the step at r returns its input, and so does every step
-                # below it in the same run of equal log kappa: fill the run
-                start = _run_start(log_kappa, r)
-                out[start:r + 1] = x
+                # the step at r = o + i returns its input, and so does every
+                # step below it in the same run of equal log kappa: fill the run
+                start = _run_start(log_kappa, o + i)
+                out[start:o + i + 1] = x
                 hi = start - 1
                 break
             x = y
-            if r <= r_max:
-                out[r] = x
+            if i <= r_max_i:
+                kept[o + i] = x
         else:
             hi = b0 - 1
     log_values = out - model.log_area_floats(r_max + 1)[1:]
