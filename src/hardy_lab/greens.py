@@ -183,41 +183,47 @@ class _LogKappa:
     whole array of them.
 
     The values are formed through ``RadialModel._degree_block`` one block
-    of the grid ``_window_blocks(0, depth - 1)`` at a time, and the grid
-    blocks of the last slice read are kept.  The scans read slices of at
-    most a block and a radius, so at most two blocks are kept, and a scan
-    that moves one way through overlapping slices (the walk's views and
-    its run starts) forms each value once.
+    of the grid ``_window_blocks(0, depth - 1)`` at a time, with the radii
+    where they change, and the two blocks read last are kept.  A scan that
+    moves one way (the walk and its run starts down, the sums up) forms
+    each value once, and one more per block.
     """
 
     def __init__(self, model):
         self._model = model
-        self._step = radial_model._WINDOW_BLOCK
-        self._kept = {}  # grid block index -> its values
+        self.step = radial_model._WINDOW_BLOCK
+        self._kept = {}  # grid block index -> (values, breaks), read last at the end
 
-    def _form(self, k):
-        s = k * self._step
-        e = min(s + self._step, self._model.depth - 1)
-        return np.log(self._model._degree_block(s + 1, e + 1, exact=False)[4])
+    def block(self, k):
+        """Grid block k, from g0 = k * step: log kappa(r + 1) for r = g0 - 1,
+        ..., the block's last radius (NaN at r = -1), and the radii r >= g0
+        of the block at which it differs from r - 1, in increasing order."""
+        got = self._kept.pop(k, None)
+        if got is None:
+            g0 = k * self.step
+            g1 = min(g0 + self.step, self._model.depth - 1)
+            values = np.log(self._model._degree_block(g0, g1 + 1, exact=False)[4])
+            got = values, np.flatnonzero(values[1:] != values[:-1]) + g0
+            if len(self._kept) == 2:
+                del self._kept[next(iter(self._kept))]
+        self._kept[k] = got
+        return got
 
     def __getitem__(self, rs):
-        step = self._step
+        step = self.step
         k0, k1 = rs.start // step, (rs.stop - 1) // step
-        kept = self._kept
-        self._kept = {k: kept[k] if k in kept else self._form(k) for k in range(k0, k1 + 1)}
-        values = self._kept[k0] if k0 == k1 else np.concatenate(list(self._kept.values()))
+        parts = [self.block(k)[0][1:] for k in range(k0, k1 + 1)]
+        values = parts[0] if k0 == k1 else np.concatenate(parts)
         return values[rs.start - k0 * step:rs.stop - k0 * step]
 
-
-def _run_start(log_kappa, r):
-    """The smallest t <= r with log_kappa[t] = ... = log_kappa[r], read in
-    blocks down from r."""
-    for b0, b1 in _blocks_down(1, r + 1):
-        step = log_kappa[b0 - 1:b1]
-        breaks = np.flatnonzero(step[1:] != step[:-1])
-        if breaks.size:
-            return b0 + int(breaks[-1])
-    return 0
+    def run_start(self, r):
+        """The smallest t <= r with log kappa equal at t, ..., r: the last
+        radius at or below r where it changes (block 0 changes at 0)."""
+        for k in range(r // self.step, -1, -1):
+            breaks = self.block(k)[1]
+            i = int(np.searchsorted(breaks, r, side="right"))
+            if i:
+                return int(breaks[i - 1])
 
 
 def _stretch_log(ell, s, hi, x):
@@ -307,11 +313,11 @@ def _log_green(model, r_max):
     x, hi = top, depth - 2
     out[depth - 1:] = x  # l(depth - 1), when r_max = depth - 1
     while hi >= 0:
-        b0 = next(_blocks_down(0, hi + 1))[0]
-        o = max(b0 - 1, 0)
-        view = memoryview(log_kappa[o:hi + 1])  # view[i]: log kappa(o + i + 1)
+        k = hi // log_kappa.step
+        o = k * log_kappa.step - 1
+        view = memoryview(log_kappa.block(k)[0])  # view[i]: log kappa(o + i + 1)
         s_i, r_max_i = s - o, r_max - o  # s and r_max as indices of view
-        for i in range(hi - o, b0 - o - 1, -1):
+        for i in range(hi - o, 0, -1):
             if i > s_i and view[i - 1] != view[i]:
                 # kappa changes below r = o + i, so no run to fill: one sum to s
                 x = _stretch_log(log_kappa, s, o + i, x)
@@ -323,7 +329,7 @@ def _log_green(model, r_max):
             if y == x:
                 # the step at r = o + i returns its input, and so does every
                 # step below it in the same run of equal log kappa: fill the run
-                start = _run_start(log_kappa, o + i)
+                start = log_kappa.run_start(o + i)
                 out[start:o + i + 1] = x
                 hi = start - 1
                 break
@@ -331,7 +337,7 @@ def _log_green(model, r_max):
             if i <= r_max_i:
                 kept[o + i] = x
         else:
-            hi = b0 - 1
+            hi = o
     log_values = out - model.log_area_floats(r_max + 1)[1:]
     with np.errstate(under="ignore"):
         values = np.exp(log_values)

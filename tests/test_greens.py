@@ -659,9 +659,11 @@ def test_kappa_at_most_one_matches_the_kappa_floats(degrees):
         assert [m._kappa_at_most_one(r, r + 1).item() for r in range(1, m.depth)] == expected
 
 
-def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch):
+@pytest.mark.parametrize("block", [100, radial_model._WINDOW_BLOCK])
+def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch, block):
     # runs of 60 radii at kappa 2 and 3 in turn, each filled from its fixed
     # point by the walk down, which then reads the run's start below it
+    monkeypatch.setattr(radial_model, "_WINDOW_BLOCK", block)
     depth = 3000
     k_plus = [2 + (r // 60) % 2 for r in range(depth)]
     model = make_custom(k_plus, [0] + [1] * depth,
@@ -675,7 +677,9 @@ def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch):
 
     monkeypatch.setattr(RadialModel, "_degree_block", counted)
     ell, _ = greens._log_green(model, 128)
-    assert sum(formed) == depth - 1
+    # each block's values once, and the one radius below each block
+    assert sum(formed) == depth - 1 + len(formed)
+    assert len(formed) == -(-(depth - 1) // block)
     monkeypatch.undo()
     assert ell.tobytes() == whole_log_green(model, 128).tobytes()
 
