@@ -328,7 +328,7 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
         return area_values(self, r_lo, r_hi)
 
     def spied_block(self, s, e, exact=True):
-        if s == 0:  # the prefix views; the full-depth scans start at radius 1
+        if s == 0 and exact:  # the prefix views; the full-depth scans read kappa alone
             prefixes.append(e)
         return degree_block(self, s, e, exact)
 

@@ -37,19 +37,35 @@ def _mpf_of(x):
     return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
+def _sqrt_of(x):
+    """sqrt of a Fraction x >= 0: exact where it is rational, in mpmath otherwise."""
+    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if n * n == x.numerator and d * d == x.denominator:
+        return Fraction(n, d)
+    return mpmath.sqrt(_mpf_of(x))
+
+
 def reference_weight(model, gamma, r_max, dps=40):
-    """The weight from Fraction ratios of ground values, square-rooted in mpmath."""
+    """The weight from Fraction ratios of ground values, square-rooted
+    exactly where the root is rational and in mpmath otherwise, so that a
+    weight of exactly 0 is not read as a 40-digit residue."""
     u = u_gamma(model, gamma, r_max + 1)
     w = np.zeros(r_max + 1)
     with mpmath.workdps(dps):
         for r in range(0 if gamma > 0 else 1, r_max + 1):
-            up = _mpf_of(u[r + 1] / u[r])
-            term = model.k_plus(r) * (1 - mpmath.sqrt(up))
+            term = model.k_plus(r) * (1 - _sqrt_of(u[r + 1] / u[r]))
             if r > 0:
-                down = _mpf_of(u[r - 1] / u[r])
-                term += model.k_minus(r) * (1 - mpmath.sqrt(down))
+                term += model.k_minus(r) * (1 - _sqrt_of(u[r - 1] / u[r]))
             w[r] = float(term)
     return w
+
+
+def test_reference_weight_is_exact_where_the_roots_are_rational():
+    # sphere sizes 1, 1, 1, 6, 3: at r = 3 the ground ratios are 4/9 and 4,
+    # and the weight 3 (1 - 2/3) + (1 - 2) is 0, where 40 digits left -1.1e-41
+    model = make_antitree([1, 1, 1, 6, 3], 4)
+    assert reference_weight(model, Fraction(0), 3)[3] == 0.0
+    assert_routes_match(model, Fraction(0), 3)
 
 
 def reference_ground_defects(model, gamma, r_max):
