@@ -69,6 +69,8 @@ from .radial_model import (
 from .reporting import VerificationReport, _atomic_write, csv_text, json_text
 
 SUITES = ("all", "criticality", "nullcrit", "probe", "lambda0")
+# the width of each inflation window of the probe suite
+PROBE_WINDOW = 8
 
 
 def _spec_int(token, text):
@@ -264,10 +266,10 @@ def cmd_green(args):
 
 
 def _probe_bases(args, r_max):
-    bases = default_probe_bases(r_max, args.window)
+    bases = default_probe_bases(r_max, PROBE_WINDOW)
     if args.seed is not None:
         rng = np.random.default_rng(args.seed)
-        hi = r_max - args.window
+        hi = r_max - PROBE_WINDOW
         if hi > 1:
             bases = sorted(set(bases) | set(
                 int(b) for b in rng.integers(1, hi, size=8)
@@ -301,7 +303,7 @@ def cmd_verify(args):
         r_max = min(2048, depth - 1)
         w = closed_form_weight(model, gamma, r_max).values
         reports.append(optimality_probe(
-            model, w, lam=args.lam, window=args.window, r_max=r_max,
+            model, w, lam=args.lam, window=PROBE_WINDOW, r_max=r_max,
             bases=_probe_bases(args, r_max),
         ))
         reports.append(inflation_refutation(
@@ -402,8 +404,6 @@ def build_parser():
     p.add_argument("--gamma", default="0")
     p.add_argument("--lam", type=float, default=0.01,
                    help="inflation size for the probe suite")
-    p.add_argument("--window", type=int, default=8,
-                   help="inflation window width for the probe suite")
     p.add_argument("--seed", type=int, default=None,
                    help="adds seeded random probe bases to the deterministic ones")
     p.add_argument("--json", action="store_true")

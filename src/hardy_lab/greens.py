@@ -6,7 +6,9 @@ here.  Applying the Rayleigh ratio construction to sqrt(G) instead of the
 ground profile gives a second, classical weight to compare against; on
 trees that comparison has exact closed forms and the optimal weight wins
 pointwise with a margin that decays to zero.  Both the transience verdict
-and the Green recursion read the degrees and kappa, not sphere sizes.
+and the Green recursion read the degrees and kappa, not sphere sizes.  The
+recursion has two parts: one compensated sum over the top stretch on which
+the areas do not fall, and one step per radius below it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import radial_model
 from .errors import (
     InconclusiveTransienceError,
     InvalidParameterError,
@@ -177,78 +178,37 @@ class GreenProfile:
         return int(self.values.shape[0] - 1)
 
 
-class _LogKappa:
-    """log kappa(r + 1) at index r < depth - 1 of a model, for the scans
-    of ``_log_green`` that read every radius: it takes the place of the
-    whole array of them.
-
-    The values are formed through ``RadialModel._degree_block`` one block
-    of the grid ``_window_blocks(0, depth - 1)`` at a time, with the radii
-    where they change, and the two blocks read last are kept.  A scan that
-    moves one way (the walk and its run starts down, the sums up) forms
-    each value once, and one more per block.
-    """
-
-    def __init__(self, model):
-        self._model = model
-        self.step = radial_model._WINDOW_BLOCK
-        self._kept = {}  # grid block index -> (values, breaks), read last at the end
-
-    def block(self, k):
-        """Grid block k, from g0 = k * step: log kappa(r + 1) for r = g0 - 1,
-        ..., the block's last radius (NaN at r = -1), and the radii r >= g0
-        of the block at which it differs from r - 1, in increasing order."""
-        got = self._kept.pop(k, None)
-        if got is None:
-            g0 = k * self.step
-            g1 = min(g0 + self.step, self._model.depth - 1)
-            values = np.log(self._model._degree_block(g0, g1 + 1, exact=False)[4])
-            got = values, np.flatnonzero(values[1:] != values[:-1]) + g0
-            if len(self._kept) == 2:
-                del self._kept[next(iter(self._kept))]
-        self._kept[k] = got
-        return got
-
-    def __getitem__(self, rs):
-        step = self.step
-        k0, k1 = rs.start // step, (rs.stop - 1) // step
-        parts = [self.block(k)[0][1:] for k in range(k0, k1 + 1)]
-        values = parts[0] if k0 == k1 else np.concatenate(parts)
-        return values[rs.start - k0 * step:rs.stop - k0 * step]
-
-    def run_start(self, r):
-        """The smallest t <= r with log kappa equal at t, ..., r: the last
-        radius at or below r where it changes (block 0 changes at 0)."""
-        for k in range(r // self.step, -1, -1):
-            breaks = self.block(k)[1]
-            i = int(np.searchsorted(breaks, r, side="right"))
-            if i:
-                return int(breaks[i - 1])
+def _log_kappa(model, b0, b1):
+    """log kappa(r + 1) for r = b0..b1-1 (0 <= b0 < b1 < depth)."""
+    return np.log(model._degree_block(b0 + 1, b1 + 1, exact=False)[4])
 
 
-def _stretch_log(ell, s, hi, x):
-    """l(s) from x = l(hi + 1), where ell[s..hi] are log kappa values > 0
-    (``ell`` an array or a _LogKappa).
+def _stretch_log(blocks, x):
+    """l(s) from x = l(hi + 1), where ``blocks`` yields log kappa(r + 1) for
+    r = s..hi (at least one radius) in consecutive arrays going up.  The
+    areas do not fall there, so every value is >= 0, and 0 where they stay
+    flat or kappa rounds to 1.
 
     area(s + 1) G(s) = sum_{k < K} exp(-c_k) + exp(x - c_K), K = hi + 1 - s,
-    with c_k = ell[s] + ... + ell[s + k - 1] increasing from c_0 = 0: every
-    term is at most 1 and the nearest ones dominate.  Each c_k is a cumsum
-    plus the cumsum of its exact (TwoSum) rounding errors, formed one block
-    of radii at a time with (c, comp, rest) carried across blocks.  The
+    with c_k the sum of the first k values, nondecreasing from c_0 = 0:
+    every term is at most 1 and the nearest ones dominate.  Each c_k is a
+    cumsum plus the cumsum of its exact (TwoSum) rounding errors, formed
+    one block at a time with (c, comp, rest) carried across blocks.  The
     term k = 0 is kept out of the sum, which enters log1p.  exp(x - c_K)
-    cannot overflow: as the areas increase above hi, area(hi + 2) G(hi + 1)
-    is at most depth + kappa_inf / (kappa_inf - 1), so x < 50.
+    cannot overflow: as the areas do not fall above hi, area(hi + 2)
+    G(hi + 1) is at most depth + kappa_inf / (kappa_inf - 1), so x < 50.
     """
     c = comp = rest = 0.0  # rest: the terms 1 <= k < K
-    for b0, b1 in _window_blocks(s, hi + 1):
-        step = ell[b0:b1]
+    skip = 1  # the term k = 0
+    for step in blocks:
         sums = np.cumsum(np.concatenate(([c], step)))
         prev, new = sums[:-1], sums[1:]
         back = new - prev
         errs = np.cumsum(np.concatenate(([comp], (prev - (new - back)) + (step - back))))
         terms = np.exp(-prev)
         terms -= terms * errs[:-1]  # exp(-c_k), to first order in the error
-        rest += terms[1:].sum() if b0 == s else terms.sum()
+        rest += terms[skip:].sum()
+        skip = 0
         c, comp = float(new[-1]), float(errs[-1])
     return math.log1p(rest + math.exp((x - c) - comp))
 
@@ -262,19 +222,20 @@ def _log_green(model, r_max):
     1/area(r + 1), i.e. l(r) = log(1 + exp(l(r + 1) - log kappa(r + 1))):
     a step contracting where kappa > 1, whose values stay of order one.
 
-    Runs of equal kappa end at the step's float fixed point and are filled.
-    Only l(0..r_max) is reported: on the top stretch [s, depth - 2], s >=
-    r_max, on which every kappa(r + 1) > 1 (the areas increase), a walk
-    that meets a change of kappa, so no run to fill, takes one sum for l(s)
-    in place of a step per radius (see ``_stretch_log``).  Below s the
-    steps are taken one radius at a time, and so are the stretches where
-    the areas fall: there a sum's terms exceed 1 and the farthest ones,
-    with the largest exponents, dominate; rounding those exponents to
-    doubles costs eps times their size.
+    Only l(0..r_max) is reported.  On the top stretch [s, depth - 2], where
+    s >= r_max is the smallest radius above which no area falls (kappa(r +
+    1) >= 1, decided exactly on the degrees), l(s) is one sum (see
+    ``_stretch_log``) that reads log kappa in blocks going up.  Below s the
+    steps are taken one radius at a time, reading it in blocks going down,
+    and so are the stretches above r_max where the areas fall: there a
+    sum's terms exceed 1 and the farthest ones, with the largest exponents,
+    dominate; rounding those exponents to doubles costs eps times their
+    size.
 
-    Log kappa is read one block of radii at a time (see ``_LogKappa``), and
-    l(r) is kept for r <= r_max only, so the arrays held are of length
-    r_max + 1 or of a few blocks, whatever the depth.
+    Each log kappa is formed once, one block of radii at a time (see
+    ``RadialModel._degree_block``), and l(r) is kept for r <= r_max only,
+    so the arrays held are of length r_max + 1 or of one block, whatever
+    the depth.
     """
     if not transience_test(model):
         raise NoGreenFunctionError(
@@ -287,57 +248,37 @@ def _log_green(model, r_max):
             raise NeedsTailError("geometric behaviour starts beyond the stored depth")
         kap = float(t.kappa_inf)
         # sum_{n >= depth} 1/area(n) = kappa / (area(depth) (kappa - 1))
-        top = math.log(kap / (kap - 1.0))
+        x = math.log(kap / (kap - 1.0))  # l(depth - 1)
         method, bound, notes = "closed-form-geometric", 0.0, ()
     else:
-        top = 0.0
+        x = 0.0
         method = "truncated-with-bound"
         bound = _quadratic_tail_bound(_area_window(model))
         notes = (
             "values are lower bounds; the stated bound assumes the stored "
             "window's convex growth persists",
         )
-    # [s, depth - 2], s >= r_max: the top stretch on which the areas
-    # increase, i.e. log kappa(r + 1) > 0
+    # the top stretch [s, depth - 2]: one past the last r >= r_max at which
+    # area(r + 2) < area(r + 1)
     s = r_max
     for b0, b1 in _blocks_down(r_max, depth - 1):
-        no_growth = np.flatnonzero(model._kappa_at_most_one(b0 + 1, b1 + 1))
-        if no_growth.size:
-            s = b0 + int(no_growth[-1]) + 1
+        falls = np.flatnonzero(model._areas_fall(b0 + 1, b1 + 1))
+        if falls.size:
+            s = b0 + int(falls[-1]) + 1
             break
-    # the walk down from x = l(depth - 1), a block at a time; l(r) is kept
-    # for r <= r_max only
-    log_kappa = _LogKappa(model)
+    if s < depth - 1:  # the stretch is empty when r_max = depth - 1
+        blocks = (_log_kappa(model, b0, b1) for b0, b1 in _window_blocks(s, depth - 1))
+        x = _stretch_log(blocks, x)
     out = np.empty(r_max + 1)
+    out[s:] = x  # l(s), when s = r_max
     kept = memoryview(out)
-    x, hi = top, depth - 2
-    out[depth - 1:] = x  # l(depth - 1), when r_max = depth - 1
-    while hi >= 0:
-        k = hi // log_kappa.step
-        o = k * log_kappa.step - 1
-        view = memoryview(log_kappa.block(k)[0])  # view[i]: log kappa(o + i + 1)
-        s_i, r_max_i = s - o, r_max - o  # s and r_max as indices of view
-        for i in range(hi - o, 0, -1):
-            if i > s_i and view[i - 1] != view[i]:
-                # kappa changes below r = o + i, so no run to fill: one sum to s
-                x = _stretch_log(log_kappa, s, o + i, x)
-                out[s:] = x  # l(s), when s = r_max
-                hi = s - 1
-                break
-            z = x - view[i]  # then log(1 + exp(z)), without overflow
-            y = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
-            if y == x:
-                # the step at r = o + i returns its input, and so does every
-                # step below it in the same run of equal log kappa: fill the run
-                start = log_kappa.run_start(o + i)
-                out[start:o + i + 1] = x
-                hi = start - 1
-                break
-            x = y
-            if i <= r_max_i:
-                kept[o + i] = x
-        else:
-            hi = o
+    for b0, b1 in _blocks_down(0, s):
+        view = memoryview(_log_kappa(model, b0, b1))  # view[r - b0]: log kappa(r + 1)
+        for r in range(b1 - 1, b0 - 1, -1):
+            z = x - view[r - b0]  # then log(1 + exp(z)), without overflow
+            x = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+            if r <= r_max:
+                kept[r] = x
     log_values = out - model.log_area_floats(r_max + 1)[1:]
     with np.errstate(under="ignore"):
         values = np.exp(log_values)

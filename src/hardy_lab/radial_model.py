@@ -392,24 +392,10 @@ class RadialModel:
                                      dtype=float, count=n - s - lo)
         return (*map(_frozen, floats), *exact_views, _frozen(kappa))
 
-    def _kappa_at_most_one(self, s, e):
-        """Whether the float of kappa(r) (see ``_degree_block``) is at most
-        1, for r in s..e-1 (1 <= s < e <= depth), read from the float
-        degrees where they decide it.
-
-        When every degree is exact in float64 it is at most 1 exactly when
-        k_plus(r) <= k_minus(r).  Otherwise each float degree is off by a
-        factor of at most 1 + 2**-53, so where one exceeds the other by more
-        than a factor 1 + 2**-50 the exact ratio lies below 1 or past
-        1 + 2**-53, the largest ratio that rounds to 1, on the same side as
-        theirs.  kappa is formed for the block only when some radius is
-        nearer to a tie.
-        """
-        divide = self._degree_form[1]
-        kp, km = self._k_plus[s:e].astype(float), self._k_minus[s:e].astype(float)
-        if not divide and not np.all((kp > km * (1 + 2 ** -50)) | (kp < km * (1 - 2 ** -50))):
-            return self._degree_block(s, e, exact=False)[4] <= 1
-        return kp <= km
+    def _areas_fall(self, s, e):
+        """Whether area(r + 1) < area(r), i.e. kappa(r) < 1, for r in s..e-1
+        (1 <= s < e <= depth), compared exactly on the stored values."""
+        return self._k_plus[s:e] < self._k_minus[s:e]
 
     def _degrees(self, n):
         """The ``_degree_block`` views of radii 0..m-1 for some m >= n.
@@ -529,15 +515,23 @@ class RadialModel:
         Computed on each call and not cached: exact areas can be huge.  On a
         tree, area(r + 1) = d * area(r) is a running product from area(r_lo).
         """
+        areas = self._areas(r_lo, r_hi)
+        if self._vol is None:
+            return np.fromiter(areas, dtype=object, count=max(0, r_hi - r_lo + 1))
+        return areas
+
+    def _areas(self, r_lo, r_hi):
+        """area(r_lo..r_hi) (r_lo >= 1): on a tree an iterator of the running
+        product, which holds one area at a time, and otherwise one object
+        array."""
         r_lo, r_hi = _as_radius(r_lo), _as_radius(r_hi)
         if r_lo < 1:
             raise InvalidParameterError("area values start at radius 1")
         self._need(r_hi, self._depth, "area")
         if self._vol is None:
             d = self._k_plus.item(0)
-            return np.fromiter(itertools.accumulate(
-                itertools.repeat(d, max(0, r_hi - r_lo)), operator.mul, initial=d ** r_lo),
-                dtype=object, count=max(0, r_hi - r_lo + 1))
+            return itertools.accumulate(itertools.repeat(d, max(0, r_hi - r_lo)), operator.mul,
+                                        initial=d ** r_lo)
         # the object loop casts int64 entries to Python ints in buffered
         # chunks, so the products are exact and no object copy is kept
         return np.multiply(self._k_minus[r_lo:r_hi + 1], self._vol[r_lo:r_hi + 1],
@@ -548,9 +542,11 @@ class RadialModel:
 
         Each entry is math.log of the exact area, so it matches
         ``math.log(model.area(r))`` bit for bit.  Computed on each call
-        over 1..r_hi and not cached, like ``area_values``.
+        over 1..r_hi and not cached, like ``area_values``; on a tree each
+        area is dropped once its log is taken.
         """
-        return np.array([-math.inf, *map(_log_of_exact, self.area_values(1, r_hi))])
+        logs = map(_log_of_exact, self._areas(1, r_hi))
+        return np.fromiter(itertools.chain([-math.inf], logs), dtype=float, count=r_hi + 1)
 
     def radial_data(self, r_max=None):
         """Rows (r, k_plus, k_minus, vol) for r = 0..r_max.

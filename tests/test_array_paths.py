@@ -320,19 +320,19 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     view.__set_name__(RadialModel, "_window_transience")
     monkeypatch.setattr(RadialModel, "_window_transience", view)
     monkeypatch.setattr(RadialModel, "kappa", counted("kappa", vars(RadialModel)["kappa"]))
-    area_values = vars(RadialModel)["area_values"]
+    areas = vars(RadialModel)["_areas"]
     degree_block = vars(RadialModel)["_degree_block"]
 
     def spied_areas(self, r_lo, r_hi):
         passes.append((r_lo, r_hi))
-        return area_values(self, r_lo, r_hi)
+        return areas(self, r_lo, r_hi)
 
     def spied_block(self, s, e, exact=True):
         if s == 0 and exact:  # the prefix views; the full-depth scans read kappa alone
             prefixes.append(e)
         return degree_block(self, s, e, exact)
 
-    monkeypatch.setattr(RadialModel, "area_values", spied_areas)
+    monkeypatch.setattr(RadialModel, "_areas", spied_areas)
     monkeypatch.setattr(RadialModel, "_degree_block", spied_block)
     # transience and properness read the degrees, and properness and the
     # Green route share one scan of the window (a geometric tail needs
@@ -368,7 +368,7 @@ def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, cap
     # prefix of its sphere sizes that the views cover, made once per build
     # of the views and never by the full-depth scans
     converted, area_lengths, models = [], [], {}
-    object_views, area_values = radial_model._object_views, vars(RadialModel)["area_values"]
+    object_views, areas = radial_model._object_views, vars(RadialModel)["_areas"]
     parse = cli._parse_model_spec
 
     def spied_views(*arrays):
@@ -376,16 +376,15 @@ def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, cap
         return object_views(*arrays)
 
     def spied_areas(self, r_lo, r_hi):
-        areas = area_values(self, r_lo, r_hi)
-        area_lengths.append(len(areas))
-        return areas
+        area_lengths.append(r_hi - r_lo + 1)
+        return areas(self, r_lo, r_hi)
 
     def kept(text):
         models[text] = parse(text)
         return models[text]
 
     monkeypatch.setattr(radial_model, "_object_views", spied_views)
-    monkeypatch.setattr(RadialModel, "area_values", spied_areas)
+    monkeypatch.setattr(RadialModel, "_areas", spied_areas)
     monkeypatch.setattr(cli, "_parse_model_spec", kept)
     depth = 100_000
     for p, converts in [(None, False), (1, False), (2, True)]:

@@ -493,17 +493,6 @@ class CountingMath:
         return math.log1p(x)
 
 
-@pytest.mark.parametrize("d", [2, 3, 7])
-def test_green_recursion_fills_runs_at_its_fixed_point(monkeypatch, d):
-    model = make_tree(d, 20_000)
-    counting = CountingMath()
-    monkeypatch.setattr(greens, "math", counting)
-    ell, _ = greens._log_green(model, model.depth - 1)
-    assert ell.tobytes() == reference_log_green(model).tobytes()
-    # the float iteration reaches its fixed point within a few steps
-    assert counting.log1p_calls < 100
-
-
 @given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 5), st.integers(1, 3)),
                 min_size=1, max_size=12))
 def test_green_recursion_matches_one_step_per_radius(runs):
@@ -548,10 +537,26 @@ def test_green_recursion_sums_the_stretch_above_r_max(monkeypatch, build):
     assert counting.log1p_calls <= 130
 
 
+def test_green_recursion_sums_a_flat_stretch_above_r_max(monkeypatch):
+    # area(r) constant on radii 100..3100 between two doublings: the areas
+    # do not fall above r = 128, so l(128) is one sum and 128 steps, and
+    # the sum carries the flat stretch as accurately as the growth
+    model = make_custom([2] * 100 + [1] * 3000 + [2] * 900, [0] + [1] * 4000,
+                        tail=Tail("eventually-geometric", kappa_inf=2, start=3101))
+    counting = CountingMath()
+    monkeypatch.setattr(greens, "math", counting)
+    w, _ = green_weight(model, 128)
+    assert counting.log1p_calls <= 130
+    monkeypatch.undo()
+    ref = _green_weight_reference(model, 128, g_depth=Fraction(1, model.area(4000)))
+    assert np.max(np.abs(w - ref) / ref) <= 2e-14
+
+
 def test_green_recursion_keeps_falling_areas_on_the_loop():
-    # the model of test_green_route_survives_areas_that_climb_and_fall: its
-    # only increasing stretch above r = 128 is the tail run, filled at its
-    # fixed point, so every step below is the loop's
+    # the model of test_green_route_survives_areas_that_climb_and_fall: the
+    # areas fall on radii 600..1199, so the sum covers the tail run only,
+    # where it lands on the fixed point of the step, and every step below
+    # is the loop's
     k_plus = [4] * 600 + [1] * 600 + [2] * 1200
     k_minus = [0] + [1] * 600 + [4] * 600 + [1] * 1200
     model = make_custom(k_plus, k_minus,
@@ -562,11 +567,10 @@ def test_green_recursion_keeps_falling_areas_on_the_loop():
 
 @pytest.mark.parametrize("block", [1000, radial_model._WINDOW_BLOCK])
 @pytest.mark.parametrize("x", [0.0, 20.0])
-def test_stretch_sum_is_not_misled_by_cumsum_rounding(monkeypatch, block, x):
+def test_stretch_sum_is_not_misled_by_cumsum_rounding(block, x):
     # a constant log kappa whose low bits a plain cumsum rounds the same way
     # at every step within a binade of the partial sums: that sum lands
     # about 20 ulp off
-    monkeypatch.setattr(radial_model, "_WINDOW_BLOCK", block)
     ell = np.full(8192, 2.0 ** -10 + 0.4 * 2.0 ** -50)
     with mpmath.workdps(40):
         c = total = mpmath.mpf(0)
@@ -574,13 +578,13 @@ def test_stretch_sum_is_not_misled_by_cumsum_rounding(monkeypatch, block, x):
             total += mpmath.exp(-c)
             c += mpmath.mpf(float(v))
         ref = float(mpmath.log(total + mpmath.exp(x - c)))
-    got = greens._stretch_log(ell, 0, ell.size - 1, x)
+    got = greens._stretch_log((ell[i:i + block] for i in range(0, ell.size, block)), x)
     assert abs(got - ref) <= math.ulp(ref)
 
 
 def test_green_recursion_fixed_point_on_a_run_of_one():
     # log 2 from the tail is a float fixed point of the kappa = 2 step, which
-    # only the last stored radius takes; kappa = 3 below it is not filled
+    # only the last stored radius takes; the kappa = 3 steps below move on
     model = make_custom([3] * 20 + [2], [0] + [1] * 21,
                         tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
     ell, _ = greens._log_green(model, model.depth - 1)
@@ -590,7 +594,7 @@ def test_green_recursion_fixed_point_on_a_run_of_one():
 @st.composite
 def _runs_models(draw):
     """Runs of constant degrees, then a geometric tail: fixed points of the
-    Green step, filled runs and falling areas, at any radius.  Degrees
+    Green step, flat and falling areas, at any radius.  Degrees
     scaled by 2**60 take the object path, whose kappa is one Fraction
     division per radius."""
     runs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 5), st.integers(1, 3)),
@@ -637,32 +641,10 @@ def test_green_recursion_in_blocks_matches_the_whole_depth(block, model):
                 assert ell.tobytes() == expected, r_max
 
 
-# (k_plus, k_minus) with kappa at or beside 1 in float64: 1 + 2**-53 is the
-# tie that rounds to 1, and 2**53 + 3 and 2**53 + 2 round two ulps apart
-# while their ratio rounds to 1
-_BESIDE_ONE = [(1, 1), (2, 1), (1, 2), (2 ** 60, 2 ** 60), (2 ** 60 + 1, 2 ** 60),
-               (2 ** 60 - 1, 2 ** 60), (2 ** 60 + 2 ** 7, 2 ** 60), (2 ** 60 + 2 ** 7 + 1, 2 ** 60),
-               (2 ** 53 + 3, 2 ** 53 + 2), (2 ** 53 + 2, 2 ** 53 + 3),
-               (Fraction(2 ** 60 + 1, 3), Fraction(2 ** 60, 3))]
-
-
-@given(degrees=st.lists(st.sampled_from(_BESIDE_ONE) | st.tuples(st.integers(1, 9), st.integers(1, 9)),
-                        min_size=2, max_size=30))
-@example(degrees=_BESIDE_ONE)
-@example(degrees=[(3, 2), (2, 3), (1, 1)])
-def test_kappa_at_most_one_matches_the_kappa_floats(degrees):
-    model = make_custom([kp for kp, _ in degrees], [0] + [km for _, km in degrees[1:]] + [1])
-    expected = (model.kappa_floats(model.depth - 1)[1:] <= 1).tolist()
-    for m in (model, object_storage(model)):
-        assert m._kappa_at_most_one(1, m.depth).tolist() == expected
-        # one radius at a time, so that no radius nearer to a tie decides another's route
-        assert [m._kappa_at_most_one(r, r + 1).item() for r in range(1, m.depth)] == expected
-
-
 @pytest.mark.parametrize("block", [100, radial_model._WINDOW_BLOCK])
 def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch, block):
-    # runs of 60 radii at kappa 2 and 3 in turn, each filled from its fixed
-    # point by the walk down, which then reads the run's start below it
+    # runs of 60 radii at kappa 2 and 3 in turn: the sum reads the blocks
+    # above r = 128 going up, the walk those below going down
     monkeypatch.setattr(radial_model, "_WINDOW_BLOCK", block)
     depth = 3000
     k_plus = [2 + (r // 60) % 2 for r in range(depth)]
@@ -677,9 +659,9 @@ def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch, block):
 
     monkeypatch.setattr(RadialModel, "_degree_block", counted)
     ell, _ = greens._log_green(model, 128)
-    # each block's values once, and the one radius below each block
-    assert sum(formed) == depth - 1 + len(formed)
-    assert len(formed) == -(-(depth - 1) // block)
+    # each value once, in the blocks of [128, depth - 1) and of [0, 128)
+    assert sum(formed) == depth - 1
+    assert len(formed) == -(-(depth - 1 - 128) // block) + -(-128 // block)
     monkeypatch.undo()
     assert ell.tobytes() == whole_log_green(model, 128).tobytes()
 

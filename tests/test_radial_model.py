@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +320,20 @@ def test_kappa_beyond_depth_raises():
     m = make_tree(2, 6)
     with pytest.raises(NeedsTailError):
         m.kappa(6)
+
+
+def test_tree_log_areas_hold_one_area_at_a_time():
+    # the exact areas d**r of radii 1..20000 together take 25 MiB; each log
+    # is taken as the running product yields its area
+    model = make_tree(2, 20_002)
+    tracemalloc.start()
+    try:
+        logs = model.log_area_floats(20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert logs[20_000] == math.log(2 ** 20_000)
 
 
 def test_float_accessors():

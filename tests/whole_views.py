@@ -15,6 +15,7 @@ import numpy as np
 
 from hardy_lab import SizeLimitExceededError
 from hardy_lab.greens import _stretch_log
+from hardy_lab.radial_model import _window_blocks
 
 _FLOAT_MAX = 1.7976931348623157e308
 
@@ -55,39 +56,28 @@ def whole_degrees(model):
 
 def whole_log_green(model, r_max):
     """l(0..r_max) of greens._log_green, from one array of log kappa over
-    the whole depth: the top stretch, the walk, its sums and its filled
-    runs all read that array."""
+    the whole depth: the top stretch where no area falls, its sum over the
+    same blocks of radii as the library's, and one step per radius below."""
     depth, t = model.depth, model.tail
     if t.kind == "eventually-geometric":
         kap = float(t.kappa_inf)
-        top = math.log(kap / (kap - 1.0))
+        x = math.log(kap / (kap - 1.0))
     else:
-        top = 0.0
-    ell = np.empty(depth)
-    np.log(whole_degrees(model)[4][1:], out=ell[:-1])
-    ell[-1] = x = top
-    no_growth = ell[r_max:depth - 1] <= 0
-    s = r_max + no_growth.size - int(no_growth[::-1].argmax()) if no_growth.any() else r_max
-    breaks = np.flatnonzero(ell[1:] != ell[:-1]) + 1  # of log kappa, before any step
-    hi = depth - 2
-    while hi >= 0:
-        for r in range(hi, -1, -1):
-            if r > s and ell[r - 1] != ell[r]:
-                ell[s] = x = _stretch_log(ell, s, r, x)
-                hi = s - 1
-                break
-            z = x - ell[r]
-            y = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
-            if y == x:
-                i = np.searchsorted(breaks, r, side="right")
-                start = int(breaks[i - 1]) if i else 0
-                ell[start:r + 1] = x
-                hi = start - 1
-                break
-            ell[r] = x = y
-        else:
-            break
-    return ell[:r_max + 1]
+        x = 0.0
+    ell = np.log(whole_degrees(model)[4][1:])  # ell[r] = log kappa(r + 1)
+    falls = np.flatnonzero(model._k_plus[r_max + 1:] < model._k_minus[r_max + 1:depth])
+    s = r_max + 1 + int(falls[-1]) if falls.size else r_max
+    if s < depth - 1:
+        # np.sum is pairwise: the block edges are part of the result
+        x = _stretch_log((ell[b0:b1] for b0, b1 in _window_blocks(s, depth - 1)), x)
+    out = np.empty(r_max + 1)
+    out[s:] = x
+    for r in range(s - 1, -1, -1):
+        z = x - ell[r]
+        x = z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z))
+        if r <= r_max:
+            out[r] = x
+    return out
 
 
 def whole_kappa_constant_from(model):
