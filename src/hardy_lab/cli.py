@@ -69,8 +69,9 @@ from .radial_model import (
 from .reporting import VerificationReport, _atomic_write, csv_text, json_text
 
 SUITES = ("all", "criticality", "nullcrit", "probe", "lambda0")
-# the width of each inflation window of the probe suite
+# the width and size of each inflation of the probe suite
 PROBE_WINDOW = 8
+PROBE_LAM = 0.01
 
 
 def _spec_int(token, text):
@@ -303,11 +304,11 @@ def cmd_verify(args):
         r_max = min(2048, depth - 1)
         w = closed_form_weight(model, gamma, r_max).values
         reports.append(optimality_probe(
-            model, w, lam=args.lam, window=PROBE_WINDOW, r_max=r_max,
+            model, w, lam=PROBE_LAM, window=PROBE_WINDOW, r_max=r_max,
             bases=_probe_bases(args, r_max),
         ))
         reports.append(inflation_refutation(
-            model, lam=max(args.lam, 0.1), gamma=gamma, b_max=r_max
+            model, lam=0.1, gamma=gamma, b_max=r_max
         ))
     if suite in ("all", "lambda0"):
         reports.append(check_lambda0_bound(model))
@@ -402,10 +403,10 @@ def build_parser():
     add_model(p)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--gamma", default="0")
-    p.add_argument("--lam", type=float, default=0.01,
-                   help="inflation size for the probe suite")
     p.add_argument("--seed", type=int, default=None,
-                   help="adds seeded random probe bases to the deterministic ones")
+                   help="adds seeded random probe bases to the deterministic ones "
+                        "and seeds the ground-state-transform samples (2026 when "
+                        "unset); every report records it")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)

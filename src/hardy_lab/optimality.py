@@ -117,59 +117,20 @@ def criticality_energy(model, n, gamma=0):
     sqrt_ga = np.sqrt(g * area1)
     edge0 = (1 - sqrt_ga) ** 2
 
-    # every leaf is formed in the same buffers, as in helper_sum
-    size = min(n, _SUM_LEAF)
-    steps = np.arange(size + 1, dtype=ld)
-    radii, phi, inv, tmp, energy, bracket, mass, closed = np.empty((8, size + 1), dtype=ld)
-
     def terms(lo, hi):
-        # energy, mass and closed-form terms of radii lo..hi-1, rounded as
-        # whole arrays of them would be, one operation at a time; phi is
-        # the cutoff at lo..hi
-        m = hi - lo
-        r = np.add(steps[:m + 1], lo, out=radii[:m + 1])
-        idx, p, x, t = r[:m], phi[:m + 1], inv[:m], tmp[:m]
-        e, br, ms, cl = energy[:m], bracket[:m], mass[:m], closed[:m]
-        k = kap[lo:hi]
-        # phi = 1 - log(r) / log n
-        np.log(r, out=p)
-        np.divide(p, log_n, out=p)
-        np.subtract(1, p, out=p)
-        # energy = (sqrt(idx + 1) phi[1:] - sqrt(k idx) phi[:-1]) ** 2
-        np.add(idx, 1, out=e)
-        np.sqrt(e, out=e)
-        np.multiply(e, p[1:], out=e)
-        np.multiply(k, idx, out=t)
-        np.sqrt(t, out=t)
-        np.multiply(t, p[:-1], out=t)
-        np.subtract(e, t, out=e)
-        np.square(e, out=e)
-        # bracket = 1 + k - sqrt(k (1 + 1/idx)) - sqrt(kappa(r - 1) (1 - 1/idx))
-        np.divide(1, idx, out=x)
-        np.add(1, x, out=t)
-        np.multiply(k, t, out=t)
-        np.sqrt(t, out=t)
-        np.add(1, k, out=br)
-        np.subtract(br, t, out=br)
-        np.subtract(1, x, out=t)
-        np.multiply(kap[lo - 1:hi - 1], t, out=t)
-        np.sqrt(t, out=t)
-        np.subtract(br, t, out=br)
+        # energy, mass and closed-form terms of radii lo..hi-1; phi is the
+        # cutoff 1 - log(r) / log n at lo..hi
+        r = np.arange(lo, hi + 1, dtype=ld)
+        idx, k = r[:-1], kap[lo:hi]
+        phi = 1 - np.log(r) / log_n
+        energy = (np.sqrt(idx + 1) * phi[1:] - np.sqrt(k * idx) * phi[:-1]) ** 2
+        bracket = (1 + k - np.sqrt(k * (1 + 1 / idx))
+                   - np.sqrt(kap[lo - 1:hi - 1] * (1 - 1 / idx)))
         if lo == 1:  # kappa(0) is NaN; radius 1 has its own bracket
-            br[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
-        # mass = idx bracket phi[:-1] ** 2
-        np.multiply(idx, br, out=ms)
-        np.square(p[:-1], out=t)
-        np.multiply(ms, t, out=ms)
-        # closed = sqrt(k idx (idx + 1)) log1p(1/idx) ** 2
-        np.multiply(k, idx, out=cl)
-        np.add(idx, 1, out=t)
-        np.multiply(cl, t, out=cl)
-        np.sqrt(cl, out=cl)
-        np.log1p(x, out=t)
-        np.square(t, out=t)
-        np.multiply(cl, t, out=cl)
-        return e, ms, cl
+            bracket[0] = 1 + kap[1] - np.sqrt(2 * kap[1]) - sqrt_ga
+        mass = idx * bracket * phi[:-1] ** 2
+        closed = np.sqrt(k * idx * (idx + 1)) * np.log1p(1 / idx) ** 2
+        return energy, mass, closed
 
     energy_sum, mass_sum, closed_sum = _pairwise_sums(terms, 1, n)
     direct = edge0 + energy_sum - mass_sum
@@ -223,25 +184,9 @@ def helper_sum(n):
     if n < 3:
         raise InvalidParameterError("n must be at least 3")
 
-    # every leaf is formed in the same buffers: with fresh temporaries per
-    # leaf, glibc trims the freed heap top and faults it back in for the
-    # next one (about 5700 minor faults and 10 ms at n = 1e6)
-    size = min(n, _SUM_LEAF)
-    steps = np.arange(size, dtype=float)
-    radii, inv, term = np.empty((3, size))
-
     def terms(lo, hi):
-        # sqrt(1 + 1/r) * r * log1p(1/r)**2, one operation at a time
-        m = hi - lo
-        r, x, t = np.add(steps[:m], lo, out=radii[:m]), inv[:m], term[:m]
-        np.divide(1.0, r, out=x)
-        np.log1p(x, out=t)
-        np.square(t, out=t)
-        np.add(1.0, x, out=x)
-        np.sqrt(x, out=x)
-        np.multiply(x, r, out=x)
-        np.multiply(x, t, out=x)
-        return (x,)
+        r = np.arange(lo, hi, dtype=float)
+        return (np.sqrt(1.0 + 1.0 / r) * r * np.square(np.log1p(1.0 / r)),)
 
     return float(_pairwise_sums(terms, 1, n)[0]) / math.log(n) ** 2
 

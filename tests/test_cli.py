@@ -17,7 +17,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hardy_lab
-from hardy_lab import cli, make_antitree, make_custom, save_model, spectral_ops
+from hardy_lab import (
+    Tail,
+    cli,
+    load_model,
+    make_antitree,
+    make_custom,
+    save_model,
+    spectral_ops,
+    transience_test,
+)
 from hardy_lab.cli import main
 from hardy_lab.continuum import MAX_GRID_POINTS
 from object_storage import object_storage
@@ -266,15 +275,6 @@ def test_out_files_match_stdout(tmp_path, capsys):
     assert not list(tmp_path.glob(".tmp-report-*"))
 
 
-def test_non_finite_inflation_exits_2(capsys):
-    for lam in ("nan", "inf", "-inf"):
-        code, out, err = run(capsys, "verify", "--model", "tree:2:300",
-                             "--suite", "probe", f"--lam={lam}")
-        assert code == 2, lam
-        assert out == ""
-        assert err.startswith("error:") and "finite" in err
-
-
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["weight"])  # missing required --model
@@ -380,6 +380,38 @@ def test_unspecified_tail_tree_file_verifies(tmp_path, capsys, depth):
     green = next(r for r in json.loads(out) if r["check"] == "weight-dominates-green")
     assert math.isfinite(green["residuals"]["tail_error_bound"])
     assert any("truncated" in note for note in green["notes"])
+
+
+def test_finite_tail_file_is_recurrent_and_round_trips(tmp_path, capsys):
+    # a graph that ends at its stored depth: recurrent, so it has no Green
+    # function, and the checks that need an infinite graph do not apply
+    path = tmp_path / "finite.model"
+    lines = ["radial-model v1", "tail finite"]
+    lines += [f"{r} 2 {min(r, 1)} {2 ** r}" for r in range(300)] + [f"300 - 1 {2 ** 300}"]
+    path.write_text("\n".join(lines) + "\n")
+    model = load_model(path)
+    assert model.tail == Tail("finite")
+    assert transience_test(model) is False
+
+    code, out, _ = run(capsys, "verify", "--model", f"file:{path}", "--json")
+    assert code == 0
+    status = {r["check"]: r["status"] for r in json.loads(out)}
+    assert status["properness-proxy"] == "hypothesis-not-met"
+    assert status["weight-dominates-green"] == "hypothesis-not-met"
+
+    code, out, err = run(capsys, "green", "--model", f"file:{path}")
+    assert (code, out) == (3, "")
+    assert err.startswith("no-green-function:")
+
+    saved = tmp_path / "saved.model"
+    assert run(capsys, "model", "--model", f"file:{path}", "--out", str(saved))[0] == 0
+    assert "tail finite" in saved.read_text().splitlines()
+
+
+def test_green_below_three_radii_exits_2(capsys):
+    code, out, err = run(capsys, "green", "--model", "tree:2:100", "--r-max", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "r_max" in err
 
 
 @pytest.mark.parametrize("spec", ["tree:3:150", "antitree:poly:1:150"])

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hardy_lab import (
     InvalidParameterError,
@@ -28,6 +30,7 @@ from hardy_lab import (
 from hardy_lab import optimality
 from hardy_lab.cli import _parse_model_spec
 from hardy_lab.hardy_weights import _kappa_longdouble
+from object_storage import object_storage
 
 
 def test_helper_sum_is_computed_once_per_n():
@@ -86,7 +89,8 @@ def whole_array_criticality(model, n, gamma):
     kap = _kappa_longdouble(*model.exact_degrees(n - 1))
     phi = cutoff_profile(n)
     idx = np.arange(1, n, dtype=ld)
-    area1 = ld(model.area(1))
+    area1 = Fraction(model.area(1))
+    area1 = ld(area1.numerator) / ld(area1.denominator)
     g = ld(gamma.numerator) / ld(gamma.denominator)
     sqrt_ga = np.sqrt(g * area1)
     energy = (np.sqrt(idx + 1) * phi[2:] - np.sqrt(kap[1:] * idx) * phi[1:n]) ** 2
@@ -117,6 +121,47 @@ def test_blocked_criticality_equals_whole_arrays(model, gamma):
         res = criticality_energy(model, n, gamma=gamma)
         assert (res.direct, res.closed_form, res.rel_diff) == \
             whole_array_criticality(model, n, gamma)
+
+
+_exact_degree = st.one_of(
+    st.integers(1, 6),
+    st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4),
+)
+
+
+@st.composite
+def _custom_models(draw):
+    # int and Fraction degrees, as in test_greens.py, deep enough for n = 3
+    depth = draw(st.integers(3, 24))
+    k_minus = [0] + draw(st.lists(st.one_of(st.integers(1, 3), _exact_degree),
+                                  min_size=depth, max_size=depth))
+    k_plus = draw(st.lists(_exact_degree, min_size=depth, max_size=depth))
+    return make_custom(k_plus, k_minus)
+
+
+@given(model=_custom_models(),
+       gamma=st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=Fraction(1, 64), max_value=8,
+                                    max_denominator=64)))
+@example(model=make_custom([Fraction(5, 2), 2, Fraction(7, 3), 3],
+                           [0, Fraction(3, 4), 1, Fraction(1, 2), 2]),
+         gamma=Fraction(2, 3))
+@example(model=make_custom([2] * 10, [0] + [1] * 10), gamma=Fraction(0))
+def test_criticality_on_drawn_models_equals_whole_arrays(model, gamma):
+    # the Fraction route of _kappa_longdouble, and int degrees in int64 and in
+    # object arrays, inside the blocked sums; the reference shares the kappa
+    # array, which is checked here against each exact kappa rounded once
+    ld = np.longdouble
+    twin = object_storage(model)
+    exact = [model.kappa(r) for r in range(1, model.depth)]
+    expected = np.array([ld(k.numerator) / ld(k.denominator) for k in exact])
+    for m in (model, twin):
+        assert np.array_equal(_kappa_longdouble(*m.exact_degrees(m.depth - 1))[1:], expected)
+    for n in (3, model.depth):
+        res = criticality_energy(model, n, gamma=gamma)
+        assert (res.direct, res.closed_form, res.rel_diff) == \
+            whole_array_criticality(model, n, gamma)
+        assert criticality_energy(twin, n, gamma=gamma) == res
 
 
 def spy_on_leaves(monkeypatch, check):
