@@ -36,27 +36,6 @@ from .reporting import VerificationReport
 _TAIL_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _area_window(model):
-    """area(depth), the last first difference and the smallest second
-    difference of the exact areas on the window [depth/2, depth].
-
-    No area is formed but area(depth): by the area identity, the first
-    difference area(r + 1) - area(r) is vol(r) (k_plus(r) - k_minus(r)).
-    The degrees and volumes are read in blocks that overlap by one radius,
-    so that each second difference lies in exactly one block, and each
-    block in int64 where that is exact (see ``RadialModel._window_block``);
-    the values come back as Python ints and Fractions.  Needs depth >= 3,
-    which a transient verdict on an unspecified tail implies.
-    """
-    smallest = None
-    for s, e in _window_blocks(max(1, model.depth // 2), model.depth - 1):
-        kp, km, vol = model._window_block(s, e + 1, vol=True)
-        d1 = vol * (kp - km)  # first differences at s..e
-        low = np.diff(d1).min(keepdims=True).item()
-        smallest = low if smallest is None else min(smallest, low)
-    return model.area(model.depth), d1.item(-1), smallest
-
-
 def transience_test(model):
     """Decide whether sum 1/area converges, i.e. the model is transient.
 
@@ -67,16 +46,15 @@ def transience_test(model):
     growth (all first differences positive, all second differences strictly
     positive) is read as at-least-quadratic (transient).  Anything else
     raises InconclusiveTransienceError.  The signs are decided exactly from
-    the degrees, in blocks, once per model: in int64 on each block whose
-    largest entry times its largest factor proves every product exact, and
-    in Python ints on any other (see ``RadialModel._window_transience``).
+    the degrees in the model's one pass over the window, which also reads
+    the volumes for the Green tail bound (see ``RadialModel._tail_window``).
     """
     t = model.tail
     if t.kind == "finite":
         return False
     if t.kind == "eventually-geometric":
         return t.kappa_inf > 1
-    verdict = model._window_transience
+    verdict = model._tail_window.transient
     if verdict is None:
         raise InconclusiveTransienceError(
             "the stored window neither plateaus nor grows convexly; transience "
@@ -115,9 +93,10 @@ def _atan(t):
 def _quadratic_tail_bound(window):
     """Bound sum over n > depth of 1/area(n), assuming window convexity persists.
 
-    ``window`` is an _area_window read as strictly convex growth by
-    transience_test: A = area(depth), B the last first difference and C
-    the smallest second difference in it.  Persistence of convexity gives
+    ``window`` is the ``areas`` of ``RadialModel._tail_window``, read as
+    strictly convex growth by transience_test: A = area(depth), B the last
+    first difference and C the smallest second difference in it.
+    Persistence of convexity gives
     area(depth + j) >= A + B j + C j (j + 1) / 2, and the decreasing
     integrand bounds the sum by the integral from 0 to infinity of
     1 / (c + b x + a x**2) with c = A, b = B + C/2, a = C/2.
@@ -253,7 +232,7 @@ def _log_green(model, r_max):
     else:
         x = 0.0
         method = "truncated-with-bound"
-        bound = _quadratic_tail_bound(_area_window(model))
+        bound = _quadratic_tail_bound(model._tail_window.areas)
         notes = (
             "values are lower bounds; the stated bound assumes the stored "
             "window's convex growth persists",

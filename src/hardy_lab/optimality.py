@@ -598,28 +598,14 @@ def check_bounded_oscillation(model, r_max):
     )
 
 
-def _ground_decreasing(model, r_max):
-    """Whether u(r) = r / area(r) strictly decreases on the second half of
-    [1, r_max], decided exactly from the degrees: u(r + 1) < u(r) exactly
-    when (r + 1) k_minus(r) < r k_plus(r).  Tested in blocks, each in int64
-    where that is exact (see ``RadialModel._window_block``), up to the
-    first that fails."""
-    for s, e in _window_blocks(r_max // 2 + 1, r_max):
-        kp, km = model._window_block(s, e)
-        r = np.arange(s, e, dtype=kp.dtype)
-        if not np.all((r + 1) * km < r * kp):
-            return False
-    return True
-
-
 def check_properness(model):
     """Proxy for the ground profile vanishing at infinity.
 
     Requires a transient verdict.  The second half of u(r) = r / area(r)
-    on [1, depth] must be strictly decreasing, decided exactly from the
-    degrees: u(r + 1) < u(r) exactly when (r + 1) k_minus(r) < r k_plus(r).
-    The total drop log u(1) - log u(depth) must be at least log 2.  A
-    geometric tail upgrades the window verdict to a certificate, since
+    on [1, depth] must be strictly decreasing, as the model's one pass over
+    the tail window decides exactly from the degrees (see
+    ``RadialModel._tail_window``).  The total drop log u(1) - log u(depth)
+    must be at least log 2.  A geometric tail upgrades the window verdict to a certificate, since
     r / area(r) -> 0 whenever area grows at a fixed ratio > 1.
     """
     r_max = model.depth
@@ -635,7 +621,7 @@ def check_properness(model):
     ends = np.log(np.array([1.0, r_max])) - [_log_of_exact(model.area(r))
                                                for r in (1, r_max)]
     drop = float(ends[0] - ends[1])
-    decreasing = _ground_decreasing(model, r_max)
+    decreasing = model._tail_window.decreasing
     certified = model.tail.kind == "eventually-geometric" and model.tail.kappa_inf > 1
     ok = decreasing and (certified or drop >= math.log(2.0))
     notes = ()
@@ -704,10 +690,8 @@ def check_lambda0_bound(model):
         "final_gap": bottoms[-1] - shift,
     }
     vertex_ok = True
-    ball_radius = max(radii)
-    k_plus = kp[: ball_radius + 1]
-    if km0 == 1 and not any(k_plus % 1):
-        vertex_bottom = tree_ball_bottom_eigenvalue(k_plus, np.zeros(ball_radius + 1))
+    if km0 == 1 and kap0.denominator == 1:  # then k_plus is kappa(1) on every level
+        vertex_bottom = tree_ball_bottom_eigenvalue(kap0.numerator, np.zeros(max(radii) + 1))
         residuals["vertex_ball_bottom"] = vertex_bottom
         vertex_ok = vertex_bottom >= shift - tol
     ok = decreasing and above and vertex_ok

@@ -14,13 +14,14 @@ downstream checks can separate genuine numerical error from modelling
 error.  A sequence of ints that all lie below 2**63 is stored as an int64
 array and any other as an object array of the values; the accessors return
 Python ints and Fractions either way.  A product of stored entries is
-formed in int64 in one place only, the blocks of the tail-window scans
+formed in int64 in one place only, the blocks of the tail-window scan
 (see ``RadialModel._window_block``), and only where a bound on the block
 proves every product exact.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -52,14 +53,16 @@ _EXACT_FLOAT_LIMIT = 2 ** 53
 # Integer sequences whose entries all lie below this are stored as int64.
 _INT64_LIMIT = 2 ** 63
 _FLOAT_MAX = sys.float_info.max
-# Radii per block in the scans of the tail window [depth/2, depth] and of
-# the whole depth: a scan holds arrays of about this length, never of the
-# range it scans.
+# Radii per block in the scan of the tail window [depth/2, depth] and the
+# scans of the whole depth: a scan holds arrays of about this length, never
+# of the range it scans.
 _WINDOW_BLOCK = 4096
 # A window block is scanned in int64 when its largest stored entry times its
 # largest factor lies below this: every product is then below 2**62 in size,
 # and every difference of two products below 2**63.
 _INT64_PRODUCT_LIMIT = 2 ** 62
+
+_TailWindow = collections.namedtuple("_TailWindow", "transient decreasing areas")
 
 
 def _window_blocks(r_lo, r_hi):
@@ -130,47 +133,15 @@ def _stored(values):
     return values
 
 
-def _object_views(*arrays):
-    """The stored arrays as object arrays of their values, each int64
-    buffer converted once and only over the stretch that the arrays span:
-    contiguous int64 slices of one 1-D array become slices of one object
-    copy of that stretch, and a zero-stride view a zero-stride view of one
-    int.  Object arrays come back as they are."""
-    def offset(a, base):
-        return (a.__array_interface__["data"][0]
-                - base.__array_interface__["data"][0]) // a.itemsize
-
-    def shared(a):  # the 1-D base of a contiguous int64 slice, or None
-        base = a if a.base is None else a.base
-        if (a.dtype != object and a.strides != (0,) and isinstance(base, np.ndarray)
-                and base.ndim == 1 and base.strides == a.strides == (a.itemsize,)):
-            return base
-        return None
-
-    spans = {}
-    for a in arrays:
-        base = shared(a)
-        if base is not None:
-            lo, hi = spans.get(id(base), (len(base), 0))
-            start = offset(a, base)
-            spans[id(base)] = (min(lo, start), max(hi, start + len(a)))
-    copies, out = {}, []
-    for a in arrays:
-        base = shared(a)
-        if a.dtype == object:
-            pass
-        elif a.strides == (0,):
-            a = np.broadcast_to(np.array(a.item(0), dtype=object), a.shape)
-        elif base is not None:
-            lo, hi = spans[id(base)]
-            if id(base) not in copies:
-                copies[id(base)] = _frozen(base[lo:hi].astype(object))
-            start = offset(a, base) - lo
-            a = copies[id(base)][start:start + len(a)]
-        else:
-            a = _frozen(a.astype(object))
-        out.append(a)
-    return out
+def _objects(a):
+    """A stored array as an object array of its values: int64 entries
+    become Python ints, a zero-stride view stays a zero-stride view of one
+    int, and an object array comes back as it is."""
+    if a.dtype == object:
+        return a
+    if a.strides == (0,):
+        return np.broadcast_to(np.array(a.item(0), dtype=object), a.shape)
+    return _frozen(a.astype(object))
 
 
 def _log_of_exact(v):
@@ -243,11 +214,12 @@ class RadialModel:
     ``_degree_block``.  How the views are formed (float or object exact
     degrees, kappa by one float division or one Fraction division per
     radius) is decided once per model from all its stored degrees (see
-    ``_degree_form``), so a view never depends on how far it reaches.  The
-    transience verdict read from the tail window is kept once per model too
-    (see ``_window_transience``).  Exact areas are never cached, because on
-    a tree they grow like d**r; ``area_values`` and ``log_area_floats``
-    form them per call.
+    ``_degree_form``), so a view never depends on how far it reaches.  What
+    the tail window [depth/2, depth] shows (the transience verdict, whether
+    the ground profile falls there, and the areas of the Green tail bound)
+    is read in one pass and kept once per model too (see ``_tail_window``).
+    Exact areas are never cached, because on a tree they grow like d**r;
+    ``area_values`` and ``log_area_floats`` form them per call.
     """
 
     def __init__(self, *, k_plus, k_minus, vol, tail, label):
@@ -361,10 +333,10 @@ class RadialModel:
 
         The float views are one cast of the stored slices.  The exact form
         is the float views when every stored degree is an int small enough
-        for their products to stay exact, and object arrays otherwise (see
-        ``_object_views``).  kappa is one division of the float views when
-        every degree is exact in float64, and one correctly rounded
-        division per radius, as float(Fraction), otherwise.
+        for their products to stay exact, and object arrays of the values
+        otherwise (see ``_objects``).  kappa is one division of the float
+        views when every degree is exact in float64, and one correctly
+        rounded division per radius, as float(Fraction), otherwise.
         """
         exact_floats, divide = self._degree_form
         n = min(e, self._depth)
@@ -375,7 +347,7 @@ class RadialModel:
         if exact_floats:
             exact_views = floats
         elif exact or not divide:
-            kp, km = _object_views(kp, km)
+            kp, km = _objects(kp), _objects(km)
             if lo and km[0] != 0:  # a tree's broadcast k_minus stores 1 at the origin
                 km = _frozen(np.concatenate(([0], km[1:])))
             exact_views = [kp, km]
@@ -441,9 +413,7 @@ class RadialModel:
         and object arrays of the ints and Fractions otherwise, never int64.
         The choice is made once per model, from all its stored degrees, so
         every r_hi gets the same kind of array.  Degrees stored as int64 are
-        converted over the prefix that the views cover, and an antitree's
-        two arrays are views of one object copy of that prefix of its
-        sphere sizes.
+        converted over the prefix that the views cover, one copy per array.
         """
         n = self._upto(r_hi, self._depth - 1, "k_plus")
         views = self._degrees(n)
@@ -455,42 +425,56 @@ class RadialModel:
         return self._degrees(n)[4][:n]
 
     @functools.cached_property
-    def _window_transience(self):
-        """The transience verdict read from the areas on the window
-        [depth/2, depth]: False when no first difference is positive, True
-        when all first and second differences are (and there is a second
-        difference), None otherwise.
+    def _tail_window(self):
+        """What the exact data shows on the tail window [depth/2, depth],
+        read in one pass: (transient, decreasing, areas).
 
-        The signs are exact and need no area: area(r + 1) - area(r) is
-        vol(r) d1(r) with d1 = k_plus - k_minus, and the second difference
-        at r is vol(r) / k_minus(r + 1) times
-        d2(r) = k_plus(r) d1(r + 1) - k_minus(r + 1) d1(r).  They are
-        scanned in blocks that share their boundary radius, each in int64
-        where that is exact and in Python ints otherwise (see
-        ``_window_block``), and the scan stops at the first block that
-        rules out both answers.
+        transient is the transience verdict read from the areas: False when
+        no first difference is positive, True when all first and second
+        differences are (and there is a second difference), None otherwise.
+        decreasing is whether u(r) = r / area(r) strictly decreases on radii
+        depth//2 + 1..depth.  areas is, on an unspecified tail only (so a
+        tree never forms its areas d**r), area(depth), the last first
+        difference and the smallest second difference of the areas, as
+        exact ints and Fractions; it is None on other tails.
+
+        No other area is formed: area(r + 1) - area(r) is vol(r) d1(r) with
+        d1 = k_plus - k_minus, the second difference at r is
+        vol(r) / k_minus(r + 1) times d2(r) = k_plus(r) d1(r + 1) -
+        k_minus(r + 1) d1(r), and u(r + 1) < u(r) exactly when
+        (r + 1) k_minus(r) < r k_plus(r).  The blocks share their boundary
+        radius, so that each second difference lies in exactly one, and are
+        read in int64 where that is exact (see ``_window_block``).
         """
         depth = self._depth
         lo = max(1, depth // 2)
+        unspecified = self._tail.kind == "unspecified"
         grows = flat = bent = False  # some d1 > 0; some d1 <= 0; some d2 <= 0
+        decreasing, lows = True, []
         for s, e in _window_blocks(lo, depth):
-            kp_b, km_b = self._window_block(s, min(e + 1, depth))
-            d1 = kp_b - km_b
-            d2 = kp_b[:-1] * d1[1:] - km_b[1:] * d1[:-1]
+            kp, km, *vol = self._window_block(s, min(e + 1, depth), unspecified)
+            d1 = kp - km  # at radii s..min(e, depth - 1)
+            d2 = kp[:-1] * d1[1:] - km[1:] * d1[:-1]
             grows = grows or bool(np.any(d1 > 0))
             flat = flat or bool(np.any(d1 <= 0))
             bent = bent or bool(np.any(d2 <= 0))
-            if grows and (flat or bent):
-                return None
-        if not grows:
-            return False
-        return True if depth - 2 >= lo else None
+            r = np.arange(s, s + len(kp), dtype=kp.dtype)
+            falls = (r + 1) * km < r * kp
+            decreasing = decreasing and bool(np.all(falls[1 if s == lo else 0:]))
+            if unspecified:
+                first = vol[0] * d1  # area(r + 1) - area(r)
+                if first.size > 1:
+                    lows.append(np.diff(first).min(keepdims=True).item())
+        transient = (None if flat or bent or depth - 2 < lo else True) if grows else False
+        smallest = min(lows, default=None)
+        areas = (self.area(depth), first.item(-1), smallest) if unspecified else None
+        return _TailWindow(transient, decreasing, areas)
 
-    def _window_block(self, s, e, vol=False):
-        """k_plus and k_minus, and vol too when asked, on radii s..e-1
-        (1 <= s < e <= depth), for the scans of the tail window.
+    def _window_block(self, s, e, vol):
+        """k_plus and k_minus, and vol too when vol is true, on radii s..e-1
+        (1 <= s < e <= depth), for the scan of the tail window.
 
-        The scans form products of an entry with a factor, a difference
+        The scan forms products of an entry with a factor, a difference
         k_plus - k_minus or a radius up to e, and differences of two such
         products.  When every array is int64 and the block's largest entry
         times its largest factor lies below 2**62, those are exact in
@@ -764,12 +748,14 @@ def expand_vertex_graph(model, radius):
     sphere_slices = tuple(
         slice(int(offsets[r]), int(offsets[r + 1])) for r in range(radius + 1)
     )
-    chunks = [np.empty((0, 2), dtype=np.int64)]
+    edges = np.empty((n_edges, 2), dtype=np.int64)
+    end = 0
     for r in range(radius):
-        stub = np.arange(k_plus[r] * sizes[r], dtype=np.int64)
-        chunks.append(np.stack([offsets[r] + stub // k_plus[r],
-                                offsets[r + 1] + stub % sizes[r + 1]], axis=1))
-    edges = np.concatenate(chunks)
+        start, end = end, end + k_plus[r] * sizes[r]
+        stub, block = np.arange(end - start, dtype=np.int64), edges[start:end]
+        np.floor_divide(stub, k_plus[r], out=block[:, 0])
+        np.remainder(stub, sizes[r + 1], out=block[:, 1])
+        block += offsets[r:r + 2]
 
     return VertexGraph(
         radius=radius,

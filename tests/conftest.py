@@ -11,8 +11,9 @@ settings.register_profile(
 )
 # more random cases for the bit-exact sweep, spectral, ground-ratio, radial
 # storage, prefix view (test_radial_model.py::
-# test_prefix_views_are_slices_of_the_whole_depth_views), Green window,
-# int64 window block (test_greens.py::test_window_scans_match_on_object_storage),
+# test_prefix_views_are_slices_of_the_whole_depth_views), one tail-window
+# scan (test_greens.py::test_window_scans_in_blocks_match_the_whole_window)
+# and its int64 blocks (test_greens.py::test_window_scans_match_on_object_storage),
 # block-streamed Green recursion and kappa_constant_from (test_greens.py::
 # test_green_recursion_in_blocks_matches_the_whole_depth and
 # test_kappa_constant_from_in_blocks_matches_the_whole_depth), Green

@@ -7,6 +7,7 @@ route is exercised as well as the float64 one.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -315,10 +316,10 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    view = functools.cached_property(counted("_window_transience",
-                                             vars(RadialModel)["_window_transience"].func))
-    view.__set_name__(RadialModel, "_window_transience")
-    monkeypatch.setattr(RadialModel, "_window_transience", view)
+    view = functools.cached_property(counted("_tail_window",
+                                             vars(RadialModel)["_tail_window"].func))
+    view.__set_name__(RadialModel, "_tail_window")
+    monkeypatch.setattr(RadialModel, "_tail_window", view)
     monkeypatch.setattr(RadialModel, "kappa", counted("kappa", vars(RadialModel)["kappa"]))
     areas = vars(RadialModel)["_areas"]
     degree_block = vars(RadialModel)["_degree_block"]
@@ -334,10 +335,9 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
 
     monkeypatch.setattr(RadialModel, "_areas", spied_areas)
     monkeypatch.setattr(RadialModel, "_degree_block", spied_block)
-    # transience and properness read the degrees, and properness and the
-    # Green route share one scan of the window (a geometric tail needs
-    # none); the Green tail bound's window reads the degrees and volumes,
-    # not the areas; exact areas are formed once per reader of the ground
+    # transience, properness and the Green tail bound share one scan of the
+    # window, which reads the degrees, and the volumes on an unspecified
+    # tail, never the areas (so a tree forms no d**r there); exact areas are formed once per reader of the ground
     # pairs u = r / area(r) (the ratio route of superharmonic-sqrt-ground
     # on 1..513, the ground-state identity on 1..65 and 1..7 and the
     # transform on 1..8; superharmonic-ground reads the degrees alone) and
@@ -346,8 +346,8 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     # least doubling at each rebuild, and no verify builds them past
     # radius 2 * 10**4, whatever the depth
     ground = [(1, 513), (1, 65), (1, 7), (1, 8)]
-    for spec, scans in [("antitree:poly:2:3000", 1), ("tree:2:100000", 0),
-                        ("antitree:poly:1:100000", 1), ("antitree:poly:2:100000", 1)]:
+    for spec in ["antitree:poly:2:3000", "tree:2:100000", "antitree:poly:1:100000",
+                 "antitree:poly:2:100000"]:
         calls.clear()
         passes.clear()
         prefixes.clear()
@@ -356,7 +356,7 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
         depth = int(spec.rpartition(":")[2])
         assert prefixes[0] == 10 and max(prefixes) <= min(depth + 1, 2 * 10 ** 4 + 1), spec
         assert all(b >= min(2 * a, depth) for a, b in zip(prefixes, prefixes[1:])), spec
-        assert calls["_window_transience"] == scans, spec
+        assert calls["_tail_window"] == 1, spec
         assert passes == ground + [(1, 129)], spec
         assert calls["kappa"] <= 3, spec
 
@@ -364,16 +364,16 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
 def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, capsys):
     # int64 storage: tree:2 and antitree:poly:1 keep float64-exact degrees
     # and build no object array; antitree:poly:2's degree products pass
-    # 2**53, and its exact degrees are two views of one object copy of the
-    # prefix of its sphere sizes that the views cover, made once per build
-    # of the views and never by the full-depth scans
+    # 2**53, and its exact degrees are object copies of k_plus and k_minus
+    # over the prefix that the views cover, one per array and per build of
+    # the views, never made by the full-depth scans
     converted, area_lengths, models = [], [], {}
-    object_views, areas = radial_model._object_views, vars(RadialModel)["_areas"]
+    objects, areas = radial_model._objects, vars(RadialModel)["_areas"]
     parse = cli._parse_model_spec
 
-    def spied_views(*arrays):
-        converted.append([len(a) for a in arrays])
-        return object_views(*arrays)
+    def spied_objects(a):
+        converted.append(len(a))
+        return objects(a)
 
     def spied_areas(self, r_lo, r_hi):
         area_lengths.append(r_hi - r_lo + 1)
@@ -383,7 +383,7 @@ def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, cap
         models[text] = parse(text)
         return models[text]
 
-    monkeypatch.setattr(radial_model, "_object_views", spied_views)
+    monkeypatch.setattr(radial_model, "_objects", spied_objects)
     monkeypatch.setattr(RadialModel, "_areas", spied_areas)
     monkeypatch.setattr(cli, "_parse_model_spec", kept)
     depth = 100_000
@@ -402,9 +402,8 @@ def test_deep_verify_makes_objects_only_of_degrees_past_float64(monkeypatch, cap
         if converts:
             # the views of criticality and null-criticality, and the whole
             # stored depth
-            assert converted == [[n, n] for n in (10, 100, 1000, 10_001)] + [[depth, depth + 1]]
+            assert converted == [10, 10, 100, 100, 1000, 1000, 10_001, 10_001, depth, depth + 1]
             assert kp.dtype == km.dtype == object
-            assert kp.base is km.base and kp.base.shape == (depth + 2,)
         else:
             assert converted == [], spec
             assert kp.dtype == km.dtype == float, spec
@@ -431,17 +430,18 @@ def test_deep_verify_memory_is_set_by_what_it_reads(capsys):
 
 
 def test_deep_window_blocks_run_in_int64_where_the_bound_holds(monkeypatch, capsys):
-    # on antitree:poly:2 at 1e5 the window products stay near 4e15, so
-    # transience, properness and the Green tail bound read int64 blocks
-    # only; on antitree:poly:3 they pass 2**62 (k_plus - k_minus is about
-    # 6e10 beside sizes near 1e15), so every block is exact ints.  Forcing
-    # every block onto the exact path changes no byte of the report
-    dtypes = []
+    # on antitree:poly:2 at 1e5 the window products stay near 4e15, so the
+    # one scan behind transience, properness and the Green tail bound reads
+    # int64 blocks only; on antitree:poly:3 they pass 2**62 (k_plus -
+    # k_minus is about 6e10 beside sizes near 1e15), so every block is
+    # exact ints.  Forcing every block onto the exact path changes no byte
+    # of the report
+    reads = []
     block = RadialModel._window_block
 
     def spied(self, *args, **kwargs):
         arrays = block(self, *args, **kwargs)
-        dtypes.extend(a.dtype for a in arrays)
+        reads.append([a.dtype for a in arrays])
         return arrays
 
     monkeypatch.setattr(RadialModel, "_window_block", spied)
@@ -449,15 +449,15 @@ def test_deep_window_blocks_run_in_int64_where_the_bound_holds(monkeypatch, caps
     for spec, dtype, limit in [("antitree:poly:2:100000", np.int64, None),
                                ("antitree:poly:2:100000", object, 0),
                                ("antitree:poly:3:100000", object, None)]:
-        dtypes.clear()
+        reads.clear()
         with monkeypatch.context() as patch:
             if limit is not None:
                 patch.setattr(radial_model, "_INT64_PRODUCT_LIMIT", limit)
             cli.main(["verify", "--model", spec, "--suite", "all", "--json"])
         reports.setdefault(spec, set()).add(capsys.readouterr().out)
-        # 13 blocks of transience, 13 of properness and 13 of the area window
-        assert len(dtypes) == 13 * (2 + 2 + 3), spec
-        assert set(dtypes) == {np.dtype(dtype)}, spec
+        # 13 blocks, each of k_plus, k_minus and vol
+        assert len(reads) == 13 and all(len(arrays) == 3 for arrays in reads), spec
+        assert set(itertools.chain(*reads)) == {np.dtype(dtype)}, spec
     assert len(reports["antitree:poly:2:100000"]) == 1
 
 

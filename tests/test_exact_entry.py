@@ -24,7 +24,7 @@ from hardy_lab import (
     tree_weight,
 )
 from hardy_lab import cli
-from hardy_lab.greens import _area_window, _quadratic_tail_bound
+from hardy_lab.greens import _quadratic_tail_bound
 
 from whole_window import whole_area_window
 
@@ -165,12 +165,13 @@ def _tail_bound_reference(model):
     make_custom([3] * 400, [0] + [1] * 400),
 ])
 def test_tail_bound_matches_an_80_digit_evaluation(model):
-    bound = _quadratic_tail_bound(_area_window(model))
+    bound = _quadratic_tail_bound(model._tail_window.areas)
     assert bound == pytest.approx(float(_tail_bound_reference(model)), rel=4e-16, abs=0)
 
 
 def test_tail_bound_survives_areas_past_the_double_range():
     for depth in (1200, 4000):
-        bound = _quadratic_tail_bound(_area_window(make_custom([2] * depth, [0] + [1] * depth)))
+        model = make_custom([2] * depth, [0] + [1] * depth)
+        bound = _quadratic_tail_bound(model._tail_window.areas)
         assert bound == 0.0  # about 2**-depth, below the smallest double
 

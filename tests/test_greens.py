@@ -24,8 +24,7 @@ from hardy_lab import (
     tree_bottom_of_spectrum,
 )
 from hardy_lab import check_properness, greens, radial_model
-from hardy_lab.greens import _area_window, _quadratic_tail_bound
-from hardy_lab.optimality import _ground_decreasing
+from hardy_lab.greens import _quadratic_tail_bound
 from hardy_lab.radial_model import RadialModel
 
 from object_storage import object_storage
@@ -260,16 +259,20 @@ def test_transience_from_the_degrees_matches_the_area_window(model):
 
 def test_window_scans_hold_no_window_length_array():
     # degrees past 2**26 take the object-array path: a whole-window array
-    # of their products held 7.8 MB here
-    model = make_antitree(map(pow, range(1, 100_002), itertools.repeat(2)), 100_000)
-    for scan in (transience_test, _area_window, check_properness):
+    # of their products held 7.8 MB here.  Each reader gets a new model,
+    # since the model keeps what its one scan read
+    def tail_bound(model):
+        return _quadratic_tail_bound(model._tail_window.areas)
+
+    for read in (transience_test, tail_bound, check_properness):
+        model = make_antitree(map(pow, range(1, 100_002), itertools.repeat(2)), 100_000)
         tracemalloc.start()
         try:
-            scan(model)
+            read(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5e6, scan.__name__
+        assert peak < 1.5e6, read.__name__
 
 
 def _mpmath_tail_bound(window):
@@ -293,24 +296,64 @@ def _mpmath_tail_bound(window):
     return float(bound)
 
 
+def _unspecified(model):
+    """The model with its tail declared unspecified."""
+    return RadialModel(k_plus=model._k_plus, k_minus=model._k_minus, vol=model._vol,
+                       tail=Tail("unspecified"), label=model.label)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 @given(model=st.one_of(_custom_models(), _antitrees()))
 @example(model=_ALTERNATING)
 @example(model=make_antitree(lambda r: (r + 1) ** 2, 40))
-@example(model=make_tree(3, 20))  # no stored volumes: vol(r) = 3**r
+@example(model=_unspecified(make_tree(3, 20)))  # no stored volumes: vol(r) = 3**r
+@example(model=make_tree(1, 20))
 def test_window_scans_in_blocks_match_the_whole_window(block, model):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(radial_model, "_WINDOW_BLOCK", block)
-        for r_max in range(1, model.depth + 1):
-            assert _ground_decreasing(model, r_max) is whole_window_decreasing(model, r_max)
-        verdict = RadialModel._window_transience.func(model)
-        assert verdict is whole_window_transience(model)
-        last, d1, d2 = whole_area_window(model)
-        if d2.size:
-            assert _area_window(model) == (last, d1[-1], d2.min())
-        if verdict:
-            assert _quadratic_tail_bound(_area_window(model)) == \
-                _mpmath_tail_bound((last, d1[-1], d2.min()))
+        window = RadialModel._tail_window.func(model)
+    assert window.transient is whole_window_transience(model)
+    assert window.decreasing is whole_window_decreasing(model, model.depth)
+    last, d1, d2 = whole_area_window(model)
+    assert window.areas == (last, d1[-1], d2.min() if d2.size else None)
+    if window.transient:
+        assert _quadratic_tail_bound(window.areas) == \
+            _mpmath_tail_bound((last, d1[-1], d2.min()))
+
+
+@st.composite
+def _geometric_tail_models(draw):
+    """Custom models whose degrees are constant from a drawn radius on,
+    with the eventually-geometric tail that this gives them."""
+    depth = draw(st.integers(2, 24))
+    start = draw(st.integers(1, depth - 1))
+    degrees = draw(st.lists(st.tuples(_exact_degree, _exact_degree),
+                            min_size=start, max_size=start))
+    kp_inf, km_inf = draw(st.tuples(_exact_degree, _exact_degree))
+    degrees += [(kp_inf, km_inf)] * (depth - start + 1)
+    return make_custom([kp for kp, _ in degrees[:depth]], [0] + [km for _, km in degrees[1:]],
+                       tail=Tail("eventually-geometric", kappa_inf=Fraction(kp_inf) / km_inf,
+                                 start=start))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@given(model=_geometric_tail_models())
+@example(model=make_tree(3, 20))
+def test_window_scan_forms_no_area_on_a_geometric_tail(block, model):
+    formed = []
+    areas = vars(RadialModel)["_areas"]
+
+    def spied(self, r_lo, r_hi):
+        formed.append((r_lo, r_hi))
+        return areas(self, r_lo, r_hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_model, "_WINDOW_BLOCK", block)
+        patch.setattr(RadialModel, "_areas", spied)
+        window = RadialModel._tail_window.func(model)
+    assert formed == [] and window.areas is None
+    assert window.decreasing is whole_window_decreasing(model, model.depth)
+    assert window.transient is whole_window_transience(model)
 
 
 @st.composite
@@ -368,20 +411,17 @@ _ACROSS_THE_BOUND = make_antitree([1] + [2 ** 40 + 2 ** r for r in range(1, 31)]
 @example(model=_AT_THE_BOUND)
 @example(model=_window_at_the_bound(2 ** 40, 2 ** 22 + 1))
 @example(model=_ACROSS_THE_BOUND)
-@example(model=make_antitree([1] + [2 ** 62 - 1] * 6, 6))  # 3 k_minus(2) > 2**63
+@example(model=make_antitree([1] + [2 ** 62 - 1] * 6, 6))  # 6 k_minus(5) > 2**63
 def test_window_scans_match_on_object_storage(block, model):
     # the int64 blocks of RadialModel._window_block against the Python ints
     # of the same model stored as objects
     twin = object_storage(model)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(radial_model, "_WINDOW_BLOCK", block)
-        for r_max in range(1, model.depth + 1):
-            assert _ground_decreasing(model, r_max) is _ground_decreasing(twin, r_max), r_max
-        assert (RadialModel._window_transience.func(model)
-                is RadialModel._window_transience.func(twin))
-        window, expected = _area_window(model), _area_window(twin)
+        window = RadialModel._tail_window.func(model)
+        expected = RadialModel._tail_window.func(twin)
     assert window == expected
-    assert list(map(type, window)) == list(map(type, expected)) == [int] * 3
+    assert list(map(type, window.areas)) == list(map(type, expected.areas)) == [int] * 3
 
 
 def test_one_window_takes_both_dtypes(monkeypatch):
@@ -395,10 +435,8 @@ def test_one_window_takes_both_dtypes(monkeypatch):
         return arrays
 
     monkeypatch.setattr(RadialModel, "_window_block", spied)
-    for scan in (RadialModel._window_transience.func, _area_window):
-        seen.clear()
-        scan(_ACROSS_THE_BOUND)
-        assert seen[0] == {np.dtype(np.int64)} and seen[-1] == {np.dtype(object)}
+    RadialModel._tail_window.func(_ACROSS_THE_BOUND)
+    assert seen[0] == {np.dtype(np.int64)} and seen[-1] == {np.dtype(object)}
 
 
 _positive = st.one_of(st.integers(1, 10 ** 12),

@@ -26,6 +26,7 @@ from hardy_lab import (
     make_custom,
     make_tree,
     optimality_probe,
+    tree_ball_bottom_eigenvalue,
 )
 from hardy_lab import optimality
 from hardy_lab.cli import _parse_model_spec
@@ -420,6 +421,20 @@ def test_lambda0_bound_on_trees(tree2):
     assert rep.residuals["shift"] == pytest.approx(shift, rel=1e-15)
     assert 0 < rep.residuals["final_gap"] < 1e-2
     assert rep.residuals["vertex_ball_bottom"] >= shift - 1e-9
+
+
+def test_lambda0_vertex_check_takes_integer_branching_only():
+    # k_minus = 1 with a constant integer kappa d is a tree's data, whose
+    # ball bottom is certified with the scalar branching d; a constant
+    # fractional kappa has no tree and no vertex check
+    for k_plus, vertex in [(3, True), (Fraction(5, 2), False)]:
+        model = make_custom([k_plus] * 300, [0] + [1] * 300)
+        rep = check_lambda0_bound(model)
+        assert rep.status == "pass"
+        assert ("vertex_ball_bottom" in rep.residuals) is vertex
+        if vertex:
+            assert rep.residuals["vertex_ball_bottom"] == \
+                tree_ball_bottom_eigenvalue(3, np.zeros(max(rep.params["section_radii"]) + 1))
 
 
 def test_lambda0_bound_needs_homogeneous_model(antitree_linear):

@@ -256,15 +256,16 @@ def test_a_degree_past_the_double_range_refuses_every_prefix():
             view(1)
 
 
-def test_exact_degrees_of_int64_storage_share_one_object_copy():
-    # degrees past 2**26.5 take the object path, converted once from the
-    # one array of sphere sizes that k_plus and k_minus are views of
+def test_exact_degrees_of_int64_storage_are_python_ints():
+    # degrees past 2**26.5 take the object path: each int64 array becomes
+    # an object array of Python ints, whose products never wrap
     m = make_antitree(np.array([1, 2 ** 40, 3, 2 ** 62, 5, 6], dtype=np.int64), 5)
     assert m._k_plus.dtype == np.int64
     kp, km = m.exact_degrees(4)
-    assert kp.dtype == km.dtype == object and kp.base is km.base
-    assert kp.base.tolist() == [0, 1, 2 ** 40, 3, 2 ** 62, 5, 6]
-    assert list(map(type, kp.base)) == [int] * 7
+    assert kp.dtype == km.dtype == object
+    assert kp.tolist() == [2 ** 40, 3, 2 ** 62, 5, 6]
+    assert km.tolist() == [0, 1, 2 ** 40, 3, 2 ** 62]
+    assert list(map(type, kp)) == list(map(type, km)) == [int] * 5
     # a tree's degrees stay zero-stride views of one int
     tree = make_tree(2 ** 62, 1000)
     kp, km = tree.exact_degrees(999)
@@ -457,6 +458,22 @@ def test_expand_antitree_is_complete_between_spheres():
     # a sphere-r vertex sees all of spheres r - 1 and r + 1
     assert deg[0] == 2
     assert np.all(deg[g.radius_of == 2] == 2 + 4)
+
+
+def test_expansion_peaks_near_its_edge_array():
+    # antitree:poly:3 at radius 8: 659 904 edges, 10.1 MiB; the edges are
+    # written into one array, sphere by sphere, with one stub array of the
+    # largest sphere beside it (a list of per-sphere chunks and their
+    # concatenation peaked at 23.0 MiB)
+    model = make_antitree(lambda r: (r + 1) ** 3, 10)
+    tracemalloc.start()
+    try:
+        g = expand_vertex_graph(model, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == sum((r + 1) ** 3 * (r + 2) ** 3 for r in range(8))
+    assert peak <= 1.5 * g.edges.nbytes
 
 
 def test_expand_guards():
