@@ -106,7 +106,6 @@ from .spectral_ops import (
     tree_ball_bottom_eigenvalue,
     tree_ball_is_positive,
     tree_ball_pivots,
-    vertex_energy,
     vertex_laplacian,
 )
 

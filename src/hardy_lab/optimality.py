@@ -41,7 +41,6 @@ from .spectral_ops import (
     radial_laplacian,
     smallest_eigenvalue,
     tree_ball_bottom_eigenvalue,
-    vertex_energy,
     vertex_laplacian,
 )
 
@@ -466,6 +465,19 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0, b_values=None)
 
 # -- ground state identity ----------------------------------------------------
 
+def _vertex_ground(model, gamma, radius):
+    """The ball's graph, v = sqrt(u) and w on its vertices, and its interior:
+    radii below ``radius`` (full degrees), and above 0 if gamma = 0 (v(0) = 0)."""
+    graph = expand_vertex_graph(model, radius)
+    p, q = _ground_pairs(model, gamma, radius)
+    v = np.array([math.sqrt(a / b) for a, b in zip(p, q)])[graph.radius_of]
+    w = closed_form_weight(model, gamma, radius).values[graph.radius_of]
+    interior = graph.radius_of <= radius - 1
+    if gamma == 0:
+        interior &= graph.radius_of >= 1
+    return graph, v, w, interior
+
+
 def check_ground_state_identity(model, gamma, radius, level="radial"):
     """Verify (difference operator on sqrt u) = weight * sqrt u pointwise.
 
@@ -477,28 +489,20 @@ def check_ground_state_identity(model, gamma, radius, level="radial"):
     """
     gamma = _check_gamma(gamma)
     tol = 1e-10
-    r_min = 0 if gamma > 0 else 1
-    p, q = _ground_pairs(model, gamma, radius + 1)
-    sqrt_u = np.array([math.sqrt(a / b) for a, b in zip(p, q)])
-    w = closed_form_weight(model, gamma, radius).values
-
-    worst = 0.0
     if level == "radial":
-        for r in range(r_min, radius):
+        p, q = _ground_pairs(model, gamma, radius + 1)
+        sqrt_u = np.array([math.sqrt(a / b) for a, b in zip(p, q)])
+        w = closed_form_weight(model, gamma, radius).values
+        worst = 0.0
+        for r in range(0 if gamma > 0 else 1, radius):
             lhs = radial_laplacian(model, sqrt_u, r)
             rhs = w[r] * sqrt_u[r]
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     elif level == "vertex":
-        graph = expand_vertex_graph(model, radius)
-        values = sqrt_u[graph.radius_of]
-        lap = vertex_laplacian(graph, values)
-        interior = graph.radius_of <= radius - 1
-        if gamma == 0:
-            interior &= graph.radius_of >= 1
-        rhs = w[graph.radius_of] * values
-        err = np.abs(lap - rhs)[interior]
-        scale = np.maximum(1.0, np.abs(lap[interior]))
-        worst = float(np.max(err / scale)) if err.size else 0.0
+        graph, v, w, interior = _vertex_ground(model, gamma, radius)
+        lap = vertex_laplacian(graph, v)[interior]
+        err = np.abs(lap - (w * v)[interior])
+        worst = float(np.max(err / np.maximum(1.0, np.abs(lap)))) if err.size else 0.0
     else:
         raise InvalidParameterError(f"unknown level {level!r}")
     return VerificationReport(
@@ -514,44 +518,33 @@ def check_ground_state_identity(model, gamma, radius, level="radial"):
     )
 
 
-def check_ground_state_transform(model, gamma, radius, seed=2026):
-    """Quadratic-form identity behind every Hardy claim here, on random data.
+def check_ground_state_transform(model, gamma, radius):
+    """Quadratic-form identity behind every Hardy claim here, as its coefficients.
 
-    For v = sqrt(ground) and any finitely supported phi,
+    For v = sqrt(ground) and any phi supported on the interior of the ball,
 
         energy(phi) - sum w phi**2  =  sum over edges of
             v(x) v(y) (phi(x)/v(x) - phi(y)/v(y))**2,
 
-    which makes the left side manifestly nonnegative.  The check draws
-    seeded Gaussian phi supported strictly inside the ball and compares the
-    two sides at vertex level on the expanded graph.  For gamma = 0 the
-    profile vanishes at the origin, so phi does too; edges at the origin
-    then drop out of the right side on their own.
+    which makes the left side manifestly nonnegative.  Both forms have the
+    same off-diagonal entry on every edge, so the identity holds for every
+    phi exactly when the diagonals agree: deg(x) - w(x) = sum over y ~ x of
+    v(y) / v(x) at every interior vertex, which one pass over the edges of
+    the expanded graph compares.  For gamma = 0, v(0) = 0: the origin is not
+    interior, and its edges add 0 to the sums.
     """
     gamma = _check_gamma(gamma)
-    n_samples, tol = 100, 1e-11
+    tol = 1e-11
     if radius < 3:
         raise InvalidParameterError("radius must be at least 3")
-    graph = expand_vertex_graph(model, radius)
-    p, q = _ground_pairs(model, gamma, radius)
-    v = np.array([math.sqrt(a / b) for a, b in zip(p, q)])[graph.radius_of]
-    w = closed_form_weight(model, gamma, radius).values[graph.radius_of]
-
-    interior = graph.radius_of <= radius - 1
-    if gamma == 0:
-        interior &= graph.radius_of >= 1
-    n_interior = int(np.count_nonzero(interior))
-    x, y = graph.edges[:, 0], graph.edges[:, 1]
-    vxy = v[x] * v[y]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        phi = np.zeros(graph.n_vertices)
-        phi[interior] = rng.standard_normal(n_interior)
-        lhs = vertex_energy(graph, phi) - float(np.sum(w * phi * phi))
-        g = np.divide(phi, v, out=np.zeros_like(phi), where=v > 0)
-        rhs = float(np.sum(vxy * (g[x] - g[y]) ** 2))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    graph, v, w, interior = _vertex_ground(model, gamma, radius)
+    x, y, n = graph.edges[:, 0], graph.edges[:, 1], graph.n_vertices
+    deg = np.bincount(x, minlength=n) + np.bincount(y, minlength=n)
+    around = (np.bincount(x, weights=v[y], minlength=n)
+              + np.bincount(y, weights=v[x], minlength=n))
+    coeff = (deg - w)[interior]
+    err = np.abs(coeff - around[interior] / v[interior])
+    worst = float(np.max(err / np.maximum(1.0, np.abs(coeff))))
     return VerificationReport(
         check="ground-state-transform",
         status="pass" if worst <= tol else "fail",
@@ -560,8 +553,6 @@ def check_ground_state_transform(model, gamma, radius, seed=2026):
             "model": model.label,
             "gamma": gamma,
             "radius": radius,
-            "n_samples": n_samples,
-            "seed": seed,
             "tol": tol,
         },
     )

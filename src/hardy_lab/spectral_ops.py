@@ -290,13 +290,6 @@ def smallest_eigenvalue(form):
 
 # -- vertex-level forms ------------------------------------------------------
 
-def vertex_energy(graph, values):
-    """Sum over edges of (phi(x) - phi(y))**2 on an expanded graph."""
-    vals = np.asarray(values, dtype=float)
-    diffs = vals[graph.edges[:, 0]] - vals[graph.edges[:, 1]]
-    return float(np.sum(diffs * diffs))  # no BLAS dot: it rounds by thread count
-
-
 def vertex_laplacian(graph, values):
     """Positive graph Laplacian applied to a vertex function, as an array.
 

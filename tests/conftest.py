@@ -17,8 +17,10 @@ settings.register_profile(
 # block-streamed Green recursion and kappa_constant_from (test_greens.py::
 # test_green_recursion_in_blocks_matches_the_whole_depth and
 # test_kappa_constant_from_in_blocks_matches_the_whole_depth), Green
-# weight and blocked criticality sum (test_optimality.py::
-# test_criticality_on_drawn_models_equals_whole_arrays) oracles, in one CI
+# weight, blocked criticality sum (test_optimality.py::
+# test_criticality_on_drawn_models_equals_whole_arrays) and transform
+# mutation (test_optimality.py::
+# test_transform_coefficients_decide_as_the_sampled_identity) oracles, in one CI
 # step ("Oracles with more examples"): pytest tests/test_sturm_sweep.py
 # tests/test_spectral_ops.py tests/test_ground_ratio.py
 # tests/test_radial_model.py tests/test_greens.py tests/test_optimality.py

@@ -236,8 +236,6 @@ def test_criterion_11_ground_state_transform_identity():
         (make_antitree(lambda r: r + 1, 14), Fraction(0)),
     ]
     for model, gamma in cases:
-        rep = check_ground_state_transform(model, gamma, radius=8, seed=2026)
+        rep = check_ground_state_transform(model, gamma, radius=8)
         assert rep.status == "pass", (model.label, str(gamma))
-        assert rep.params["n_samples"] == 100
         assert rep.residuals["max_rel_residual"] <= 1e-11
-        assert rep.params["seed"] == 2026

@@ -339,13 +339,13 @@ def test_verify_builds_each_radial_view_once(monkeypatch, capsys):
     # window, which reads the degrees, and the volumes on an unspecified
     # tail, never the areas (so a tree forms no d**r there); exact areas are formed once per reader of the ground
     # pairs u = r / area(r) (the ratio route of superharmonic-sqrt-ground
-    # on 1..513, the ground-state identity on 1..65 and 1..7 and the
+    # on 1..513, the ground-state identity on 1..65 and 1..6 and the
     # transform on 1..8; superharmonic-ground reads the degrees alone) and
     # for log G on 0..128.  The degree views grow with the radii asked for
     # (criticality at 10, 100 and 1000, null-criticality to 10**4), at
     # least doubling at each rebuild, and no verify builds them past
     # radius 2 * 10**4, whatever the depth
-    ground = [(1, 513), (1, 65), (1, 7), (1, 8)]
+    ground = [(1, 513), (1, 65), (1, 6), (1, 8)]
     for spec in ["antitree:poly:2:3000", "tree:2:100000", "antitree:poly:1:100000",
                  "antitree:poly:2:100000"]:
         calls.clear()
