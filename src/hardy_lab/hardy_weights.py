@@ -9,11 +9,12 @@ ratio w(r) = (difference operator applied to v)(r) / v(r).  Two independent
 routes to w are kept side by side on purpose:
 
   * ``fitzsimmons_weight`` evaluates the ratio numerically from exact ground
-    values, integer pairs over one area array (``_ground_pairs``): each
-    ratio of consecutive values is one quotient of exact integers, rounded
-    and square-rooted at 40 significant digits in ``decimal``, so that
-    depth never degrades the result (u decays like 1/area and underflows
-    doubles on fast-growing models);
+    values, integer pairs over one area array (``_ground_pairs``): the
+    square root of each ratio of consecutive values is one integer square
+    root of a quotient of exact integers, floored at a fixed number of bits
+    after the point, and the weight one exact quotient rounded once, so
+    that depth never degrades the result (u decays like 1/area and
+    underflows doubles on fast-growing models);
   * ``general_closed_form`` and ``tree_weight`` evaluate the algebraic
     closed forms, which involve only the degree ratio kappa.
 
@@ -22,7 +23,6 @@ Agreement of the two routes is a test obligation, not an assumption.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,13 +30,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SeriesDivergenceRiskError
-from .radial_model import _as_exact
+from .radial_model import _as_exact, _objects
 from .reporting import VerificationReport
 
 DEFAULT_DPS = 40
 
 # radii per block of the array closed form
 _CLOSED_FORM_BLOCK = 8192
+# radii per block of the ratio route's big-int cross products
+_RATIO_BLOCK = 64
+# bits past the dps digits to which the ratio route floors its square roots
+_GUARD_BITS = 8
 
 
 def tree_bottom_of_spectrum(d):
@@ -73,11 +77,34 @@ def _ground_pairs(model, gamma, r_max):
     return p, q
 
 
-def _decimal_of(k):
-    """An int exactly, a Fraction rounded once, at the working precision."""
-    if type(k) is int:
-        return decimal.Decimal(k)
-    return decimal.Decimal(k.numerator) / decimal.Decimal(k.denominator)
+def _scaled_float(n, bits):
+    """n / 2**bits for an int or Fraction n, rounded once to float, and
+    +-inf past the float range."""
+    try:
+        return n.numerator / (n.denominator << bits)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+_isqrt_each = np.frompyfunc(math.isqrt, 1, 1)
+_scaled_float_each = np.frompyfunc(_scaled_float, 2, 1)
+
+
+def _rational_root(a, b):
+    """sqrt(a / b) as a Fraction when it is rational, else None: sqrt(a / b)
+    is sqrt(a b) / b, rational exactly when a b is a perfect square."""
+    s = math.isqrt(a * b)
+    return Fraction(s, b) if s * s == a * b else None
+
+
+def _exact_weight(kp, km, outward, inward):
+    """kp (1 - sqrt(x / y)) + km (1 - sqrt(y' / x')) exactly, for
+    outward = (x, y) and inward = (y', x') or None at the origin, or None
+    when a root is irrational (the weight is then not 0)."""
+    roots = [_rational_root(*outward)] + ([] if inward is None else [_rational_root(*inward)])
+    if None in roots:
+        return None
+    return kp * (1 - roots[0]) + (0 if inward is None else km * (1 - roots[1]))
 
 
 def fitzsimmons_weight(model, gamma, r_max, dps=DEFAULT_DPS):
@@ -85,26 +112,44 @@ def fitzsimmons_weight(model, gamma, r_max, dps=DEFAULT_DPS):
 
     With u = p / q (``_ground_pairs``), the exact cross products
     x = p(r + 1) q(r) and y = q(r + 1) p(r) give u(r + 1) / u(r) = x / y at
-    r and u(r) / u(r + 1) = y / x at r + 1.  Each is converted to ``decimal``
-    once and each ratio rounded once to ``dps`` digits; the square roots and
-    the weight are taken at the same precision and rounded to float once.
+    r and u(r) / u(r + 1) = y / x at r + 1.  Each square root is floored to
+    P = ceil(dps log2 10) + _GUARD_BITS bits after the point as one integer
+    square root, floor(2**P sqrt(x / y)) = isqrt((x << 2P) // y), so ``dps`` sets
+    the digits after the point that the roots carry.  The weight
+    k_plus(r) (1 - sqrt(x / y)) + k_minus(r) (1 - sqrt(y / x)) is then one
+    exact int (or Fraction, for Fraction degrees) N over 2**P, rounded to
+    float once; past the float range it is +-inf.  Each floor is less than
+    one unit low, so the weight lies in (N - k_plus - k_minus, N] / 2**P:
+    where N falls in [0, k_plus + k_minus) the weight may be exactly 0, and
+    it is decided exactly, since it is 0 only where both roots are rational.
     The degrees are the stored ``k_plus(r)``, ``k_minus(r)``: no view is
     shared with the closed forms.  Entries below the support (the origin
     when gamma = 0) are 0.  Needs radial data one sphere past r_max.
     """
     gamma = _check_gamma(gamma)
     p, q = _ground_pairs(model, gamma, r_max + 1)
-    r_min = 0 if gamma > 0 else 1
+    bits = math.ceil(dps * math.log2(10)) + _GUARD_BITS
+    one = 1 << bits
     w = np.zeros(r_max + 1)
-    with decimal.localcontext(decimal.Context(prec=dps)):
-        for r in range(r_max + 1):
-            x, y = decimal.Decimal(p[r + 1] * q[r]), decimal.Decimal(q[r + 1] * p[r])
-            if r >= r_min:
-                term = _decimal_of(model.k_plus(r)) * (1 - (x / y).sqrt())
-                if r > 0:
-                    term += _decimal_of(model.k_minus(r)) * (1 - inward.sqrt())
-                w[r] = float(term)
-            inward = y / x  # u(r) / u(r + 1), read at r + 1
+    # blocks keep the shifted big-int temporaries small on fast-growing areas
+    for lo in range(0 if gamma > 0 else 1, r_max + 1, _RATIO_BLOCK):
+        hi = min(lo + _RATIO_BLOCK, r_max + 1)  # radii lo..hi-1
+        s = max(lo - 1, 0)
+        pb, qb = np.array(p[s:hi + 1], dtype=object), np.array(q[s:hi + 1], dtype=object)
+        x, y = pb[1:] * qb[:-1], qb[1:] * pb[:-1]  # radii s..hi-1
+        outward = _isqrt_each((x[lo - s:] << 2 * bits) // y[lo - s:])
+        inward = _isqrt_each((y[:hi - 1 - s] << 2 * bits) // x[:hi - 1 - s])
+        if lo == 0:  # the origin has no inward term
+            inward = np.concatenate(([one], inward))
+        kp, km = _objects(model._k_plus[lo:hi]), _objects(model._k_minus[lo:hi])
+        num = kp * (one - outward) + km * (one - inward)
+        w[lo:hi] = _scaled_float_each(num, bits)
+        for i in np.flatnonzero((num >= 0) & (num < kp + km)):
+            r = lo + i
+            exact = _exact_weight(kp[i], km[i], (x[r - s], y[r - s]),
+                                  None if r == 0 else (y[r - 1 - s], x[r - 1 - s]))
+            if exact is not None:
+                w[r] = _scaled_float(exact, 0)
     return w
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,12 +36,12 @@ from .radial_model import _log_of_exact, _window_blocks, expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
     _certified_sweep,
+    _midpoint,
     _pivot_sweep,
+    _section_bracket,
     _sturm_rows,
+    _tree_ball_bracket,
     hardy_form_matrix,
-    radial_laplacian,
-    smallest_eigenvalue,
-    tree_ball_bottom_eigenvalue,
     vertex_laplacian,
 )
 
@@ -491,13 +492,21 @@ def check_ground_state_identity(model, gamma, radius, level="radial"):
     tol = 1e-10
     if level == "radial":
         p, q = _ground_pairs(model, gamma, radius + 1)
-        sqrt_u = np.array([math.sqrt(a / b) for a, b in zip(p, q)])
+        # each u(r) = p / q rounded once, then square-rooted
+        sqrt_u = np.sqrt(np.fromiter(map(operator.truediv, p, q), dtype=float, count=len(p)))
         w = closed_form_weight(model, gamma, radius).values
-        worst = 0.0
-        for r in range(0 if gamma > 0 else 1, radius):
-            lhs = radial_laplacian(model, sqrt_u, r)
-            rhs = w[r] * sqrt_u[r]
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        # radial_laplacian on r_min..radius - 1, as arrays: each degree is
+        # rounded to float and the inward term added where r > 0
+        r_min = 0 if gamma > 0 else 1
+        kp = model.k_plus_floats(radius - 1)[r_min:]
+        km = model.k_minus_floats(radius - 1)[1:]
+        v = sqrt_u[r_min:radius]
+        lhs = kp * (v - sqrt_u[r_min + 1:radius + 1])
+        lhs[1 - r_min:] += km * (sqrt_u[1:radius] - sqrt_u[:radius - 1])
+        rhs = w[r_min:radius] * v
+        # fmax, like max(worst, x), passes over a NaN
+        worst = float(np.fmax.reduce(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)),
+                                     initial=0.0))
     elif level == "vertex":
         graph, v, w, interior = _vertex_ground(model, gamma, radius)
         lap = vertex_laplacian(graph, v)[interior]
@@ -671,7 +680,8 @@ def check_lambda0_bound(model):
     shift = float(km0) * (math.sqrt(float(kap0)) - 1.0) ** 2
     radii = sorted({min(R, depth - 1) for R in (64, 256, 1024)})
     zeros = np.zeros(max(radii) + 1)
-    bottoms = [smallest_eigenvalue(hardy_form_matrix(model, zeros, 0, R)) for R in radii]
+    brackets = [_section_bracket(hardy_form_matrix(model, zeros, 0, R)) for R in radii]
+    bottoms = list(map(_midpoint, brackets))
     decreasing = all(b2 < b1 + tol for b1, b2 in zip(bottoms, bottoms[1:]))
     above = all(b >= shift - tol for b in bottoms)
 
@@ -682,7 +692,11 @@ def check_lambda0_bound(model):
     }
     vertex_ok = True
     if km0 == 1 and kap0.denominator == 1:  # then k_plus is kappa(1) on every level
-        vertex_bottom = tree_ball_bottom_eigenvalue(kap0.numerator, np.zeros(max(radii) + 1))
+        # the ball form is the last section's tridiagonal form eliminated from
+        # the other end: its final bracket guides the ball's bisection, which
+        # returns tree_ball_bottom_eigenvalue's float either way
+        vertex_bottom = _midpoint(_tree_ball_bracket(kap0.numerator, zeros,
+                                                     guide=brackets[-1]))
         residuals["vertex_ball_bottom"] = vertex_bottom
         vertex_ok = vertex_bottom >= shift - tol
     ok = decreasing and above and vertex_ok

@@ -61,6 +61,9 @@ _WINDOW_BLOCK = 4096
 # largest factor lies below this: every product is then below 2**62 in size,
 # and every difference of two products below 2**63.
 _INT64_PRODUCT_LIMIT = 2 ** 62
+# Rows of a model file held as tokens before they are read column by column,
+# and radii per block of make_custom's exact area comparison.
+_ROW_BLOCK = 64
 
 _TailWindow = collections.namedtuple("_TailWindow", "transient decreasing areas")
 
@@ -309,9 +312,10 @@ class RadialModel:
         kp, km = self._k_plus, self._k_minus
         if kp.dtype == object or km.dtype == object:
             # float() of the largest degree overflows exactly when float()
-            # of some degree does
+            # of some degree does; item() makes an int64 maximum a Python
+            # int, which a Fraction compares without int64 products
             try:
-                float(max(kp.max(), km.max()))
+                float(max(kp.max(keepdims=True).item(), km.max(keepdims=True).item()))
             except OverflowError:
                 past = np.append(kp > _FLOAT_MAX, False) | (km > _FLOAT_MAX)
                 raise SizeLimitExceededError(
@@ -624,13 +628,22 @@ def _antitree(s, depth, label=None):
     )
 
 
+def _first_true(mask):
+    """The index of the first True entry of a bool array, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
 def _exact_positive(name, values, r0=0):
     """The entries of ``values`` (radii r0, r0 + 1, ...) as an object array
-    of exact positive numbers."""
-    out = np.array([_as_exact(x, name, r) for r, x in enumerate(values, r0)], dtype=object)
-    for r, x in enumerate(out, r0):
-        if x <= 0:
-            raise InvalidParameterError(f"{name}({r}) must be positive, got {x}")
+    of exact positive numbers; all-int input is taken as it is."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        out = np.array(values, dtype=object)
+    else:
+        out = np.array([_as_exact(x, name, r) for r, x in enumerate(values, r0)], dtype=object)
+    bad = _first_true(out <= 0)
+    if bad is not None:
+        raise InvalidParameterError(f"{name}({r0 + bad}) must be positive, got {out[bad]}")
     return out
 
 
@@ -667,14 +680,16 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
                 f"expected {depth + 1} volumes for depth {depth}, got {len(vv)}"
             )
         vv = _exact_positive("vol", vv)
-        for r in range(1, depth + 1):
-            lhs = km[r] * vv[r]
-            rhs = kp[r - 1] * vv[r - 1]
-            if lhs != rhs:
+        for s in range(1, depth + 1, _ROW_BLOCK):
+            e = min(s + _ROW_BLOCK, depth + 1)
+            lhs, rhs = km[s:e] * vv[s:e], kp[s - 1:e - 1] * vv[s - 1:e - 1]
+            bad = _first_true(lhs != rhs)
+            if bad is not None:
+                r = s + bad
                 raise InconsistentModelError(
                     r,
                     f"area mismatch at radius {r}: "
-                    f"k_minus*vol = {lhs} but k_plus*vol from radius {r - 1} = {rhs}",
+                    f"k_minus*vol = {lhs[bad]} but k_plus*vol from radius {r - 1} = {rhs[bad]}",
                 )
 
     return RadialModel(k_plus=_stored(kp), k_minus=_stored(km), vol=_stored(vv),
@@ -768,26 +783,44 @@ def expand_vertex_graph(model, radius):
 
 # -- plain-text serialization ----------------------------------------------
 
+def _digit_limit():
+    """``sys.get_int_max_str_digits()``: the most decimal digits Python reads
+    or writes in an int, 0 for no limit (releases before 3.10.7 have neither
+    the limit nor the function)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _past_digit_limit(part, limit):
+    # 10**limit has more than 3 * limit bits, so smaller ints pass at once
+    return abs(part).bit_length() > 3 * limit and abs(part) >= 10 ** limit
+
+
 def _decimal_text(value, what):
     """Decimal text of an exact int or Fraction, as ``str`` writes it.
 
-    Python refuses to write an int of more than
-    ``sys.get_int_max_str_digits()`` decimal digits (0 means no limit;
-    releases before 3.10.7 have neither the limit nor the function).  That
-    is checked here first, so a value past it raises SizeLimitExceededError
-    naming ``what`` instead of a bare ValueError.
+    Python refuses to write an int of more than ``_digit_limit()`` decimal
+    digits.  That is checked here first, so a value past it raises
+    SizeLimitExceededError naming ``what`` instead of a bare ValueError.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        parts = (value.numerator, value.denominator) if isinstance(value, Fraction) else (value,)
-        for part in parts:
-            # 10**limit has more than 3 * limit bits, so smaller ints pass at once
-            if abs(part).bit_length() > 3 * limit and abs(part) >= 10 ** limit:
-                raise SizeLimitExceededError(
-                    f"{what} has more than {limit} decimal digits, the most "
-                    "Python writes (sys.get_int_max_str_digits())"
-                )
+    limit = _digit_limit()
+    parts = (value.numerator, value.denominator) if isinstance(value, Fraction) else (value,)
+    if limit and any(_past_digit_limit(part, limit) for part in parts):
+        raise SizeLimitExceededError(
+            f"{what} has more than {limit} decimal digits, the most "
+            "Python writes (sys.get_int_max_str_digits())"
+        )
     return str(value)
+
+
+def _writable(values):
+    """Whether ``str`` writes every exact int and Fraction of ``values``: the
+    digit limit checked once, on the largest numerator and denominator."""
+    limit = _digit_limit()
+    if not limit:
+        return True
+    parts = itertools.chain.from_iterable(
+        map(operator.attrgetter("numerator", "denominator"), values))
+    return not _past_digit_limit(max(map(abs, parts), default=0), limit)
 
 
 def save_model(model, path, r_max=None):
@@ -798,12 +831,15 @@ def save_model(model, path, r_max=None):
     outward degree of the outermost stored sphere is unknown and written
     as "-".  A value too long to write raises SizeLimitExceededError, and
     an r_max below 2 (a file too short to load back) InvalidParameterError,
-    both before the file is opened.
+    both before the file is opened.  The digit limit is checked once, on
+    the largest value; only data past it is checked value by value, to name
+    the first one.
     """
     rows = model.radial_data(r_max)
-    if rows[-1][0] < 2:
+    last = rows[-1][0]
+    if last < 2:
         raise InvalidParameterError(
-            f"a model file needs radii 0..2 at least, got r_max = {rows[-1][0]}"
+            f"a model file needs radii 0..2 at least, got r_max = {last}"
         )
     lines = ["radial-model v1"]
     if model.label:
@@ -813,14 +849,16 @@ def save_model(model, path, r_max=None):
         lines.append(f"tail geometric {_decimal_text(t.kappa_inf, 'kappa_inf')} {t.start}")
     else:
         lines.append(f"tail {t.kind}")
-    last = rows[-1][0]
-    for r, kp, km, v in rows:
-        # the saved file ends at this radius, so the final outward degree
-        # is out of range for the loaded model even when we know it here
-        kp_s = "-" if kp is None or r == last else _decimal_text(kp, f"k_plus({r})")
-        lines.append(
-            f"{r} {kp_s} {_decimal_text(km, f'k_minus({r})')} {_decimal_text(v, f'vol({r})')}"
-        )
+    # the saved file ends at this radius, so the final outward degree is out
+    # of range for the loaded model even when we know it here
+    values = itertools.chain(map(operator.itemgetter(1), itertools.islice(rows, last)),
+                             *(map(operator.itemgetter(i), rows) for i in (2, 3)))
+    if not _writable(values):
+        for r, *row in rows:
+            for name, v in zip(("k_plus", "k_minus", "vol"), row):
+                if r < last or name != "k_plus":
+                    _decimal_text(v, f"{name}({r})")
+    lines.extend(f"{r} {'-' if r == last else kp} {km} {v}" for r, kp, km, v in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -832,7 +870,7 @@ def _parse(token, where, convert=Fraction):
     run of more digits than Python reads (see _decimal_text) is refused
     first, naming the limit; errors show at most a prefix of a long token.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if token.isascii() and token.isdigit() and not (limit and len(token) > limit):
         return int(token)  # the value Fraction(token) has, without its regex
     shown = repr(token) if len(token) <= 24 else f"{token[:16]!r}... ({len(token)} characters)"
@@ -847,25 +885,71 @@ def _parse(token, where, convert=Fraction):
         raise InvalidParameterError(f"cannot parse {shown} in {where}") from None
 
 
+def _digit_column(tokens):
+    """``int`` of every token, when all are ASCII digit runs that Python
+    reads; None otherwise."""
+    limit = _digit_limit()
+    joined = "".join(tokens)
+    if not tokens or not (joined.isascii() and joined.isdigit()) or (
+            limit and max(map(len, tokens)) > limit):
+        return None
+    return list(map(int, tokens))
+
+
+def _flush_rows(block, columns, path):
+    """Read the token rows in ``block`` onto the k_plus, k_minus and vol
+    lists of ``columns`` and empty it; the rows hold the radii that follow
+    those already read.
+
+    An all-digit column is read by one ``int`` map.  Any other block is read
+    token by token through ``_parse``, in row order, so that the first bad
+    row is named as a row-by-row reader names it.
+    """
+    if not block:
+        return
+    start = len(columns[1])
+    radii, kp, km, vol = zip(*block)
+    dash = kp[-1] == "-"  # the final row's unknown outward degree
+    values = [_digit_column(kp[:-1] if dash else kp), _digit_column(km), _digit_column(vol)]
+    if None not in values and _digit_column(radii) == list(range(start, start + len(block))):
+        if dash:
+            values[0].append(None)
+    else:
+        values = [[], [], []]
+        for expected, (r, *row) in enumerate(block, start):
+            r = _parse(r, f"row {expected}", int)
+            if r != expected:
+                raise InvalidParameterError(
+                    f"{path}: rows must cover consecutive radii, expected {expected} got {r}"
+                )
+            values[0].append(None if row[0] == "-" else _parse(row[0], f"row {r}"))
+            values[1].append(_parse(row[1], f"row {r}"))
+            values[2].append(_parse(row[2], f"row {r}"))
+    for column, read in zip(columns, values):
+        column.extend(read)
+    block.clear()
+
+
 def load_model(path):
     """Read a model written by save_model, as a make_custom model; the rows
     must satisfy a geometric tail line: k_plus(r) = kappa_inf k_minus(r) from its start."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
-    lines = [ln.strip() for ln in raw_lines]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "radial-model v1":
+    lines = (ln.strip() for ln in raw_lines)
+    lines = (ln for ln in lines if ln and not ln.startswith("#"))
+    if next(lines, None) != "radial-model v1":
         raise InvalidParameterError(f"{path}: missing 'radial-model v1' header")
 
     label = None
     tail = None
-    k_plus, k_minus, vol = [], [], []
-    expected_r = 0
-    for ln in lines[1:]:
+    block, columns = [], ([], [], [])
+    for ln in lines:
         tokens = ln.split()
         if tokens[0] == "label":
             label = ln[len("label"):].strip()
             continue
+        if tokens[0] == "tail" or len(tokens) != 4:
+            _flush_rows(block, columns, path)  # a bad row above this line is named first
         if tokens[0] == "tail":
             if tokens[1:] == ["unspecified"]:
                 tail = Tail("unspecified")
@@ -880,20 +964,14 @@ def load_model(path):
             continue
         if len(tokens) != 4:
             raise InvalidParameterError(f"{path}: expected 4 columns, got {ln!r}")
-        r = _parse(tokens[0], f"row {expected_r}", int)
-        if r != expected_r:
-            raise InvalidParameterError(
-                f"{path}: rows must cover consecutive radii, expected {expected_r} got {r}"
-            )
-        expected_r += 1
-        if tokens[1] == "-":
-            k_plus.append(None)
-        else:
-            k_plus.append(_parse(tokens[1], f"row {r}"))
-        k_minus.append(_parse(tokens[2], f"row {r}"))
-        vol.append(_parse(tokens[3], f"row {r}"))
+        block.append(tokens)
+        if len(block) == _ROW_BLOCK:
+            _flush_rows(block, columns, path)
+    _flush_rows(block, columns, path)
+    del raw_lines  # read: the model below is built without the file's text
 
-    depth = expected_r - 1
+    k_plus, k_minus, vol = columns
+    depth = len(k_plus) - 1
     if any(v is None for v in k_plus[:-1]) or (k_plus and k_plus[-1] is not None):
         raise InvalidParameterError(
             f"{path}: exactly the final row must use '-' for k_plus"
@@ -901,8 +979,10 @@ def load_model(path):
     model = make_custom(k_plus[:-1], k_minus, vol, tail=tail, label=label or "custom")
     if tail and tail.kind == "eventually-geometric":
         a, b = tail.kappa_inf.numerator, tail.kappa_inf.denominator
-        for r in range(tail.start, depth):
-            if k_plus[r] * b != a * k_minus[r]:
-                raise InconsistentModelError(
-                    r, f"{path}: kappa({r}) differs from the tail line's kappa_inf")
+        kp, km = (np.array(c[tail.start:depth], dtype=object) for c in (k_plus, k_minus))
+        bad = _first_true(kp * b != a * km)
+        if bad is not None:
+            r = tail.start + bad
+            raise InconsistentModelError(
+                r, f"{path}: kappa({r}) differs from the tail line's kappa_inf")
     return model

@@ -258,18 +258,44 @@ def eigenvalue_bounds(form):
     return lo, hi
 
 
-def _bisect_bottom(lo, hi, tol, positive_at):
+def _bisect_bottom(lo, hi, tol, positive_at, guide=None):
     """Bisect [lo, hi] for a bottom below which positive_at(x) is True:
     halve until the bracket is at most ``tol`` wide or the midpoint equals
-    an end, and return the midpoint."""
+    an end, and return the final bracket (lo, hi); the bottom is its
+    ``_midpoint``.
+
+    positive_at must be monotone, True up to some threshold and False past
+    it.  A finite guide (a, b) with a < b is checked first by two calls:
+    when positive_at(a) is True and positive_at(b) is False, a midpoint at
+    or below a is decided True and one at or above b False without a call.
+    By monotonicity every decision is the one a call would give, so the
+    bracket is the unguided one; a guide that fails its check is dropped.
+    """
+    a, b = guide or (-math.inf, math.inf)
+    if not (-math.inf < a < b < math.inf and positive_at(a) and not positive_at(b)):
+        a, b = -math.inf, math.inf
     mid = 0.5 * (lo + hi)
     while hi - lo > tol and mid not in (lo, hi):
-        if positive_at(mid):
+        if mid <= a or mid < b and positive_at(mid):
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return mid
+    return lo, hi
+
+
+def _midpoint(bracket):
+    """The bottom a final bracket of _bisect_bottom stands for."""
+    lo, hi = bracket
+    return 0.5 * (lo + hi)
+
+
+def _section_bracket(form):
+    """The final bracket of smallest_eigenvalue's bisection."""
+    lo, hi = eigenvalue_bounds(form)
+    rows = _whole_form_rows(form)
+    return _bisect_bottom(lo, hi, 1e-11 * max(1.0, hi - lo),
+                          lambda x: not _negative_pivots(rows, x, 1))
 
 
 def smallest_eigenvalue(form):
@@ -280,12 +306,13 @@ def smallest_eigenvalue(form):
     absolute) or to adjacent floats.  Each step only asks whether the count
     is at least 1, so its sweep stops at the first negative pivot or at a
     tail certificate (see _negative_pivots); either way it decides as the
-    full sweep would, and the result is the same float.
+    full sweep would, and the result is the same float.  The floating-point
+    count is monotone in the shift too (Kahan 1966; Demmel, Dhillon and Ren
+    1995), which is what lets a bracket found on one form guide the
+    bisection of an equal form rounded differently (see _bisect_bottom and
+    tree_ball_bottom_eigenvalue) and still give the unguided float.
     """
-    lo, hi = eigenvalue_bounds(form)
-    rows = _whole_form_rows(form)
-    return _bisect_bottom(lo, hi, 1e-11 * max(1.0, hi - lo),
-                          lambda x: not _negative_pivots(rows, x, 1))
+    return _midpoint(_section_bracket(form))
 
 
 # -- vertex-level forms ------------------------------------------------------
@@ -401,6 +428,18 @@ def tree_ball_is_positive(k_plus, weight_values):
     return _tree_pivots_positive(kp.tolist(), w.tolist(), 0.0)
 
 
+def _tree_ball_bracket(k_plus, weight_values, tol=1e-11, guide=None):
+    """The final bracket of tree_ball_bottom_eigenvalue's bisection, which
+    ``guide`` steers as _bisect_bottom describes."""
+    kp, w = _tree_ball_levels(k_plus, weight_values)
+    # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
+    # row radii <= max k_plus + 1
+    hi = float((kp.max() + 1) - w.min() + (kp.max() + 1))
+    lo = float(kp.min() - w.max() - (kp.max() + 1))
+    kp, w = kp.tolist(), w.tolist()
+    return _bisect_bottom(lo, hi, tol, lambda x: _tree_pivots_positive(kp, w, x), guide)
+
+
 def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     """Bottom eigenvalue of the tree ball form via bisection on the pivots.
 
@@ -411,11 +450,12 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     tree_ball_pivots.  _bisect_bottom also stops at adjacent floats, before
     the bracket is ``tol`` wide once one ulp of the bottom exceeds ``tol``
     (a bottom past 2**16 at the default).
+
+    Every pivot step rounds monotonically in the shift, so the pivot test is
+    monotone in it.  ``check_lambda0_bound`` therefore replays this
+    bisection guided by the final bracket of the radial section [0, R]
+    (the same tridiagonal form, eliminated from the other end): two passes
+    check the guide, the midpoints outside it need no pass, and the result
+    is this function's float whether or not the guide holds.
     """
-    kp, w = _tree_ball_levels(k_plus, weight_values)
-    # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
-    # row radii <= max k_plus + 1
-    hi = float((kp.max() + 1) - w.min() + (kp.max() + 1))
-    lo = float(kp.min() - w.max() - (kp.max() + 1))
-    kp, w = kp.tolist(), w.tolist()
-    return _bisect_bottom(lo, hi, tol, lambda x: _tree_pivots_positive(kp, w, x))
+    return _midpoint(_tree_ball_bracket(k_plus, weight_values, tol))

@@ -1,10 +1,13 @@
 """Exact ground-ratio checks against the Fraction and mpmath routes they replaced.
 
 ``reference_weight`` is the mpmath loop that ``fitzsimmons_weight`` ran
-before its ratios became integer cross-product quotients in ``decimal``, and
+before its ratios became exact integer cross products, each square root one
+integer square root at a fixed number of bits, and
 ``reference_ground_defects`` is the Fraction-Laplacian loop of
 ``check_superharmonic_ground``.  Both new routes must give the same floats,
-bit for bit, and the same verdicts.
+bit for bit, and the same verdicts, among them on the inputs where the
+earlier 40-digit ``decimal`` route was slowest: huge branching numbers,
+areas of thousands of bits and Fraction degrees read from a model file.
 """
 
 import math
@@ -21,9 +24,11 @@ from hardy_lab import (
     InvalidParameterError,
     check_superharmonic_ground,
     fitzsimmons_weight,
+    load_model,
     make_antitree,
     make_custom,
     make_tree,
+    save_model,
 )
 from hardy_lab.radial_model import _parse
 from hardy_lab.spectral_ops import radial_laplacian
@@ -141,6 +146,44 @@ def test_areas_past_2_64_match_the_fraction_routes():
     assert model.area(12) > 2 ** 64
     for gamma in (Fraction(0), Fraction(1, 3)):
         assert_routes_match(model, gamma, 39)
+
+
+def test_a_huge_branching_number_matches_the_fraction_routes():
+    # areas 10**(11 r): cross products of about 19000 bits at r = 512
+    model = make_tree(10 ** 11, 513)
+    for gamma in (Fraction(0), Fraction(1, 3)):
+        assert_routes_match(model, gamma, 512)
+
+
+def test_areas_of_thousands_of_bits_match_the_mpmath_route():
+    # sphere sizes 7**r to depth 400: areas of about 2250 bits; the degrees pass
+    # the float64 range at radius 364, where the weight is +inf on both routes
+    # (the ground check reads float degree views and refuses this model)
+    model = make_antitree([7 ** r for r in range(401)], 400)
+    for gamma in (Fraction(0), Fraction(1, 3)):
+        w = fitzsimmons_weight(model, gamma, 399)
+        assert w.tobytes() == reference_weight(model, gamma, 399).tobytes()
+        assert np.isinf(w[364:]).all() and np.isfinite(w[:364]).all()
+
+
+def test_fraction_degrees_from_a_model_file_match_the_fraction_routes(tmp_path):
+    k_plus = [Fraction(5, 2), Fraction(7, 3), 3, Fraction(9, 4)] * 100
+    k_minus = [0] + [Fraction(3, 2), Fraction(4, 3), 2, Fraction(5, 4)] * 100
+    path = tmp_path / "fractions.model"
+    save_model(make_custom(k_plus, k_minus), path)
+    model = load_model(path)
+    assert model.k_plus(0) == Fraction(5, 2) and model.k_minus(400) == Fraction(5, 4)
+    for gamma in (Fraction(0), Fraction(1, 3)):
+        assert_routes_match(model, gamma, 399)
+
+
+def test_degrees_past_the_float_range_give_infinite_weights():
+    # each weight is one exact quotient rounded to float: past the float range
+    # it is +-inf, as float() of a 40-digit decimal was, not an OverflowError
+    model = make_custom([10 ** 400] * 3 + [1], [0, 1] + [10 ** 400] * 3)
+    w = fitzsimmons_weight(model, 0, 3)
+    assert w.tolist() == [0.0, math.inf, -math.inf, math.inf]
+    assert w.tobytes() == reference_weight(model, Fraction(0), 3).tobytes()
 
 
 # -- model file tokens ----------------------------------------------------------

@@ -29,11 +29,12 @@ from hardy_lab import (
     make_custom,
     make_tree,
     optimality_probe,
+    radial_laplacian,
     tree_ball_bottom_eigenvalue,
 )
-from hardy_lab import optimality
+from hardy_lab import optimality, spectral_ops
 from hardy_lab.cli import _parse_model_spec
-from hardy_lab.hardy_weights import _kappa_longdouble
+from hardy_lab.hardy_weights import _ground_pairs, _kappa_longdouble
 from object_storage import object_storage
 
 
@@ -446,6 +447,29 @@ def test_ground_state_identity_both_levels(tree2, antitree_linear):
         check_ground_state_identity(tree2, 0, 6, level="edges")
 
 
+def loop_radial_identity(model, gamma, radius):
+    """The residual of check_ground_state_identity(level="radial") as its
+    loop over radial_laplacian, one radius at a time."""
+    p, q = _ground_pairs(model, Fraction(gamma), radius + 1)
+    sqrt_u = np.array([math.sqrt(a / b) for a, b in zip(p, q)])
+    w = closed_form_weight(model, gamma, radius).values
+    worst = 0.0
+    for r in range(0 if gamma > 0 else 1, radius):
+        lhs = radial_laplacian(model, sqrt_u, r)
+        worst = max(worst, abs(lhs - w[r] * sqrt_u[r]) / max(1.0, abs(lhs)))
+    return worst
+
+
+@given(model=_custom_models(),
+       gamma=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 5)]))
+@example(model=make_tree(10 ** 11, 70), gamma=Fraction(1, 3))
+@example(model=make_antitree(lambda r: (r + 1) ** 3, 70), gamma=Fraction(0))
+def test_radial_identity_arrays_equal_the_radial_laplacian_loop(model, gamma):
+    for radius in (2, model.depth - 1):
+        rep = check_ground_state_identity(model, gamma, radius, level="radial")
+        assert rep.residuals["max_rel_residual"] == loop_radial_identity(model, gamma, radius)
+
+
 def test_ground_state_identity_with_positive_gamma(tree3):
     rep = check_ground_state_identity(tree3, Fraction(1, 2), 32, level="radial")
     assert rep.status == "pass"
@@ -513,6 +537,27 @@ def test_lambda0_vertex_check_takes_integer_branching_only():
         if vertex:
             assert rep.residuals["vertex_ball_bottom"] == \
                 tree_ball_bottom_eigenvalue(3, np.zeros(max(rep.params["section_radii"]) + 1))
+
+
+@pytest.mark.parametrize("d, depth", [(1, 1200), (2, 1200), (3, 1200), (5, 1200),
+                                      (2, 100_000)])
+def test_lambda0_ball_replay_gives_the_unguided_bottom(d, depth, monkeypatch):
+    # the [0, R] section's final bracket guides the ball's bisection: a few
+    # pivot passes instead of about 40, and the float of the unguided bisection
+    calls = []
+
+    def counted(*args, _positive=spectral_ops._tree_pivots_positive):
+        calls.append(args[2])
+        return _positive(*args)
+
+    model = make_tree(d, depth)
+    monkeypatch.setattr(spectral_ops, "_tree_pivots_positive", counted)
+    rep = check_lambda0_bound(model)
+    monkeypatch.undo()
+    assert rep.status == "pass" and len(calls) <= 10
+    radius = max(rep.params["section_radii"])
+    assert rep.residuals["vertex_ball_bottom"] == \
+        tree_ball_bottom_eigenvalue(d, np.zeros(radius + 1))
 
 
 def test_lambda0_bound_needs_homogeneous_model(antitree_linear):

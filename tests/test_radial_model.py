@@ -256,6 +256,15 @@ def test_a_degree_past_the_double_range_refuses_every_prefix():
             view(1)
 
 
+def test_an_int64_degree_maximum_meets_a_fraction_exactly():
+    # int64 k_plus beside Fraction k_minus: comparing numpy's int64 maximum
+    # with a Fraction multiplied in int64 and overflowed
+    model = make_custom([2 ** 53 - 1, 2], [0, Fraction(10417, 1050), 3])
+    assert model.k_plus_floats(1).tolist() == [2.0 ** 53 - 1, 2.0]
+    with pytest.raises(SizeLimitExceededError, match="radius 1"):
+        make_custom([2 ** 53 - 1, 2], [0, Fraction(10 ** 400, 3), 3]).k_plus_floats(1)
+
+
 def test_exact_degrees_of_int64_storage_are_python_ints():
     # degrees past 2**26.5 take the object path: each int64 array becomes
     # an object array of Python ints, whose products never wrap
@@ -417,6 +426,57 @@ def test_a_geometric_tail_line_is_checked_from_its_start_exactly(tmp_path):
     with pytest.raises(InconsistentModelError) as info:
         load_model(path)
     assert info.value.radius == 3
+
+
+def _tree_rows(depth):
+    return [f"{r} 2 {min(r, 1)} {2 ** r}" for r in range(depth)] + [f"{depth} - 1 {2 ** depth}"]
+
+
+@pytest.mark.parametrize("r, column, token, error", [
+    (0, 0, "x", "cannot parse 'x' in row 0"),
+    (150, 1, "x", "cannot parse 'x' in row 150"),
+    (63, 2, "1/0", "cannot parse '1/0' in row 63"),
+    (64, 3, "+5", "area mismatch at radius 64"),
+    (200, 0, "201", "expected 200 got 201"),
+    (100, 1, "-", "exactly the final row must use '-'"),
+    (300, 1, "2", "exactly the final row must use '-'"),
+    (299, 3, "0", r"vol\(299\) must be positive"),
+])
+def test_model_file_rows_read_by_column_name_the_first_bad_row(tmp_path, r, column, token,
+                                                                error):
+    # rows are read a block of rows at a time, an all-digit column by one int
+    # map; a bad token anywhere is named as a row-by-row reader names it
+    rows = _tree_rows(300)
+    tokens = rows[r].split()
+    tokens[column] = token
+    rows[r] = " ".join(tokens)
+    path = tmp_path / "bad.model"
+    path.write_text("\n".join(["radial-model v1", "tail unspecified", *rows]) + "\n")
+    with pytest.raises((InvalidParameterError, InconsistentModelError), match=error):
+        load_model(path)
+
+
+def test_a_bad_row_is_named_before_a_later_bad_line(tmp_path):
+    path = tmp_path / "bad.model"
+    for later in ["250 2 1", "tail bogus", "tail geometric 2 x"]:
+        rows = _tree_rows(300)
+        rows[120] = "120 x 1 5"
+        rows.insert(121, later)
+        path.write_text("\n".join(["radial-model v1", *rows]) + "\n")
+        with pytest.raises(InvalidParameterError, match="cannot parse 'x' in row 120"):
+            load_model(path)
+
+
+def test_tokens_off_the_digit_columns_read_to_the_same_model(tmp_path):
+    # signs, leading zeros and Fractions leave a block to the per-token reader
+    path = tmp_path / "tokens.model"
+    rows = _tree_rows(300)
+    for r in (5, 70, 299):
+        rows[r] = f"{r:04d} +2 {min(r, 1)}/1 {2 ** r}"
+    path.write_text("\n".join(["radial-model v1", "tail unspecified", *rows]) + "\n")
+    back = load_model(path)
+    assert back.radial_data() == make_custom([2] * 300, [0] + [1] * 300).radial_data()
+    assert {type(v) for row in back.radial_data() for v in row[1:] if v is not None} == {int}
 
 
 def test_saved_geometric_tails_load_back(tmp_path):

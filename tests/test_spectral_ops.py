@@ -253,6 +253,40 @@ def test_tree_ball_bisection_stops_where_an_ulp_passes_tol(d, monkeypatch):
     assert not tree_ball_is_positive(d, np.full(201, bottom + ulp))
 
 
+def _guides(threshold, lo, hi, gap):
+    """Guides of every kind around ``threshold``, the last True shift: right
+    (the first one ulp wide, which decides every midpoint once checked), too
+    wide, wrong on either side, collapsed and non-finite."""
+    above = math.nextafter(threshold, math.inf)
+    return [
+        (threshold, above), (threshold - gap, threshold + gap),  # right
+        (lo - 1.0, hi + 1.0),  # too wide
+        (threshold - 2 * gap, threshold - gap),  # wrong, below the threshold
+        (above, above + gap),  # wrong, above it
+        (threshold, threshold), (above, threshold),  # collapsed, reversed
+        (-math.inf, above), (threshold, math.inf), (math.nan, above), (threshold, math.nan),
+    ]
+
+
+@given(st.floats(-8.0, 8.0), st.floats(1e-3, 8.0), st.floats(1e-3, 8.0),
+       st.floats(1e-16, 1e-2), st.sampled_from([1e-11, 1e-6, 0.0]))
+def test_a_guided_bisection_returns_the_unguided_bracket(threshold, below, above, gap, tol):
+    lo, hi = threshold - below, threshold + above
+    calls = []
+
+    def positive_at(x):
+        calls.append(x)
+        return x <= threshold
+
+    plain = spectral_ops._bisect_bottom(lo, hi, tol, positive_at)
+    unguided = len(calls)
+    for i, guide in enumerate(_guides(threshold, lo, hi, gap)):
+        calls.clear()
+        assert spectral_ops._bisect_bottom(lo, hi, tol, positive_at, guide) == plain, guide
+        # two passes check the guide; a dropped guide costs at most those two
+        assert len(calls) <= (2 if i == 0 else unguided + 2), guide
+
+
 def test_tree_ball_positivity_refuses_infinite_and_nan_pivots():
     # a -inf weight makes a +inf pivot, which is not a certificate
     for w in ([0.0, -np.inf, 0.0], [0.0, np.nan, 0.0], [np.nan, 0.0, 0.0]):
