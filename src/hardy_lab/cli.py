@@ -23,7 +23,9 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -269,12 +271,13 @@ def cmd_green(args):
 def _probe_bases(args, r_max):
     bases = default_probe_bases(r_max, PROBE_WINDOW)
     if args.seed is not None:
-        rng = np.random.default_rng(args.seed)
+        # Random.random() is the one draw whose sequence Python keeps
+        # across versions; each base is 1 + floor(u (hi - 1)) in [1, hi)
+        rng = random.Random(args.seed)
         hi = r_max - PROBE_WINDOW
         if hi > 1:
-            bases = sorted(set(bases) | set(
-                int(b) for b in rng.integers(1, hi, size=8)
-            ))
+            bases = sorted(set(bases) | {1 + int(rng.random() * (hi - 1))
+                                         for _ in range(8)})
     return bases
 
 
@@ -366,7 +369,10 @@ def cmd_continuum(args):
 
 # -- parser --------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process; each parse_args
+    call returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="hardy-lab",
         description="optimal Hardy weights on radial graph models",
@@ -404,8 +410,9 @@ def build_parser():
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--gamma", default="0")
     p.add_argument("--seed", type=int, default=None,
-                   help="only adds seeded random probe bases to the deterministic "
-                        "ones; every report records it (2026 when unset)")
+                   help="only adds 8 seeded probe bases, drawn by Python's "
+                        "random.Random(seed).random(), to the deterministic ones; "
+                        "every report records it (2026 when unset)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
@@ -426,8 +433,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (HardyLabError, OSError) as exc:

@@ -36,6 +36,7 @@ from .radial_model import _log_of_exact, _window_blocks, expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
     _certified_sweep,
+    _homogeneous_bottom,
     _midpoint,
     _pivot_sweep,
     _section_bracket,
@@ -185,8 +186,16 @@ def helper_sum(n):
         raise InvalidParameterError("n must be at least 3")
 
     def terms(lo, hi):
+        # sqrt(1 + 1/r) * r * square(log1p(1/r)), in that order, in place
         r = np.arange(lo, hi, dtype=float)
-        return (np.sqrt(1.0 + 1.0 / r) * r * np.square(np.log1p(1.0 / r)),)
+        inv = np.divide(1.0, r)
+        out = np.add(1.0, inv)
+        np.sqrt(out, out=out)
+        out *= r
+        np.log1p(inv, out=inv)
+        np.square(inv, out=inv)
+        out *= inv
+        return (out,)
 
     return float(_pairwise_sums(terms, 1, n)[0]) / math.log(n) ** 2
 
@@ -645,10 +654,12 @@ def check_lambda0_bound(model):
     and k_plus(0) = k_plus(1) at the root as on every tree, the bottom of
     the spectrum is at least shift = k_minus (sqrt(kappa)-1)**2.
     Dirichlet section bottoms decrease towards the true bottom, so the check
-    asserts they are decreasing and all stay above shift - tol.  When the
-    data is a tree's (k_minus = 1 and integer outward degrees), the ball
-    form is additionally certified at vertex level through the per-level
-    elimination pivots, at sizes far beyond dense reach.
+    asserts they are decreasing and all stay above shift - tol.  Each
+    section's closed-form bottom guides its bisection, which returns the
+    unguided float either way.  When the data is a tree's (k_minus = 1
+    and integer outward degrees), the ball form is additionally certified
+    at vertex level through the per-level elimination pivots, at sizes far
+    beyond dense reach.
     """
     depth = model.depth
     tol = 1e-9
@@ -680,7 +691,8 @@ def check_lambda0_bound(model):
     shift = float(km0) * (math.sqrt(float(kap0)) - 1.0) ** 2
     radii = sorted({min(R, depth - 1) for R in (64, 256, 1024)})
     zeros = np.zeros(max(radii) + 1)
-    brackets = [_section_bracket(hardy_form_matrix(model, zeros, 0, R)) for R in radii]
+    forms = [hardy_form_matrix(model, zeros, 0, R) for R in radii]
+    brackets = [_section_bracket(form, _homogeneous_bottom(form)) for form in forms]
     bottoms = list(map(_midpoint, brackets))
     decreasing = all(b2 < b1 + tol for b1, b2 in zip(bottoms, bottoms[1:]))
     above = all(b >= shift - tol for b in bottoms)

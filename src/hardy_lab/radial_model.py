@@ -688,8 +688,8 @@ def make_custom(k_plus, k_minus, vol=None, *, tail=None, label="custom"):
                 r = s + bad
                 raise InconsistentModelError(
                     r,
-                    f"area mismatch at radius {r}: "
-                    f"k_minus*vol = {lhs[bad]} but k_plus*vol from radius {r - 1} = {rhs[bad]}",
+                    f"area mismatch at radius {r}: k_minus*vol = {_shown(lhs[bad])} "
+                    f"but k_plus*vol from radius {r - 1} = {_shown(rhs[bad])}",
                 )
 
     return RadialModel(k_plus=_stored(kp), k_minus=_stored(km), vol=_stored(vv),
@@ -810,6 +810,14 @@ def _decimal_text(value, what):
             "Python writes (sys.get_int_max_str_digits())"
         )
     return str(value)
+
+
+def _shown(value):
+    """``str(value)`` for a message, or its size where Python would refuse
+    to write it (see _decimal_text)."""
+    if _writable((value,)):
+        return str(value)
+    return f"a number past {_digit_limit()} decimal digits"
 
 
 def _writable(values):

@@ -290,12 +290,40 @@ def _midpoint(bracket):
     return 0.5 * (lo + hi)
 
 
-def _section_bracket(form):
-    """The final bracket of smallest_eigenvalue's bisection."""
+def _section_bracket(form, guide=None):
+    """The final bracket of smallest_eigenvalue's bisection.
+
+    ``guide``, an estimate of the bottom, guides the bisection by the
+    bracket of 4 tol on either side of it (see _bisect_bottom): an estimate
+    that close costs two checking passes and a few inside the bracket, one
+    that is not is dropped, and the bracket returned is the unguided one.
+    """
     lo, hi = eigenvalue_bounds(form)
+    tol = 1e-11 * max(1.0, hi - lo)
     rows = _whole_form_rows(form)
-    return _bisect_bottom(lo, hi, 1e-11 * max(1.0, hi - lo),
-                          lambda x: not _negative_pivots(rows, x, 1))
+    return _bisect_bottom(lo, hi, tol, lambda x: not _negative_pivots(rows, x, 1),
+                          None if guide is None else (guide - 4 * tol, guide + 4 * tol))
+
+
+def _homogeneous_bottom(form):
+    """The bottom of a section [0, R] of a model with constant k_plus and
+    k_minus (check_lambda0_bound's hypothesis), in closed form and floats.
+
+    The form is Toeplitz but for its root row: diagonal d0 = k_plus at row
+    0 and d = k_plus + k_minus below, coupling -b.  x_j = sin((n - j) t)
+    solves every other row with eigenvalue d - 2 b cos t, and the root row
+    iff (2 b cos t - (d - d0)) sin(n t) = b sin((n - 1) t).  The sides
+    cross on (0, pi / n) when b (n + 1) > (d - d0) n, as kappa >= 1
+    gives; t is bisected there to adjacent floats.  None otherwise.
+    """
+    n, d0, d = form.n, float(form.diagonal[0]), float(form.diagonal[-1])
+    b = -float(form.offdiagonal[0])
+    km = d - d0
+    if not b * (n + 1) > km * n:
+        return None
+    t = _midpoint(_bisect_bottom(0.0, math.pi / n, 0.0, lambda t: (
+        (2.0 * b * math.cos(t) - km) * math.sin(n * t) > b * math.sin((n - 1) * t))))
+    return (d - 2.0 * b) + 4.0 * b * math.sin(0.5 * t) ** 2
 
 
 def smallest_eigenvalue(form):

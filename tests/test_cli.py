@@ -703,6 +703,62 @@ def test_importing_the_command_line_loads_no_mpmath():
     assert out == "False\n"
 
 
+def test_a_seeded_probe_loads_no_numpy_random():
+    src = str(PACKAGE.parent)
+    probe = ("import sys, hardy_lab.cli as c; "
+             "c.main(['verify', '--model', 'tree:2:300', '--suite', 'probe', '--seed', '7']); "
+             "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.endswith("\nFalse\n")
+
+
+def test_seed_7_draws_pinned_probe_bases(capsys):
+    # random.Random(7).random(), 8 draws of 1 + floor(u * 290) on tree:2:300
+    # (r_max 299, bases below 299 - 8); the rest is the deterministic spine
+    code, out, _ = run(capsys, "verify", "--model", "tree:2:300", "--suite", "probe",
+                       "--seed", "7", "--json")
+    assert code == 0
+    bases = json.loads(out)[0]["params"]["bases"]
+    assert sorted(set(bases) - {1, 2, 4, 8, 16, 32, 64, 128, 256}) == \
+        [17, 22, 44, 94, 107, 148, 156, 189]
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for seed in ("7", "8"):
+        run(capsys, "verify", "--model", "tree:2:150", "--suite", "lambda0", "--seed", seed)
+    assert cli.build_parser.cache_info().misses == 1
+    first = cli.build_parser().parse_args(["verify", "--model", "tree:2:150", "--json"])
+    second = cli.build_parser().parse_args(["verify", "--model", "tree:2:150"])
+    assert first is not second and (first.json, second.json) == (True, False)
+
+
+def test_main_calls_in_one_process_print_the_bytes_of_fresh_processes(tmp_path):
+    # the cached parser must carry nothing from one call to the next:
+    # --json then plain, and --out then stdout
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out_path = tmp_path / "fresh.json"
+    calls = [["verify", "--model", "tree:2:150", "--seed", "7", "--json"],
+             ["verify", "--model", "tree:2:150", "--seed", "7"],
+             ["verify", "--model", "tree:2:150", "--json", "--out", str(out_path)],
+             ["verify", "--model", "tree:3:150", "--suite", "probe"]]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "hardy_lab.cli", *argv],
+                              capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr
+        fresh.append(done.stdout)
+    fresh_file = out_path.read_bytes()
+    out_path.unlink()
+    probe = ("import sys, hardy_lab.cli as c; "
+             f"[c.main(argv) for argv in {calls!r}]")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"".join(fresh)
+    assert out_path.read_bytes() == fresh_file
+
+
 def test_lambda0_on_a_tree_past_an_ulp_of_tol_exits_0(capsys, monkeypatch):
     # one ulp of each section bottom near d = 1e11 exceeds the bisection
     # tolerance; a call counter, not a timeout, shows that no bisection spins

@@ -23,6 +23,7 @@ from hardy_lab import (
     closed_form_weight,
     criticality_energy,
     expand_vertex_graph,
+    hardy_form_matrix,
     helper_sum,
     inflation_refutation,
     make_antitree,
@@ -30,6 +31,7 @@ from hardy_lab import (
     make_tree,
     optimality_probe,
     radial_laplacian,
+    smallest_eigenvalue,
     tree_ball_bottom_eigenvalue,
 )
 from hardy_lab import optimality, spectral_ops
@@ -558,6 +560,63 @@ def test_lambda0_ball_replay_gives_the_unguided_bottom(d, depth, monkeypatch):
     radius = max(rep.params["section_radii"])
     assert rep.residuals["vertex_ball_bottom"] == \
         tree_ball_bottom_eigenvalue(d, np.zeros(radius + 1))
+
+
+def _counted_section_bracket(form, guide, monkeypatch):
+    """_section_bracket(form, guide) and the Sturm passes it made."""
+    calls = []
+
+    def counted(*args, _negative=spectral_ops._negative_pivots):
+        calls.append(args[1])
+        return _negative(*args)
+
+    monkeypatch.setattr(spectral_ops, "_negative_pivots", counted)
+    bracket = spectral_ops._section_bracket(form, guide)
+    monkeypatch.undo()
+    return bracket, len(calls)
+
+
+def _lambda0_sections(model):
+    """The [0, R] forms check_lambda0_bound bisects."""
+    radii = sorted({min(R, model.depth - 1) for R in (64, 256, 1024)})
+    return [hardy_form_matrix(model, np.zeros(R + 1), 0, R) for R in radii]
+
+
+@pytest.mark.parametrize("model", [
+    make_tree(1, 1200), make_tree(2, 1200), make_tree(3, 1200), make_tree(5, 1200),
+    make_tree(10 ** 11, 1200), make_custom([6] * 300, [0] + [2] * 300),
+    make_tree(2, 3), make_tree(2, 65), make_tree(3, 257),
+], ids=lambda m: f"{m.label}:{m.depth}")
+def test_closed_form_guides_give_the_unguided_section_brackets(model, monkeypatch):
+    # the closed-form bottom of each homogeneous section guides its bisection:
+    # at most 10 passes instead of about 37, and the unguided bracket, also
+    # when the guide is wrong
+    forms = _lambda0_sections(model)
+    for form in forms:
+        unguided = spectral_ops._section_bracket(form)
+        guide = spectral_ops._homogeneous_bottom(form)
+        bracket, passes = _counted_section_bracket(form, guide, monkeypatch)
+        assert bracket == unguided and passes <= 10, (form.n, passes)
+        width = unguided[1] - unguided[0]
+        assert spectral_ops._section_bracket(form, guide + 100 * width + 1.0) == unguided
+    rep = check_lambda0_bound(model)
+    assert rep.status == "pass"
+    assert rep.residuals["final_section_bottom"] == smallest_eigenvalue(forms[-1])
+
+
+@given(st.integers(1, 60) | st.fractions(1, 60, max_denominator=9),
+       st.integers(1, 8) | st.fractions(1, 8, max_denominator=9), st.integers(3, 300))
+def test_closed_form_guides_on_drawn_homogeneous_sections(k_plus, k_minus, depth):
+    # guided and unguided bisections give the same bracket on every drawn
+    # section; kappa >= 1 always has a guide, and it saves passes
+    model = make_custom([k_plus] * depth, [0] + [k_minus] * depth)
+    for form in _lambda0_sections(model):
+        guide = spectral_ops._homogeneous_bottom(form)
+        assert (guide is not None) >= (k_plus >= k_minus)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            bracket, passes = _counted_section_bracket(form, guide, monkeypatch)
+        assert bracket == spectral_ops._section_bracket(form)
+        assert guide is None or passes <= 10
 
 
 def test_lambda0_bound_needs_homogeneous_model(antitree_linear):

@@ -316,6 +316,17 @@ def test_custom_rejects_bad_volumes():
         make_custom([2, 2, 2], [0, 1, 1, 1], vol=[1, 2, 3, 8])
 
 
+def test_an_area_mismatch_past_the_digit_limit_is_inconsistent_data():
+    # k_plus(0) vol(0) = 10**5000 has more digits than str writes by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with pytest.raises(InconsistentModelError) as info:
+        make_custom([10 ** 5000, 2], [0, 1, 10 ** 5000], [1, 1, Fraction(1, 10 ** 5000)])
+    assert info.value.radius == 1
+    head = "area mismatch at radius 1: k_minus*vol = 1 but k_plus*vol from radius 0 = "
+    assert str(info.value) == head + (f"a number past {limit} decimal digits" if limit
+                                      else str(10 ** 5000))
+
+
 def test_custom_rejects_inward_edges_at_origin():
     with pytest.raises(InvalidParameterError):
         make_custom([2, 2], [1, 1, 1])
