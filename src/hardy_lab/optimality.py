@@ -36,13 +36,11 @@ from .radial_model import _log_of_exact, _window_blocks, expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
     _certified_sweep,
-    _homogeneous_bottom,
-    _midpoint,
     _pivot_sweep,
-    _section_bracket,
     _sturm_rows,
-    _tree_ball_bracket,
     hardy_form_matrix,
+    smallest_eigenvalue,
+    tree_ball_bottom_eigenvalue,
     vertex_laplacian,
 )
 
@@ -654,12 +652,12 @@ def check_lambda0_bound(model):
     and k_plus(0) = k_plus(1) at the root as on every tree, the bottom of
     the spectrum is at least shift = k_minus (sqrt(kappa)-1)**2.
     Dirichlet section bottoms decrease towards the true bottom, so the check
-    asserts they are decreasing and all stay above shift - tol.  Each
-    section's closed-form bottom guides its bisection, which returns the
-    unguided float either way.  When the data is a tree's (k_minus = 1
-    and integer outward degrees), the ball form is additionally certified
-    at vertex level through the per-level elimination pivots, at sizes far
-    beyond dense reach.
+    asserts they are decreasing and all stay above shift - tol.  When the
+    data is a tree's (k_minus = 1 and integer outward degrees), the ball
+    form is additionally certified at vertex level through the per-level
+    elimination pivots, at sizes far beyond dense reach.  Each section and
+    the ball guide their own bisections by their closed-form bottoms (see
+    smallest_eigenvalue and tree_ball_bottom_eigenvalue).
     """
     depth = model.depth
     tol = 1e-9
@@ -691,9 +689,7 @@ def check_lambda0_bound(model):
     shift = float(km0) * (math.sqrt(float(kap0)) - 1.0) ** 2
     radii = sorted({min(R, depth - 1) for R in (64, 256, 1024)})
     zeros = np.zeros(max(radii) + 1)
-    forms = [hardy_form_matrix(model, zeros, 0, R) for R in radii]
-    brackets = [_section_bracket(form, _homogeneous_bottom(form)) for form in forms]
-    bottoms = list(map(_midpoint, brackets))
+    bottoms = [smallest_eigenvalue(hardy_form_matrix(model, zeros, 0, R)) for R in radii]
     decreasing = all(b2 < b1 + tol for b1, b2 in zip(bottoms, bottoms[1:]))
     above = all(b >= shift - tol for b in bottoms)
 
@@ -704,11 +700,7 @@ def check_lambda0_bound(model):
     }
     vertex_ok = True
     if km0 == 1 and kap0.denominator == 1:  # then k_plus is kappa(1) on every level
-        # the ball form is the last section's tridiagonal form eliminated from
-        # the other end: its final bracket guides the ball's bisection, which
-        # returns tree_ball_bottom_eigenvalue's float either way
-        vertex_bottom = _midpoint(_tree_ball_bracket(kap0.numerator, zeros,
-                                                     guide=brackets[-1]))
+        vertex_bottom = tree_ball_bottom_eigenvalue(kap0.numerator, zeros)
         residuals["vertex_ball_bottom"] = vertex_bottom
         vertex_ok = vertex_bottom >= shift - tol
     ok = decreasing and above and vertex_ok

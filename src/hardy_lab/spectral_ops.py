@@ -48,7 +48,7 @@ def radial_laplacian(model, values, r):
 
 @dataclass(frozen=True)
 class TridiagonalForm:
-    """Symmetrized radial form on the window [r_lo, r_hi] with Dirichlet ends.
+    """Symmetrized radial form on the window [r_lo, r_lo + n - 1], Dirichlet ends.
 
     diagonal[i] and offdiagonal[i] refer to radius r_lo + i.  The matrix is
     similar to the radial operator on the window, so eigenvalues transfer
@@ -63,10 +63,6 @@ class TridiagonalForm:
     @property
     def n(self):
         return int(self.diagonal.shape[0])
-
-    @property
-    def r_hi(self):
-        return self.r_lo + self.n - 1
 
 
 def hardy_form_matrix(model, weight_values, r_lo=0, r_hi=None):
@@ -258,22 +254,24 @@ def eigenvalue_bounds(form):
     return lo, hi
 
 
-def _bisect_bottom(lo, hi, tol, positive_at, guide=None):
+def _bisect_bottom(lo, hi, tol, positive_at, guess=None):
     """Bisect [lo, hi] for a bottom below which positive_at(x) is True:
     halve until the bracket is at most ``tol`` wide or the midpoint equals
-    an end, and return the final bracket (lo, hi); the bottom is its
-    ``_midpoint``.
+    an end, and return that midpoint.
 
     positive_at must be monotone, True up to some threshold and False past
-    it.  A finite guide (a, b) with a < b is checked first by two calls:
-    when positive_at(a) is True and positive_at(b) is False, a midpoint at
-    or below a is decided True and one at or above b False without a call.
-    By monotonicity every decision is the one a call would give, so the
-    bracket is the unguided one; a guide that fails its check is dropped.
+    it.  A finite guess g is checked first by two calls at a, b = g -+
+    max(tol, 2 ulps of g): when positive_at(a) is True and positive_at(b)
+    is False, a midpoint at or below a is decided True and one at or above
+    b False without a call.  By monotonicity every decision is the one a
+    call would give, so the bottom is the unguided float; a guess that
+    fails its check is dropped, at the cost of at most those two calls.
     """
-    a, b = guide or (-math.inf, math.inf)
-    if not (-math.inf < a < b < math.inf and positive_at(a) and not positive_at(b)):
-        a, b = -math.inf, math.inf
+    a, b = -math.inf, math.inf
+    if guess is not None and math.isfinite(guess):
+        step = max(tol, 2.0 * math.ulp(guess))
+        if positive_at(guess - step) and not positive_at(guess + step):
+            a, b = guess - step, guess + step
     mid = 0.5 * (lo + hi)
     while hi - lo > tol and mid not in (lo, hi):
         if mid <= a or mid < b and positive_at(mid):
@@ -281,48 +279,24 @@ def _bisect_bottom(lo, hi, tol, positive_at, guide=None):
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return lo, hi
+    return mid
 
 
-def _midpoint(bracket):
-    """The bottom a final bracket of _bisect_bottom stands for."""
-    lo, hi = bracket
-    return 0.5 * (lo + hi)
+def _homogeneous_bottom(n, d0, d, b):
+    """The bottom of the n x n tridiagonal form with diagonal d0 on row 0
+    and d on every later row, coupled by -b, in closed form and floats.
 
-
-def _section_bracket(form, guide=None):
-    """The final bracket of smallest_eigenvalue's bisection.
-
-    ``guide``, an estimate of the bottom, guides the bisection by the
-    bracket of 4 tol on either side of it (see _bisect_bottom): an estimate
-    that close costs two checking passes and a few inside the bracket, one
-    that is not is dropped, and the bracket returned is the unguided one.
+    x_j = sin((n - j) t) solves every row but row 0 with eigenvalue
+    d - 2 b cos t, and row 0 iff (2 b cos t - (d - d0)) sin(n t) =
+    b sin((n - 1) t).  The sides cross on (0, pi / n) when
+    b (n + 1) > (d - d0) n, as on the sections and balls of a tree; t is
+    bisected there to adjacent floats.  None otherwise.
     """
-    lo, hi = eigenvalue_bounds(form)
-    tol = 1e-11 * max(1.0, hi - lo)
-    rows = _whole_form_rows(form)
-    return _bisect_bottom(lo, hi, tol, lambda x: not _negative_pivots(rows, x, 1),
-                          None if guide is None else (guide - 4 * tol, guide + 4 * tol))
-
-
-def _homogeneous_bottom(form):
-    """The bottom of a section [0, R] of a model with constant k_plus and
-    k_minus (check_lambda0_bound's hypothesis), in closed form and floats.
-
-    The form is Toeplitz but for its root row: diagonal d0 = k_plus at row
-    0 and d = k_plus + k_minus below, coupling -b.  x_j = sin((n - j) t)
-    solves every other row with eigenvalue d - 2 b cos t, and the root row
-    iff (2 b cos t - (d - d0)) sin(n t) = b sin((n - 1) t).  The sides
-    cross on (0, pi / n) when b (n + 1) > (d - d0) n, as kappa >= 1
-    gives; t is bisected there to adjacent floats.  None otherwise.
-    """
-    n, d0, d = form.n, float(form.diagonal[0]), float(form.diagonal[-1])
-    b = -float(form.offdiagonal[0])
     km = d - d0
     if not b * (n + 1) > km * n:
         return None
-    t = _midpoint(_bisect_bottom(0.0, math.pi / n, 0.0, lambda t: (
-        (2.0 * b * math.cos(t) - km) * math.sin(n * t) > b * math.sin((n - 1) * t))))
+    t = _bisect_bottom(0.0, math.pi / n, 0.0, lambda t: (
+        (2.0 * b * math.cos(t) - km) * math.sin(n * t) > b * math.sin((n - 1) * t)))
     return (d - 2.0 * b) + 4.0 * b * math.sin(0.5 * t) ** 2
 
 
@@ -336,11 +310,20 @@ def smallest_eigenvalue(form):
     tail certificate (see _negative_pivots); either way it decides as the
     full sweep would, and the result is the same float.  The floating-point
     count is monotone in the shift too (Kahan 1966; Demmel, Dhillon and Ren
-    1995), which is what lets a bracket found on one form guide the
-    bisection of an equal form rounded differently (see _bisect_bottom and
-    tree_ball_bottom_eigenvalue) and still give the unguided float.
+    1995), so a form that is Toeplitz but for its first row (the sections
+    [0, R] of a model with constant degrees) guides its bisection by its
+    closed-form bottom and still returns the unguided float.
     """
-    return _midpoint(_section_bracket(form))
+    if form.n == 0:
+        raise InvalidParameterError("an empty form has no eigenvalues")
+    lo, hi = eigenvalue_bounds(form)
+    tol = 1e-11 * max(1.0, hi - lo)
+    diag, off = form.diagonal, form.offdiagonal
+    guess = None
+    if form.n >= 2 and (diag[1:] == diag[1]).all() and (off == off[0]).all():
+        guess = _homogeneous_bottom(form.n, float(diag[0]), float(diag[1]), abs(float(off[0])))
+    rows = _whole_form_rows(form)
+    return _bisect_bottom(lo, hi, tol, lambda x: not _negative_pivots(rows, x, 1), guess)
 
 
 # -- vertex-level forms ------------------------------------------------------
@@ -406,13 +389,10 @@ def tree_ball_pivots(k_plus, weight_values):
     each.  If a pivot fails to stay positive the elimination stops and the
     remaining inner entries are NaN.
     """
-    w = np.asarray(weight_values, dtype=float)
+    kp, w = _tree_ball_levels(k_plus, weight_values)
     radius = w.shape[0] - 1
-    if radius < 1:
-        raise InvalidParameterError("need weights for at least radii 0 and 1")
     # Python floats round like float64 and index faster in this loop
-    kp = np.broadcast_to(np.asarray(k_plus, dtype=float), w.shape).tolist()
-    wl = w.tolist()
+    kp, wl = kp.tolist(), w.tolist()
     delta = [math.nan] * (radius + 1)
     delta[radius] = (kp[radius] + 1) - wl[radius]
     for r in range(radius - 1, -1, -1):
@@ -428,7 +408,13 @@ def _tree_ball_levels(k_plus, weight_values):
     w = np.asarray(weight_values, dtype=float)
     if w.shape[0] < 2:
         raise InvalidParameterError("need weights for at least radii 0 and 1")
-    return np.broadcast_to(np.asarray(k_plus, dtype=float), w.shape), w
+    kp = np.asarray(k_plus, dtype=float)
+    if kp.shape not in ((), w.shape):
+        raise InvalidParameterError(
+            f"k_plus must be a scalar or one value per level 0..{w.shape[0] - 1}, "
+            f"got shape {kp.shape}"
+        )
+    return np.broadcast_to(kp, w.shape), w
 
 
 def _tree_pivots_positive(kp, wl, shift):
@@ -456,18 +442,6 @@ def tree_ball_is_positive(k_plus, weight_values):
     return _tree_pivots_positive(kp.tolist(), w.tolist(), 0.0)
 
 
-def _tree_ball_bracket(k_plus, weight_values, tol=1e-11, guide=None):
-    """The final bracket of tree_ball_bottom_eigenvalue's bisection, which
-    ``guide`` steers as _bisect_bottom describes."""
-    kp, w = _tree_ball_levels(k_plus, weight_values)
-    # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
-    # row radii <= max k_plus + 1
-    hi = float((kp.max() + 1) - w.min() + (kp.max() + 1))
-    lo = float(kp.min() - w.max() - (kp.max() + 1))
-    kp, w = kp.tolist(), w.tolist()
-    return _bisect_bottom(lo, hi, tol, lambda x: _tree_pivots_positive(kp, w, x), guide)
-
-
 def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     """Bottom eigenvalue of the tree ball form via bisection on the pivots.
 
@@ -475,15 +449,27 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
     bottom eigenvalue, and a failed elimination implies a singular leading
     block, which by interlacing also rules the shift out.  Works at ball
     sizes where a dense matrix is impossible.  ``k_plus`` is as in
-    tree_ball_pivots.  _bisect_bottom also stops at adjacent floats, before
-    the bracket is ``tol`` wide once one ulp of the bottom exceeds ``tol``
-    (a bottom past 2**16 at the default).
+    tree_ball_pivots; ``tol`` must be >= 0.  _bisect_bottom also stops at
+    adjacent floats, before the bracket is ``tol`` wide once one ulp of the
+    bottom exceeds ``tol`` (a bottom past 2**16 at the default).
 
     Every pivot step rounds monotonically in the shift, so the pivot test is
-    monotone in it.  ``check_lambda0_bound`` therefore replays this
-    bisection guided by the final bracket of the radial section [0, R]
-    (the same tridiagonal form, eliminated from the other end): two passes
-    check the guide, the midpoints outside it need no pass, and the result
-    is this function's float whether or not the guide holds.
+    monotone in it.  A ball with the same k_plus = d and weight c on every
+    level is the tridiagonal form d - c, then d + 1 - c on every later row,
+    coupled by sqrt(d): its closed-form bottom guides the bisection, and
+    the result is the unguided float whether or not the guide holds.
     """
-    return _midpoint(_tree_ball_bracket(k_plus, weight_values, tol))
+    if not tol >= 0.0:  # also refuses NaN
+        raise InvalidParameterError(f"tol must be >= 0, got {tol}")
+    kp, w = _tree_ball_levels(k_plus, weight_values)
+    kp_lo, kp_hi, w_lo, w_hi = kp.min(), kp.max(), w.min(), w.max()
+    # Gershgorin: diagonals lie in [min k_plus - max w, max k_plus + 1 - min w],
+    # row radii <= max k_plus + 1
+    hi = float((kp_hi + 1) - w_lo + (kp_hi + 1))
+    lo = float(kp_lo - w_hi - (kp_hi + 1))
+    guess = None
+    if kp_lo == kp_hi >= 0.0 and w_lo == w_hi:
+        d, c = float(kp_hi), float(w_hi)
+        guess = _homogeneous_bottom(w.shape[0], d - c, d + 1.0 - c, math.sqrt(d))
+    kp, w = kp.tolist(), w.tolist()
+    return _bisect_bottom(lo, hi, tol, lambda x: _tree_pivots_positive(kp, w, x), guess)

@@ -587,14 +587,11 @@ def test_lambda0_on_trees_past_an_ulp_of_tol_exits_0(capsys, monkeypatch):
 
 # exported only for tests: named oracles and the acceptance helpers
 # (radial_laplacian is the oracle of the radial ground-state identity's array
-# expressions); and the two bottom bisections, which check_lambda0_bound reads
-# through their private brackets (spectral_ops._section_bracket and
-# _tree_ball_bracket), so that the section's bracket can guide the ball's
+# expressions)
 UNREAD_EXPORTS = {"green_function_exact", "general_closed_form", "tree_weight",
                   "count_eigenvalues_below", "tree_ball_pivots",
                   "tree_ball_is_positive", "series_expansion",
-                  "series_remainder_bound", "ball_form_matrix", "radial_laplacian",
-                  "smallest_eigenvalue", "tree_ball_bottom_eigenvalue"}
+                  "series_remainder_bound", "ball_form_matrix", "radial_laplacian"}
 
 
 PACKAGE = Path(hardy_lab.__file__).parent

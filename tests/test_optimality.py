@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -37,6 +38,7 @@ from hardy_lab import (
 from hardy_lab import optimality, spectral_ops
 from hardy_lab.cli import _parse_model_spec
 from hardy_lab.hardy_weights import _ground_pairs, _kappa_longdouble
+from bisection_passes import counted
 from object_storage import object_storage
 
 
@@ -541,39 +543,53 @@ def test_lambda0_vertex_check_takes_integer_branching_only():
                 tree_ball_bottom_eigenvalue(3, np.zeros(max(rep.params["section_radii"]) + 1))
 
 
-@pytest.mark.parametrize("d, depth", [(1, 1200), (2, 1200), (3, 1200), (5, 1200),
-                                      (2, 100_000)])
-def test_lambda0_ball_replay_gives_the_unguided_bottom(d, depth, monkeypatch):
-    # the [0, R] section's final bracket guides the ball's bisection: a few
-    # pivot passes instead of about 40, and the float of the unguided bisection
-    calls = []
-
-    def counted(*args, _positive=spectral_ops._tree_pivots_positive):
-        calls.append(args[2])
-        return _positive(*args)
-
-    model = make_tree(d, depth)
-    monkeypatch.setattr(spectral_ops, "_tree_pivots_positive", counted)
-    rep = check_lambda0_bound(model)
-    monkeypatch.undo()
-    assert rep.status == "pass" and len(calls) <= 10
-    radius = max(rep.params["section_radii"])
-    assert rep.residuals["vertex_ball_bottom"] == \
-        tree_ball_bottom_eigenvalue(d, np.zeros(radius + 1))
+# Sturm plus tree pivot passes per check_lambda0_bound with the [0, R]
+# section's final bracket guiding the ball: self-guided bottoms make no more
+PASSES_BEFORE = {(1, 1200): 24, (2, 1200): 24, (3, 1200): 27, (5, 1200): 24,
+                 (10 ** 11, 1200): 19, (2, 100_000): 24, (66_100, 200): 24,
+                 (100_000, 200): 24}
 
 
-def _counted_section_bracket(form, guide, monkeypatch):
-    """_section_bracket(form, guide) and the Sturm passes it made."""
-    calls = []
+@pytest.mark.parametrize("d, depth", list(PASSES_BEFORE))
+def test_lambda0_ball_replay_gives_the_unguided_bottom(d, depth):
+    # the ball's closed-form bottom guides its bisection: at most 10 pivot
+    # passes instead of about 40, and the float of the unguided bisection
+    radius = min(1024, depth - 1)
+    ball = functools.partial(tree_ball_bottom_eigenvalue, d, np.zeros(radius + 1))
+    unguided, _ = counted(ball, None)
+    guided, passes = counted(ball)
+    assert guided == unguided and passes["_tree_pivots_positive"] <= 10, passes
+    rep, passes = counted(functools.partial(check_lambda0_bound, make_tree(d, depth)))
+    assert rep.status == "pass" and rep.residuals["vertex_ball_bottom"] == unguided
+    assert sum(passes.values()) <= PASSES_BEFORE[d, depth], passes
 
-    def counted(*args, _negative=spectral_ops._negative_pivots):
-        calls.append(args[1])
-        return _negative(*args)
 
-    monkeypatch.setattr(spectral_ops, "_negative_pivots", counted)
-    bracket = spectral_ops._section_bracket(form, guide)
-    monkeypatch.undo()
-    return bracket, len(calls)
+def test_lambda0_bisects_only_through_the_public_bottoms(monkeypatch):
+    # every bisection of check_lambda0_bound runs inside a call of
+    # optimality.smallest_eigenvalue or optimality.tree_ball_bottom_eigenvalue,
+    # the names a tracer wrapping the public functions sees
+    inside, bisections = [], []
+
+    def entry(fn):
+        def spy(*args, **kwargs):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return spy
+
+    def bisect(*args, _bisect=spectral_ops._bisect_bottom):
+        bisections.append(tuple(inside))
+        return _bisect(*args)
+
+    for name in ("smallest_eigenvalue", "tree_ball_bottom_eigenvalue"):
+        monkeypatch.setattr(optimality, name, entry(getattr(optimality, name)))
+    monkeypatch.setattr(spectral_ops, "_bisect_bottom", bisect)
+    assert check_lambda0_bound(make_tree(2, 1200)).status == "pass"
+    # three sections and a ball, each with the bisection of its closed form
+    assert sorted(bisections) == ([("smallest_eigenvalue",)] * 6
+                                  + [("tree_ball_bottom_eigenvalue",)] * 2)
 
 
 def _lambda0_sections(model):
@@ -582,41 +598,48 @@ def _lambda0_sections(model):
     return [hardy_form_matrix(model, np.zeros(R + 1), 0, R) for R in radii]
 
 
+def _closed_form(form):
+    """The closed-form bottom smallest_eigenvalue guides a [0, R] section by."""
+    return spectral_ops._homogeneous_bottom(form.n, form.diagonal[0], form.diagonal[1],
+                                            -form.offdiagonal[0])
+
+
 @pytest.mark.parametrize("model", [
     make_tree(1, 1200), make_tree(2, 1200), make_tree(3, 1200), make_tree(5, 1200),
     make_tree(10 ** 11, 1200), make_custom([6] * 300, [0] + [2] * 300),
     make_tree(2, 3), make_tree(2, 65), make_tree(3, 257),
 ], ids=lambda m: f"{m.label}:{m.depth}")
-def test_closed_form_guides_give_the_unguided_section_brackets(model, monkeypatch):
+def test_closed_form_guides_give_the_unguided_section_brackets(model):
     # the closed-form bottom of each homogeneous section guides its bisection:
-    # at most 10 passes instead of about 37, and the unguided bracket, also
-    # when the guide is wrong
+    # at most 10 passes instead of about 37, and the unguided float, also
+    # when the guess is wrong
     forms = _lambda0_sections(model)
     for form in forms:
-        unguided = spectral_ops._section_bracket(form)
-        guide = spectral_ops._homogeneous_bottom(form)
-        bracket, passes = _counted_section_bracket(form, guide, monkeypatch)
-        assert bracket == unguided and passes <= 10, (form.n, passes)
-        width = unguided[1] - unguided[0]
-        assert spectral_ops._section_bracket(form, guide + 100 * width + 1.0) == unguided
+        section = functools.partial(smallest_eigenvalue, form)
+        unguided, plain = counted(section, None)
+        guided, passes = counted(section)
+        assert guided == unguided and passes["_negative_pivots"] <= 10, (form.n, passes)
+        wrong, passes = counted(section, _closed_form(form) + 1.0)
+        assert wrong == unguided and passes["_negative_pivots"] <= plain["_negative_pivots"] + 2
     rep = check_lambda0_bound(model)
     assert rep.status == "pass"
-    assert rep.residuals["final_section_bottom"] == smallest_eigenvalue(forms[-1])
+    assert rep.residuals["final_section_bottom"] == counted(
+        functools.partial(smallest_eigenvalue, forms[-1]), None)[0]
 
 
 @given(st.integers(1, 60) | st.fractions(1, 60, max_denominator=9),
        st.integers(1, 8) | st.fractions(1, 8, max_denominator=9), st.integers(3, 300))
 def test_closed_form_guides_on_drawn_homogeneous_sections(k_plus, k_minus, depth):
-    # guided and unguided bisections give the same bracket on every drawn
+    # guided and unguided bisections give the same float on every drawn
     # section; kappa >= 1 always has a guide, and it saves passes
     model = make_custom([k_plus] * depth, [0] + [k_minus] * depth)
     for form in _lambda0_sections(model):
-        guide = spectral_ops._homogeneous_bottom(form)
+        guide = _closed_form(form)
         assert (guide is not None) >= (k_plus >= k_minus)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            bracket, passes = _counted_section_bracket(form, guide, monkeypatch)
-        assert bracket == spectral_ops._section_bracket(form)
-        assert guide is None or passes <= 10
+        section = functools.partial(smallest_eigenvalue, form)
+        bottom, passes = counted(section)
+        assert bottom == counted(section, None)[0]
+        assert guide is None or passes["_negative_pivots"] <= 10
 
 
 def test_lambda0_bound_needs_homogeneous_model(antitree_linear):

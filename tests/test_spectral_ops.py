@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardy_lab import (
+    InvalidParameterError,
     SizeLimitExceededError,
     ball_form_matrix,
     closed_form_weight,
@@ -26,6 +27,8 @@ from hardy_lab import (
     vertex_laplacian,
 )
 from hardy_lab import spectral_ops
+from hardy_lab.spectral_ops import TridiagonalForm
+from bisection_passes import counted
 
 finite_floats = st.floats(min_value=-5, max_value=5, allow_nan=False)
 
@@ -253,24 +256,18 @@ def test_tree_ball_bisection_stops_where_an_ulp_passes_tol(d, monkeypatch):
     assert not tree_ball_is_positive(d, np.full(201, bottom + ulp))
 
 
-def _guides(threshold, lo, hi, gap):
-    """Guides of every kind around ``threshold``, the last True shift: right
-    (the first one ulp wide, which decides every midpoint once checked), too
-    wide, wrong on either side, collapsed and non-finite."""
-    above = math.nextafter(threshold, math.inf)
-    return [
-        (threshold, above), (threshold - gap, threshold + gap),  # right
-        (lo - 1.0, hi + 1.0),  # too wide
-        (threshold - 2 * gap, threshold - gap),  # wrong, below the threshold
-        (above, above + gap),  # wrong, above it
-        (threshold, threshold), (above, threshold),  # collapsed, reversed
-        (-math.inf, above), (threshold, math.inf), (math.nan, above), (threshold, math.nan),
-    ]
+def _guesses(threshold, gap):
+    """Guesses of every kind around ``threshold``, the last True shift:
+    right, near on either side, wrong on either side, outside any bracket
+    and non-finite."""
+    return [threshold, threshold - gap, threshold + gap,
+            threshold - 100 * gap - 1.0, threshold + 100 * gap + 1.0,
+            -1e300, 1e300, math.nan, math.inf, -math.inf]
 
 
 @given(st.floats(-8.0, 8.0), st.floats(1e-3, 8.0), st.floats(1e-3, 8.0),
        st.floats(1e-16, 1e-2), st.sampled_from([1e-11, 1e-6, 0.0]))
-def test_a_guided_bisection_returns_the_unguided_bracket(threshold, below, above, gap, tol):
+def test_a_guided_bisection_returns_the_unguided_bottom(threshold, below, above, gap, tol):
     lo, hi = threshold - below, threshold + above
     calls = []
 
@@ -280,11 +277,61 @@ def test_a_guided_bisection_returns_the_unguided_bracket(threshold, below, above
 
     plain = spectral_ops._bisect_bottom(lo, hi, tol, positive_at)
     unguided = len(calls)
-    for i, guide in enumerate(_guides(threshold, lo, hi, gap)):
+    for i, guess in enumerate(_guesses(threshold, gap)):
         calls.clear()
-        assert spectral_ops._bisect_bottom(lo, hi, tol, positive_at, guide) == plain, guide
-        # two passes check the guide; a dropped guide costs at most those two
-        assert len(calls) <= (2 if i == 0 else unguided + 2), guide
+        assert spectral_ops._bisect_bottom(lo, hi, tol, positive_at, guess) == plain, guess
+        # two passes check the guess and a dropped one costs at most those two;
+        # a right one adds at most 5 inside its window (4 ulps wide at tol 0)
+        assert len(calls) <= (7 if i == 0 else unguided + 2), guess
+
+
+@given(st.integers(1, 60) | st.floats(0.5, 60.0), st.floats(-1.0, 1.0),
+       st.integers(2, 300), st.floats(1e-16, 1e-2))
+def test_injected_guesses_give_the_unguided_bottoms(d, c, n, gap):
+    # the homogeneous tree ball of k_plus = d and weight c, and the radial
+    # form it is: d - c, then d + 1 - c on every later row, coupled by
+    # sqrt(d); each bottom gives its unguided float under every guess
+    form = TridiagonalForm(np.r_[d - c, np.full(n - 1, d + 1.0 - c)],
+                           np.full(n - 1, -math.sqrt(d)), 0)
+    closed = spectral_ops._homogeneous_bottom(n, d - c, d + 1.0 - c, math.sqrt(d))
+    assert (closed is not None) >= (d >= 1)
+    for bottom in (lambda: smallest_eigenvalue(form),
+                   lambda: tree_ball_bottom_eigenvalue(d, np.full(n, c))):
+        unguided, plain = counted(bottom, None)
+        guided, passes = counted(bottom)
+        assert guided == unguided
+        assert closed is None or sum(passes.values()) <= 10, passes
+        for guess in _guesses(unguided, gap):
+            result, passes = counted(bottom, guess)
+            assert result == unguided, guess
+            assert sum(passes.values()) <= sum(plain.values()) + 2, guess
+
+
+@pytest.mark.parametrize("bottom, match", [
+    (lambda: smallest_eigenvalue(TridiagonalForm(np.zeros(0), np.zeros(0), 0)), "empty"),
+    (lambda: tree_ball_bottom_eigenvalue([1, 2], np.zeros(5)), "k_plus"),
+    # a NaN tol used to stop the bisection before its first pass
+    (lambda: tree_ball_bottom_eigenvalue(2, np.zeros(5), tol=math.nan), "tol"),
+    (lambda: tree_ball_bottom_eigenvalue(2, np.zeros(5), tol=-1e-11), "tol"),
+], ids=["empty-form", "k_plus-levels", "nan-tol", "negative-tol"])
+def test_bottoms_refuse_what_they_cannot_bisect(bottom, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        bottom()
+
+
+@pytest.mark.parametrize("model", [make_tree(2, 20), make_antitree(lambda r: r + 1, 20)],
+                         ids=["tree", "antitree"])
+@pytest.mark.parametrize("r", [0, 1, 7])
+def test_one_and_two_row_forms_bisect_to_their_dense_bottom(model, r):
+    # a 2 x 2 form is Toeplitz but for its first row and guides itself; a
+    # 1 x 1 form has no coupling to read
+    w = closed_form_weight(model, 0, 10).values
+    for form in (hardy_form_matrix(model, w, r, r), hardy_form_matrix(model, w, r, r + 1)):
+        off = np.diag(form.offdiagonal, 1)
+        dense = np.diag(form.diagonal) + off + off.T
+        bottom = smallest_eigenvalue(form)
+        assert bottom == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
+        assert bottom == counted(lambda: smallest_eigenvalue(form), None)[0]
 
 
 def test_tree_ball_positivity_refuses_infinite_and_nan_pivots():
