@@ -78,7 +78,8 @@ def hardy_form_matrix(model, weight_values, r_lo=0, r_hi=None):
 
     The off-diagonal entry follows from rescaling by sqrt(vol), using the
     area compatibility identity; no sphere volume is ever evaluated.
-    An entry past the float64 range raises SizeLimitExceededError.
+    A NaN or infinite weight raises InvalidParameterError, and an entry
+    past the float64 range SizeLimitExceededError.
     """
     if r_hi is None:
         r_hi = model.depth - 1
@@ -100,6 +101,9 @@ def hardy_form_matrix(model, weight_values, r_lo=0, r_hi=None):
         offdiagonal = -np.sqrt(kp[r_lo: r_hi] * km[r_lo + 1: r_hi + 1])
     # reductions, so the check adds no array of the window's length
     if not np.isfinite([diagonal.min(), diagonal.max(), offdiagonal.min(initial=0.0)]).all():
+        r = r_lo + int(np.argmin(np.isfinite(w[r_lo: r_hi + 1])))
+        if not np.isfinite(w[r]):
+            raise InvalidParameterError(f"the weight at radius {r} is {w[r]}, not a finite number")
         finite = np.isfinite(diagonal) & np.isfinite(np.append(offdiagonal, 0.0))
         raise SizeLimitExceededError(
             f"the Hardy form of {model.label} has an entry past the float64 "
@@ -204,30 +208,60 @@ def _negative_pivots(rows, x, limit):
     taken just below the upper fixed point of rho = dmin - x - emax / rho,
     the upper root of rho**2 - (dmin - x) rho + emax, or q if that is
     smaller.  The root is real from some block on or at none, since dmin
-    only grows and emax only falls along the blocks; the rows before that
-    block are swept as one run with no check.
+    only grows and emax only falls along the blocks; the blocks before that
+    one are swept with no check.
+
+    Returns (count, k): k is one past the row of the limit-th negative
+    pivot, found by sweeping its block again (_negative_row), or n.
     """
     diag, coupling, pivmin, dmin, emax = rows
     first = len(dmin)  # the first block start with a real positive root
     while first and (a := dmin[first - 1] - x) > 0.0 and a * a >= 4.0 * emax[first - 1]:
         first -= 1
     count, q = 0, 1.0
-    start, stop = 0, first * _SWEEP_BLOCK
-    for b in range(first, len(dmin) + 1):
-        run = zip(diag[start:stop], coupling[start:stop])
+    for b in range(len(dmin)):
+        if b >= first:
+            a = dmin[b] - x
+            rho = min(q, 0.5 * (a + math.sqrt(a * a - 4.0 * emax[b])) * _ROOT_MARGIN)
+            if rho >= pivmin and a - emax[b] / rho >= rho:
+                break
+        block = slice(b * _SWEEP_BLOCK, (b + 1) * _SWEEP_BLOCK)
+        q0, count0 = q, count
+        run = zip(diag[block], coupling[block])
         negative, q = _pivot_sweep(run, x, q, pivmin)
         while negative:
             count += 1
             if count == limit:
-                return count
+                again = zip(diag[block], coupling[block])
+                return count, _negative_row(again, block.start, x, q0, pivmin, limit - count0)
             negative, q = _pivot_sweep(run, x, q, pivmin)
-        if b == len(dmin):
-            return count
-        a = dmin[b] - x
-        rho = min(q, 0.5 * (a + math.sqrt(a * a - 4.0 * emax[b])) * _ROOT_MARGIN)
-        if rho >= pivmin and a - emax[b] / rho >= rho:
-            return count
-        start, stop = stop, stop + _SWEEP_BLOCK
+    return count, len(diag)
+
+
+def _negative_row(rows, start, x, q, pivmin, nth):
+    """One past the row of the nth negative pivot of the rows from row
+    ``start`` on, swept from pivot q as _pivot_sweep sweeps them."""
+    for row, (d, e) in enumerate(rows, start + 1):
+        q = d - x - e / q
+        if q < pivmin:
+            nth -= 1
+            if not nth:
+                return row
+            q = -pivmin if abs(q) < pivmin else q
+
+
+def _check_form(form):
+    """InvalidParameterError unless the offdiagonal has n - 1 entries and
+    every entry is finite, read from min and max reductions (NaN propagates
+    through them), so that no array of the form's length is made."""
+    diag, off = form.diagonal, form.offdiagonal
+    if np.shape(off) != (max(form.n - 1, 0),):
+        raise InvalidParameterError(
+            f"a form of {form.n} rows needs {max(form.n - 1, 0)} offdiagonal "
+            f"entries, got shape {np.shape(off)}")
+    if not np.isfinite([diag.min(initial=0.0), diag.max(initial=0.0),
+                        off.min(initial=0.0), off.max(initial=0.0)]).all():
+        raise InvalidParameterError("a form entry is not a finite number")
 
 
 def count_eigenvalues_below(form, x):
@@ -237,15 +271,21 @@ def count_eigenvalues_below(form, x):
     of the form minus x.  The sweep stops at a block start where the rest
     of the rows provably add no negative pivot (the tail certificate of
     _negative_pivots): every later pivot stays above a floor rho >= pivmin,
-    by monotone rounding, so the count is that of the full sweep.
+    by monotone rounding, so the count is that of the full sweep.  A NaN
+    shift or a malformed form (_check_form) raises InvalidParameterError.
     """
+    _check_form(form)
+    x = float(x)
+    if math.isnan(x):
+        raise InvalidParameterError("cannot count eigenvalues below NaN")
     if form.n == 0:
         return 0
-    return _negative_pivots(_whole_form_rows(form), float(x), form.n)
+    return _negative_pivots(_whole_form_rows(form), x, form.n)[0]
 
 
 def eigenvalue_bounds(form):
     """Gershgorin interval guaranteed to contain the whole spectrum."""
+    _check_form(form)
     e = np.abs(form.offdiagonal)
     left = np.concatenate(([0.0], e))
     right = np.concatenate((e, [0.0]))
@@ -260,26 +300,54 @@ def _bisect_bottom(lo, hi, tol, positive_at, guess=None):
     an end, and return that midpoint.
 
     positive_at must be monotone, True up to some threshold and False past
-    it.  A finite guess g is checked first by two calls at a, b = g -+
-    max(tol, 2 ulps of g): when positive_at(a) is True and positive_at(b)
-    is False, a midpoint at or below a is decided True and one at or above
-    b False without a call.  By monotonicity every decision is the one a
-    call would give, so the bottom is the unguided float; a guess that
-    fails its check is dropped, at the cost of at most those two calls.
+    it.  ``guess``, if given, is called before each midpoint until it
+    returns a finite g.  positive_at is then called at the two points of
+    _guessed_path_ends, and each outcome is kept: a True point decides
+    every later midpoint at or below it, a False one every later midpoint
+    at or above it, without a call.  By monotonicity every decision is the
+    one a call would give, so the bottom is the unguided float; a wrong
+    guess costs at most the two calls.
     """
-    a, b = -math.inf, math.inf
-    if guess is not None and math.isfinite(guess):
-        step = max(tol, 2.0 * math.ulp(guess))
-        if positive_at(guess - step) and not positive_at(guess + step):
-            a, b = guess - step, guess + step
+    yes, no = lo, hi  # known True at or below, known False at or above
     mid = 0.5 * (lo + hi)
     while hi - lo > tol and mid not in (lo, hi):
-        if mid <= a or mid < b and positive_at(mid):
+        g = None if guess is None else guess()
+        if g is not None and math.isfinite(g):
+            guess = None
+            for x in _guessed_path_ends(lo, hi, tol, g):
+                if yes < x < no:
+                    if positive_at(x):
+                        yes = x
+                    else:
+                        no = x
+        if mid <= yes or mid < no and positive_at(mid):
             lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
     return mid
+
+
+def _guessed_path_ends(lo, hi, tol, g):
+    """The points _bisect_bottom checks a guess g at: on the bisection of
+    [lo, hi] that takes every midpoint <= g as True, the largest lower end
+    <= g - 2 ulps of g and the smallest upper end >= g + 2 ulps, each moved
+    to g -+ max(tol, 2 ulps) where that is nearer (where an ulp of g is
+    about tol or more).  A right guess leaves only the midpoints within
+    2 ulps of g to call."""
+    margin = 2.0 * math.ulp(g)
+    step = max(tol, margin)
+    ends = [g - step, g + step]
+
+    def on_path(x):
+        if x <= g - margin:
+            ends[0] = max(ends[0], x)
+        elif x >= g + margin:
+            ends[1] = min(ends[1], x)
+        return x <= g
+
+    _bisect_bottom(lo, hi, tol, on_path)
+    return ends
 
 
 def _homogeneous_bottom(n, d0, d, b):
@@ -300,6 +368,19 @@ def _homogeneous_bottom(n, d0, d, b):
     return (d - 2.0 * b) + 4.0 * b * math.sin(0.5 * t) ** 2
 
 
+def _extrapolated_bottom(passes, n):
+    """A guess at the bottom of an n-row form from its negative passes,
+    (k, x) in the order made: the leading k x k block has an eigenvalue
+    below x.  Once the last has k >= n / 4, the power law through it and
+    the one before, at x1 > x2 > 0 and k1 < k2, is extrapolated to k = n."""
+    if len(passes) < 2 or 4 * passes[-1][0] < n:
+        return None
+    (k1, x1), (k2, x2) = passes[-2:]
+    if not (x1 > x2 > 0.0 and k2 > k1):
+        return None
+    return x2 * (n / k2) ** (math.log(x2 / x1) / math.log(k2 / k1))
+
+
 def smallest_eigenvalue(form):
     """Bottom eigenvalue of the form by bisection on the Sturm count.
 
@@ -310,20 +391,34 @@ def smallest_eigenvalue(form):
     tail certificate (see _negative_pivots); either way it decides as the
     full sweep would, and the result is the same float.  The floating-point
     count is monotone in the shift too (Kahan 1966; Demmel, Dhillon and Ren
-    1995), so a form that is Toeplitz but for its first row (the sections
-    [0, R] of a model with constant degrees) guides its bisection by its
-    closed-form bottom and still returns the unguided float.
+    1995), so a guessed bisection (_bisect_bottom) still returns the
+    unguided float.  The guess is the closed-form bottom of a form that is
+    Toeplitz but for its first row (the sections [0, R] of a model with
+    constant degrees), or else _extrapolated_bottom: near a critical weight
+    each pass above 0 sweeps most of the form, and a right guess leaves
+    two of them.
     """
     if form.n == 0:
         raise InvalidParameterError("an empty form has no eigenvalues")
     lo, hi = eigenvalue_bounds(form)
     tol = 1e-11 * max(1.0, hi - lo)
     diag, off = form.diagonal, form.offdiagonal
-    guess = None
+    closed = None
     if form.n >= 2 and (diag[1:] == diag[1]).all() and (off == off[0]).all():
-        guess = _homogeneous_bottom(form.n, float(diag[0]), float(diag[1]), abs(float(off[0])))
+        closed = _homogeneous_bottom(form.n, float(diag[0]), float(diag[1]), abs(float(off[0])))
     rows = _whole_form_rows(form)
-    return _bisect_bottom(lo, hi, tol, lambda x: not _negative_pivots(rows, x, 1), guess)
+    negative = []
+
+    def positive_at(x):
+        count, k = _negative_pivots(rows, x, 1)
+        if count:
+            negative.append((k, x))
+        return not count
+
+    def guess():
+        return closed if closed is not None else _extrapolated_bottom(negative, form.n)
+
+    return _bisect_bottom(lo, hi, tol, positive_at, guess)
 
 
 # -- vertex-level forms ------------------------------------------------------
@@ -472,4 +567,4 @@ def tree_ball_bottom_eigenvalue(k_plus, weight_values, tol=1e-11):
         d, c = float(kp_hi), float(w_hi)
         guess = _homogeneous_bottom(w.shape[0], d - c, d + 1.0 - c, math.sqrt(d))
     kp, w = kp.tolist(), w.tolist()
-    return _bisect_bottom(lo, hi, tol, lambda x: _tree_pivots_positive(kp, w, x), guess)
+    return _bisect_bottom(lo, hi, tol, lambda x: _tree_pivots_positive(kp, w, x), lambda: guess)

@@ -22,7 +22,9 @@ settings.register_profile(
 # mutation (test_optimality.py::
 # test_transform_coefficients_decide_as_the_sampled_identity) and lambda0
 # section guide (test_optimality.py::
-# test_closed_form_guides_on_drawn_homogeneous_sections) oracles, in one CI
+# test_closed_form_guides_on_drawn_homogeneous_sections) and extrapolated
+# bottom (test_sturm_sweep.py::
+# test_extrapolated_guides_give_the_unguided_bottoms) oracles, in one CI
 # step ("Oracles with more examples"): pytest tests/test_sturm_sweep.py
 # tests/test_spectral_ops.py tests/test_ground_ratio.py
 # tests/test_radial_model.py tests/test_greens.py tests/test_optimality.py

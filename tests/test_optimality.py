@@ -588,8 +588,9 @@ def test_lambda0_bisects_only_through_the_public_bottoms(monkeypatch):
     monkeypatch.setattr(spectral_ops, "_bisect_bottom", bisect)
     assert check_lambda0_bound(make_tree(2, 1200)).status == "pass"
     # three sections and a ball, each with the bisection of its closed form
-    assert sorted(bisections) == ([("smallest_eigenvalue",)] * 6
-                                  + [("tree_ball_bottom_eigenvalue",)] * 2)
+    # and the simulated path that its guided bisection certifies
+    assert sorted(bisections) == ([("smallest_eigenvalue",)] * 9
+                                  + [("tree_ball_bottom_eigenvalue",)] * 3)
 
 
 def _lambda0_sections(model):

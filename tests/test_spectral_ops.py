@@ -18,6 +18,7 @@ from hardy_lab import (
     make_antitree,
     make_custom,
     make_tree,
+    optimality_probe,
     radial_laplacian,
     smallest_eigenvalue,
     tree_ball_bottom_eigenvalue,
@@ -279,10 +280,18 @@ def test_a_guided_bisection_returns_the_unguided_bottom(threshold, below, above,
     unguided = len(calls)
     for i, guess in enumerate(_guesses(threshold, gap)):
         calls.clear()
-        assert spectral_ops._bisect_bottom(lo, hi, tol, positive_at, guess) == plain, guess
-        # two passes check the guess and a dropped one costs at most those two;
-        # a right one adds at most 5 inside its window (4 ulps wide at tol 0)
+        result = spectral_ops._bisect_bottom(lo, hi, tol, positive_at, lambda: guess)
+        assert result == plain, guess
+        # two passes check the guessed path and a wrong guess costs at most
+        # those two; a right one adds only its midpoints within 2 ulps of
+        # the guess, which the path nears by ulps at tol 0
         assert len(calls) <= (7 if i == 0 else unguided + 2), guess
+    path = []
+    spectral_ops._bisect_bottom(lo, hi, tol, lambda x: path.append(x) or x <= threshold)
+    near = sum(abs(x - threshold) < 2 * math.ulp(threshold) for x in path)
+    calls.clear()
+    spectral_ops._bisect_bottom(lo, hi, tol, positive_at, lambda: threshold)
+    assert len(calls) == 2 + near
 
 
 @given(st.integers(1, 60) | st.floats(0.5, 60.0), st.floats(-1.0, 1.0),
@@ -317,6 +326,57 @@ def test_injected_guesses_give_the_unguided_bottoms(d, c, n, gap):
 def test_bottoms_refuse_what_they_cannot_bisect(bottom, match):
     with pytest.raises(InvalidParameterError, match=match):
         bottom()
+
+
+def _form(diagonal, offdiagonal):
+    return TridiagonalForm(np.array(diagonal, dtype=float), np.array(offdiagonal, dtype=float), 0)
+
+
+@pytest.mark.parametrize("form, match", [
+    (_form([1.0, math.nan, 2.0], [-1.0, -1.0]), "not a finite number"),
+    (_form([1.0, 1.0, 2.0], [-1.0, math.nan]), "not a finite number"),
+    (_form([1.0, math.inf, 2.0], [-1.0, -1.0]), "not a finite number"),
+    (_form([1.0, 1.0, 2.0], [-1.0]), "needs 2 offdiagonal entries"),
+    (_form([1.0, 1.0, 2.0], [-1.0, -1.0, -1.0]), "needs 2 offdiagonal entries"),
+], ids=["nan-diagonal", "nan-offdiagonal", "inf-diagonal", "short-offdiagonal",
+        "long-offdiagonal"])
+def test_spectral_reads_refuse_non_finite_or_misshapen_forms(form, match):
+    # these used to return nan or inf, or raise numpy's broadcast ValueError
+    for read in (smallest_eigenvalue, eigenvalue_bounds,
+                 lambda f: count_eigenvalues_below(f, 0.5)):
+        with pytest.raises(InvalidParameterError, match=match):
+            read(form)
+
+
+def test_counts_below_nan_are_refused():
+    # every pivot comparison with NaN is False, so the count used to be 0
+    form = _form([1.0, 2.0, 3.0], [-1.0, -1.0])
+    with pytest.raises(InvalidParameterError, match="NaN"):
+        count_eigenvalues_below(form, math.nan)
+    assert count_eigenvalues_below(form, math.inf) == 3
+    assert count_eigenvalues_below(form, -math.inf) == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_weight_is_named_not_sized(value):
+    # it used to be reported as an entry past the float64 range
+    model = make_tree(2, 20)
+    w = closed_form_weight(model, 0, 15).values.copy()
+    w[7] = value
+    match = f"weight at radius 7 is {value}, not a finite number"
+    with pytest.raises(InvalidParameterError, match=match):
+        hardy_form_matrix(model, w, 1, 15)
+    with pytest.raises(InvalidParameterError, match=match):
+        optimality_probe(model, w, 0.01, 2, 15)
+    # outside the window the weight is not read
+    assert hardy_form_matrix(model, w, 8, 15).n == 8
+
+
+def test_degree_products_past_the_float_range_stay_a_size_limit():
+    # each degree is a float, k_plus(r) k_minus(r + 1) = 1e400 is not
+    model = make_custom([10 ** 200] * 4, [0] + [10 ** 200] * 4)
+    with pytest.raises(SizeLimitExceededError, match="past the float64 range at radius 0"):
+        hardy_form_matrix(model, np.zeros(5), 0, 3)
 
 
 @pytest.mark.parametrize("model", [make_tree(2, 20), make_antitree(lambda r: r + 1, 20)],

@@ -6,6 +6,9 @@ bisection, the probes and the inflation annuli must reach exactly the same
 decisions, bit for bit, as loops over this count.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +29,7 @@ from hardy_lab import (
 from hardy_lab import optimality, spectral_ops
 from hardy_lab.optimality import default_probe_bases
 from hardy_lab.spectral_ops import _SWEEP_BLOCK, TridiagonalForm
+from bisection_passes import counted
 
 SAFE_MIN = 2.2250738585072014e-308
 
@@ -235,13 +239,9 @@ def first_negative_row(form, x):
     return next((i + 1 for i, q in enumerate(float_pivots(form, x)) if q < 0.0), form.n)
 
 
-def test_tail_certificate_fires_on_a_tree_section(monkeypatch):
-    # the closed-form weight of tree:2 is critical: below the bottom, the
-    # pivots of the tail settle at an attracting fixed point
-    r_max = 12_000
-    model = make_tree(2, r_max + 1)
-    w = closed_form_weight(model, 0, r_max).values
-    form = hardy_form_matrix(model, w, 1, r_max)
+def count_swept_rows(monkeypatch):
+    """Spy on the whole-form sweeps: (x, count, k, rows read) per
+    _negative_pivots call, the rows counted as _pivot_sweep reads them."""
     sweeps = []
     real_sweep, real_count = spectral_ops._pivot_sweep, spectral_ops._negative_pivots
     rows = [0]
@@ -255,31 +255,105 @@ def test_tail_certificate_fires_on_a_tree_section(monkeypatch):
 
     def count(whole, x, limit):
         rows[0] = 0
-        negative = real_count(whole, x, limit)
-        sweeps.append((x, negative, rows[0]))
-        return negative
+        negative, k = real_count(whole, x, limit)
+        sweeps.append((x, negative, k, rows[0]))
+        return negative, k
 
     monkeypatch.setattr(spectral_ops, "_pivot_sweep", sweep)
     monkeypatch.setattr(spectral_ops, "_negative_pivots", count)
+    return sweeps
+
+
+def test_tail_certificate_fires_on_a_tree_section(monkeypatch):
+    # the closed-form weight of tree:2 is critical: below the bottom, the
+    # pivots of the tail settle at an attracting fixed point.  The bisection
+    # runs unguided, so it makes every pass that the plain bisection makes.
+    r_max = 12_000
+    model = make_tree(2, r_max + 1)
+    w = closed_form_weight(model, 0, r_max).values
+    form = hardy_form_matrix(model, w, 1, r_max)
+    sweeps = count_swept_rows(monkeypatch)
+    monkeypatch.setattr(spectral_ops, "_extrapolated_bottom", lambda *args: None)
     bottom = smallest_eigenvalue(form)
     monkeypatch.undo()
     assert bottom == reference_bottom(form, count=float_count)
     certified, plain_rows = [], 0
-    for x, negative, swept in sweeps:
+    for x, negative, k, swept in sweeps:
         plain = first_negative_row(form, x)
         plain_rows += plain
         if swept < plain:
             certified.append((x, swept))
-            assert not negative and swept % _SWEEP_BLOCK == 0
+            assert not negative and k == form.n and swept % _SWEEP_BLOCK == 0
         else:
-            assert swept == plain
+            # a negative pass reports the rows up to its first negative pivot
+            assert swept == plain == (k if negative else form.n)
     # every certified shift lies below the bottom, the far ones stop one
     # block in, and the sweeps read about 72 % of the rows they did without
     assert len(certified) >= 8
     assert all(x < bottom for x, _ in certified)
     assert sum(x < -1e-6 for x, _ in certified) >= 5
     assert all(swept == _SWEEP_BLOCK for x, swept in certified if x < -1e-6)
-    assert sum(swept for _, _, swept in sweeps) < 0.75 * plain_rows
+    assert sum(swept for _, _, _, swept in sweeps) < 0.75 * plain_rows
+
+
+# the roster families whose closed-form Hardy sections guide themselves by
+# extrapolation
+HARDY_FAMILIES = {
+    "tree:2": lambda depth: make_tree(2, depth),
+    "tree:3": lambda depth: make_tree(3, depth),
+    "tree:5": lambda depth: make_tree(5, depth),
+    "antitree:poly:1": lambda depth: make_antitree(lambda r: r + 1, depth),
+    "antitree:poly:2": lambda depth: make_antitree(lambda r: (r + 1) ** 2, depth),
+}
+
+
+@functools.lru_cache(maxsize=8)
+def hardy_section(family, r_max):
+    """The form of the closed-form weight of a roster family on [1, r_max]."""
+    model = HARDY_FAMILIES[family](r_max + 1)
+    return hardy_form_matrix(model, closed_form_weight(model, 0, r_max).values, 1, r_max)
+
+
+@given(st.one_of(settling_forms(),
+                 st.builds(hardy_section, st.sampled_from(sorted(HARDY_FAMILIES)),
+                           st.integers(2_000, 20_000))))
+def test_extrapolated_guides_give_the_unguided_bottoms(form):
+    # the guess extrapolated from the negative passes, right or wrong, leaves
+    # every decision to the monotone count: the bottom is the plain float
+    assert smallest_eigenvalue(form) == reference_bottom(form, count=float_count)
+
+
+@pytest.mark.parametrize("family", ["tree:2", "tree:5", "antitree:poly:1"])
+def test_a_wrong_extrapolation_costs_at_most_two_passes(family):
+    # a guess injected where the extrapolation gives its own, which saves
+    # passes on these sections
+    form = hardy_section(family, 20_000)
+    section = functools.partial(smallest_eigenvalue, form)
+    unguided, plain = counted(section, None)
+    assert counted(section)[1]["_negative_pivots"] < plain["_negative_pivots"]
+    lo, hi = eigenvalue_bounds(form)
+    tol = 1e-11 * max(1.0, hi - lo)
+    wrong = [unguided + k * tol for k in (-100.0, -3.0, -1.5, 1.5, 3.0, 100.0)]
+    wrong += [unguided * 0.5, unguided * 2.0, 0.0, -1.0, hi + 1.0, 1e300, math.nan]
+    for guess in wrong:
+        result, passes = counted(section, guess)
+        assert result == unguided, guess
+        assert passes["_negative_pivots"] <= plain["_negative_pivots"] + 2, guess
+
+
+@pytest.mark.parametrize("family, most", [("tree:2", 400_000), ("antitree:poly:1", 300_000)])
+def test_radius_1e5_bottoms_sweep_fewer_rows(family, most, monkeypatch):
+    # the two section bottoms of the radius-1e5 benchmark: every pass near a
+    # critical weight's bottom sweeps most of the section, and a right guess
+    # leaves two of them (796,851 and 406,423 rows unguided)
+    form = hardy_section(family, 10 ** 5)
+    sweeps = count_swept_rows(monkeypatch)
+    bottom = smallest_eigenvalue(form)
+    guided = sum(rows for *_, rows in sweeps)
+    sweeps.clear()
+    monkeypatch.setattr(spectral_ops, "_extrapolated_bottom", lambda *args: None)
+    assert smallest_eigenvalue(form) == bottom
+    assert guided <= most < sum(rows for *_, rows in sweeps)
 
 
 def sections(depth):
