@@ -6,9 +6,7 @@ here.  Applying the Rayleigh ratio construction to sqrt(G) instead of the
 ground profile gives a second, classical weight to compare against; on
 trees that comparison has exact closed forms and the optimal weight wins
 pointwise with a margin that decays to zero.  Both the transience verdict
-and the Green recursion read the degrees and kappa, not sphere sizes.  The
-recursion has two parts: one compensated sum over the top stretch on which
-the areas do not fall, and one step per radius below it.
+and the Green recursion read the degrees and kappa, not sphere sizes.
 """
 
 from __future__ import annotations
@@ -176,6 +174,11 @@ def _stretch_log(blocks, x):
     term k = 0 is kept out of the sum, which enters log1p.  exp(x - c_K)
     cannot overflow: as the areas do not fall above hi, area(hi + 2)
     G(hi + 1) is at most depth + kappa_inf / (kappa_inf - 1), so x < 50.
+
+    No block is read after the first where exp(-c) = 0 and exp((x - c) +
+    |comp| + 1) < ulp(rest) / 4: c never falls, so the later terms are 0,
+    and no TwoSum error exceeds its step, so |comp_K - comp| <= c_K - c
+    and the closing term cannot move rest.
     """
     c = comp = rest = 0.0  # rest: the terms 1 <= k < K
     skip = 1  # the term k = 0
@@ -189,32 +192,32 @@ def _stretch_log(blocks, x):
         rest += terms[skip:].sum()
         skip = 0
         c, comp = float(new[-1]), float(errs[-1])
+        if math.exp(-c) == 0.0:
+            if math.exp((x - c) + abs(comp) + 1.0) < math.ulp(rest) / 4:
+                break
     return math.log1p(rest + math.exp((x - c) - comp))
 
 
 def _log_green(model, r_max):
-    """l(r) = log(area(r + 1) G(r)) and the GreenProfile (log G = l - log
-    area) on 0..r_max, the profile with its tail metadata.
+    """l(r) = log(area(r + 1) G(r)) on 0..r_max, and the GreenProfile
+    (log G = l - log area) with its tail metadata.
 
     Works top down from l(depth - 1) = log(kappa_inf / (kappa_inf - 1)) for
     a geometric tail, or 0 for a truncated one, by G(r) = G(r + 1) +
     1/area(r + 1), i.e. l(r) = log(1 + exp(l(r + 1) - log kappa(r + 1))):
     a step contracting where kappa > 1, whose values stay of order one.
 
-    Only l(0..r_max) is reported.  On the top stretch [s, depth - 2], where
-    s >= r_max is the smallest radius above which no area falls (kappa(r +
-    1) >= 1, decided exactly on the degrees), l(s) is one sum (see
-    ``_stretch_log``) that reads log kappa in blocks going up.  Below s the
-    steps are taken one radius at a time, reading it in blocks going down,
-    and so are the stretches above r_max where the areas fall: there a
-    sum's terms exceed 1 and the farthest ones, with the largest exponents,
-    dominate; rounding those exponents to doubles costs eps times their
-    size.
+    On the top stretch [s, depth - 2], where s >= r_max is the smallest
+    radius above which no area falls (decided exactly on the degrees), l(s)
+    is one sum (see ``_stretch_log``) that reads log kappa in blocks going
+    up until its terms vanish.  Below s the steps are taken one radius at a
+    time, reading it in blocks going down, and so are the stretches above
+    r_max where the areas fall: there the farthest terms of a sum would
+    dominate, and rounding their exponents costs eps times their size.
 
-    Each log kappa is formed once, one block of radii at a time (see
-    ``RadialModel._degree_block``), and l(r) is kept for r <= r_max only,
-    so the arrays held are of length r_max + 1 or of one block, whatever
-    the depth.
+    Each log kappa is formed at most once, one block of radii at a time
+    (see ``RadialModel._degree_block``), and l(r) is kept for r <= r_max
+    only, so the arrays held are of length r_max + 1 or of one block.
     """
     if not transience_test(model):
         raise NoGreenFunctionError(

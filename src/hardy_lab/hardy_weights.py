@@ -37,6 +37,7 @@ DEFAULT_DPS = 40
 
 # radii per block of the array closed form
 _CLOSED_FORM_BLOCK = 8192
+_OBJECT_BLOCK = 1024
 # radii per block of the ratio route's big-int cross products
 _RATIO_BLOCK = 64
 # bits past the dps digits to which the ratio route floors its square roots
@@ -187,7 +188,9 @@ def _closed_form(model, gamma, r_lo, r_hi):
     tells whether kappa(r - 1) <= kappa(r).  Radius 1 has no floor (NaN,
     not applicable).  The kappa difference is the cross product
     k_plus(r) k_minus(r-1) - k_plus(r-1) k_minus(r), exact on the arrays
-    of exact_degrees, over k_minus(r) k_minus(r-1), rounded once.
+    of exact_degrees, over k_minus(r) k_minus(r-1), rounded once.  Blocks
+    of radii keep the temporaries small at depth 1e5; they are 8 times
+    shorter on exact degrees that are Python ints, an object each.
     """
     kap = model.kappa_floats(r_hi)
     kp, km = model.exact_degrees(r_hi)
@@ -199,9 +202,9 @@ def _closed_form(model, gamma, r_lo, r_hi):
         k1 = float(kap[1])
         a1 = float(model.area(1))
         brackets[0] = 1.0 + k1 - math.sqrt(2.0 * k1) - math.sqrt(float(gamma) * a1)
-    # blocks keep the temporaries small at depth 1e5
-    for lo in range(max(r_lo, 2), r_hi + 1, _CLOSED_FORM_BLOCK):
-        hi = min(lo + _CLOSED_FORM_BLOCK - 1, r_hi)
+    block = _OBJECT_BLOCK if kp.dtype == object else _CLOSED_FORM_BLOCK
+    for lo in range(max(r_lo, 2), r_hi + 1, block):
+        hi = min(lo + block - 1, r_hi)
         p, q = kp[lo - 1: hi + 1], km[lo - 1: hi + 1]
         cross = p[1:] * q[:-1] - p[:-1] * q[1:]
         diff = np.asarray(cross / (q[1:] * q[:-1]), dtype=float)
@@ -403,8 +406,8 @@ class WeightProfile:
 def closed_form_weight(model, gamma, r_max):
     """WeightProfile on radii 0..r_max from the closed forms."""
     gamma = _check_gamma(gamma)
-    if r_max < 2:
-        raise InvalidParameterError("r_max must be at least 2")
+    if not isinstance(r_max, (int, np.integer)) or r_max < 2:
+        raise InvalidParameterError(f"r_max must be an integer >= 2, got {r_max!r}")
     r_min = 0 if gamma > 0 else 1
     values = np.zeros(r_max + 1)
     if gamma > 0:

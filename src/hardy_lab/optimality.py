@@ -15,7 +15,6 @@ evidence with its exact logical force recorded in the report:
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -147,6 +146,8 @@ def criticality_energy(model, n, gamma=0):
 def check_criticality_agreement(model, n_values=(10, 100, 1000), gamma=0):
     """Report agreement of the two criticality routes and their decay."""
     rtol = 1e-10
+    if not n_values or list(n_values) != sorted(set(n_values)):
+        raise InvalidParameterError(f"n_values must increase, got {n_values!r}")
     results = [criticality_energy(model, n, gamma=gamma) for n in n_values]
     max_rel = max(res.rel_diff for res in results)
     values = [res.closed_form for res in results]
@@ -172,28 +173,19 @@ def check_criticality_agreement(model, n_values=(10, 100, 1000), gamma=0):
     )
 
 
-@functools.cache
 def helper_sum(n):
     """The kappa-free part of the criticality sum, in double precision.
 
     (1 / log^2 n) * sum_{r=1}^{n-1} r sqrt(1 + 1/r) log^2(1 + 1/r); decays
     like 1/log n.  For a model with constant kappa the criticality
-    functional is sqrt(kappa) times this; cached, as it depends on n only.
+    functional is sqrt(kappa) times this.
     """
-    if n < 3:
-        raise InvalidParameterError("n must be at least 3")
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise InvalidParameterError(f"n must be an integer >= 3, got {n!r}")
 
     def terms(lo, hi):
-        # sqrt(1 + 1/r) * r * square(log1p(1/r)), in that order, in place
         r = np.arange(lo, hi, dtype=float)
-        inv = np.divide(1.0, r)
-        out = np.add(1.0, inv)
-        np.sqrt(out, out=out)
-        out *= r
-        np.log1p(inv, out=inv)
-        np.square(inv, out=inv)
-        out *= inv
-        return (out,)
+        return (np.sqrt(1.0 + 1.0 / r) * r * np.square(np.log1p(1.0 / r)),)
 
     return float(_pairwise_sums(terms, 1, n)[0]) / math.log(n) ** 2
 
@@ -202,11 +194,12 @@ def check_cutoff_decay():
     """Ratio test for the 1/log n decay of the cutoff functional.
 
     Exact 1/log n decay would give log(n_small)/log(n_large); lower-order
-    terms shift the ratio, and the [lo, hi] window tolerates them.
+    terms shift the ratio, and the [lo, hi] window tolerates them.  The
+    values are helper_sum(n_small) and helper_sum(n_large) as literals,
+    which the tests hold to helper_sum bit for bit.
     """
     n_small, n_large, lo, hi = 10 ** 3, 10 ** 6, 0.4, 0.6
-    small = helper_sum(n_small)
-    large = helper_sum(n_large)
+    small, large = 0.14437232841552947, 0.07228428882000318
     ratio = large / small
     return VerificationReport(
         check="cutoff-decay",
@@ -253,8 +246,8 @@ def check_null_criticality(model, gamma=0, r_max=10 ** 4):
     to 0 and fails.
     """
     min_increment_ratio = 0.7
-    if r_max < 16:
-        raise InvalidParameterError("r_max too small to compare increments")
+    if not isinstance(r_max, (int, np.integer)) or r_max < 16:
+        raise InvalidParameterError(f"r_max must be an integer >= 16, got {r_max!r}")
     terms = ground_weight_mass_terms(model, r_max, gamma=gamma)
     sums = np.cumsum(terms)
     q1, q2 = r_max // 4, r_max // 2
@@ -305,19 +298,12 @@ def optimality_probe(model, weight_values, lam, window, r_max, bases=None):
     is always inconclusive; the counts are the informative part.
 
     The inflated section differs from the uninflated one only on the window
-    rows, so one uninflated sweep supplies the pivot at every base row and
-    each base resumes from it: the window rows with the inflated weight,
-    then the uninflated rows.  Every sweep stops at the first negative
-    pivot; the pivots before it are those of the full count, so each base
-    gets the same decision as the count >= 1 test.
-
-    Past its window every base sweeps the same uninflated rows, and there a
-    pivot step is nondecreasing in the incoming pivot, so two trajectories
-    never cross.  The bases run in ascending order, and each unrefuted
-    base leaves its post-window pivots as a certificate: a later base whose
-    pivot reaches a certified pivot at the same row is unrefuted, without
-    sweeping the rest of the section (see spectral_ops._certified_sweep).
-    A refuted base leaves no certificate.  The decisions are those of the
+    rows, so each base resumes from one uninflated sweep's pivot at its
+    base row.  Every sweep stops at the first negative pivot, whose
+    predecessors are those of the full count.  The bases run in ascending
+    order, and each unrefuted base leaves its post-window pivots as a
+    certificate that ends a later base's sweep where its pivot reaches them
+    (see spectral_ops._certified_sweep).  The decisions are those of the
     full sweeps, bit for bit.
     """
     if not 0 < lam < math.inf:  # also refuses NaN
@@ -425,8 +411,8 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0, b_values=None)
             b *= 2
         b_values.append(b_max)
     b_values = sorted(set(int(b) for b in b_values))
-    if b_values[0] <= r_lo:
-        raise InvalidParameterError("annulus ends must exceed r_lo")
+    if not b_values or b_values[0] <= r_lo:
+        raise InvalidParameterError("b_values must be annulus ends above r_lo")
     if b_values[-1] > b_max:
         raise InvalidParameterError("annulus ends must not exceed b_max")
     w = closed_form_weight(model, gamma, b_max).values
@@ -584,6 +570,8 @@ def check_bounded_oscillation(model, r_max):
     extends; with an unspecified tail the verdict covers the window only,
     which a note records.
     """
+    if r_max < 1:
+        raise InvalidParameterError(f"r_max must be at least 1, got {r_max}")
     if r_max > model.depth - 1:
         raise NeedsTailError(f"ratios to {r_max} need depth > {r_max}")
     bound = 100.0
@@ -655,9 +643,7 @@ def check_lambda0_bound(model):
     asserts they are decreasing and all stay above shift - tol.  When the
     data is a tree's (k_minus = 1 and integer outward degrees), the ball
     form is additionally certified at vertex level through the per-level
-    elimination pivots, at sizes far beyond dense reach.  Each section and
-    the ball guide their own bisections by their closed-form bottoms (see
-    smallest_eigenvalue and tree_ball_bottom_eigenvalue).
+    elimination pivots, at sizes far beyond dense reach.
     """
     depth = model.depth
     tol = 1e-9

@@ -17,6 +17,8 @@ settings.register_profile(
 # block-streamed Green recursion and kappa_constant_from (test_greens.py::
 # test_green_recursion_in_blocks_matches_the_whole_depth and
 # test_kappa_constant_from_in_blocks_matches_the_whole_depth), Green
+# stretch sum that stops (test_greens.py::
+# test_green_stretch_sum_stops_where_its_terms_vanish), Green
 # weight, blocked criticality sum (test_optimality.py::
 # test_criticality_on_drawn_models_equals_whole_arrays) and transform
 # mutation (test_optimality.py::

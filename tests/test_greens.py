@@ -24,6 +24,7 @@ from hardy_lab import (
     tree_bottom_of_spectrum,
 )
 from hardy_lab import check_properness, greens, radial_model
+from hardy_lab.cli import _parse_model_spec
 from hardy_lab.greens import _quadratic_tail_bound
 from hardy_lab.radial_model import RadialModel
 
@@ -680,9 +681,10 @@ def test_green_recursion_in_blocks_matches_the_whole_depth(block, model):
 
 
 @pytest.mark.parametrize("block", [100, radial_model._WINDOW_BLOCK])
-def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch, block):
+def test_green_recursion_forms_each_log_kappa_at_most_once_per_scan(monkeypatch, block):
     # runs of 60 radii at kappa 2 and 3 in turn: the sum reads the blocks
-    # above r = 128 going up, the walk those below going down
+    # above r = 128 going up until its terms vanish, the walk those below
+    # going down
     monkeypatch.setattr(radial_model, "_WINDOW_BLOCK", block)
     depth = 3000
     k_plus = [2 + (r // 60) % 2 for r in range(depth)]
@@ -692,16 +694,96 @@ def test_green_recursion_forms_each_log_kappa_once_per_scan(monkeypatch, block):
     degree_block = RadialModel._degree_block
 
     def counted(self, s, e, exact=True):
-        formed.append(e - s)
+        formed.append((s, e))
         return degree_block(self, s, e, exact)
 
     monkeypatch.setattr(RadialModel, "_degree_block", counted)
     ell, _ = greens._log_green(model, 128)
-    # each value once, in the blocks of [128, depth - 1) and of [0, 128)
-    assert sum(formed) == depth - 1
-    assert len(formed) == -(-(depth - 1 - 128) // block) + -(-128 // block)
+    # the first block above r = 128 whose end has exp(-c) = 0; the first
+    # term, 1 / kappa(129) >= 1/3, leaves the closing one far below an ulp
+    c = 0.0
+    for b0, top in radial_model._window_blocks(128, depth - 1):
+        c += math.fsum(math.log(k_plus[r + 1]) for r in range(b0, top))
+        if math.exp(-c) == 0.0:
+            break
+    # each value at most once: the blocks of [0, 128) and of [128, top)
+    assert sorted(formed) == sorted(
+        [(b0 + 1, b1 + 1) for b0, b1 in radial_model._blocks_down(0, 128)]
+        + [(b0 + 1, b1 + 1) for b0, b1 in radial_model._window_blocks(128, top)])
+    assert top < depth - 1 if block == 100 else top == depth - 1
     monkeypatch.undo()
     assert ell.tobytes() == whole_log_green(model, 128).tobytes()
+
+
+# stretches of kappa in {3/2, 2, 3, 10} long enough for exp(-c) to
+# underflow, flat ones, and ones whose kappa (2**53 + 3) / (2**53 + 2)
+# rounds to 1, as (k_plus, k_minus, shortest run)
+_STRETCH_KINDS = [(3, 2, 1900), (2, 1, 1100), (3, 1, 700), (10, 1, 330),
+                  (1, 1, 1), (2 ** 53 + 3, 2 ** 53 + 2, 1)]
+
+
+@st.composite
+def _stretch_models(draw):
+    """Areas that never fall: runs of the kinds above, then a geometric tail."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(_STRETCH_KINDS), st.integers(0, 400)),
+                         min_size=1, max_size=5))
+    k_plus, k_minus = [], []
+    for (kp, km, shortest), extra in runs:
+        k_plus += [kp] * (shortest + extra)
+        k_minus += [km] * (shortest + extra)
+    tail_kp, tail_km = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    k_plus += [tail_kp] * 3
+    k_minus += [tail_km] * 3
+    return make_custom(k_plus, [0] + k_minus,
+                       tail=Tail("eventually-geometric", kappa_inf=Fraction(tail_kp, tail_km)))
+
+
+@pytest.mark.parametrize("block", [97, 1000, radial_model._WINDOW_BLOCK])
+@given(model=_stretch_models(), data=st.data())
+@example(model=make_tree(2, 20_000), data=None)
+@example(model=make_tree(3, 20_000), data=None)
+def test_green_stretch_sum_stops_where_its_terms_vanish(block, model, data):
+    # the sum that stops reads fewer blocks, not other bits: the whole
+    # sum's added terms are 0 past the stop and its closing term is below
+    # a quarter ulp of the rest
+    depth = model.depth
+    r_maxes = {0, 128 % depth, depth - 1}
+    if data is not None:
+        r_maxes.add(data.draw(st.integers(0, depth - 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_model, "_WINDOW_BLOCK", block)
+        for r_max in sorted(r_maxes):
+            ell, _ = greens._log_green(model, r_max)
+            assert ell.tobytes() == whole_log_green(model, r_max).tobytes(), r_max
+
+
+@pytest.mark.parametrize("spec, blocks", [("tree:2:100000", 1), ("tree:3:100000", 1),
+                                         ("antitree:poly:2:100000", 25)])
+def test_green_stretch_sum_at_depth_1e5_stops_on_trees(monkeypatch, spec, blocks):
+    # as verify compares at r_max = 128: a tree's terms vanish within its
+    # first block of 4096 radii, an antitree's never
+    model = _parse_model_spec(spec)
+    formed = []
+    log_kappa = greens._log_kappa
+
+    def counted(model, b0, b1):
+        formed.append(b0)
+        return log_kappa(model, b0, b1)
+
+    monkeypatch.setattr(greens, "_log_kappa", counted)
+    greens.compare_to_green(model, 128)
+    assert sum(b0 >= 128 for b0 in formed) == blocks
+
+
+def test_green_stretch_sum_waits_for_its_closing_term(monkeypatch):
+    # kappa(1) = 10**308 leaves a rest of 2e-308, a subnormal's ulp: at the
+    # first radius where exp(-c) underflows, the closing term exp(x - c) is
+    # still a few ulps of it, and a sum that stopped there would keep them
+    monkeypatch.setattr(radial_model, "_WINDOW_BLOCK", 1)
+    model = make_custom([1, 10 ** 308] + [2] * 118, [0] + [1] * 120,
+                        tail=Tail("eventually-geometric", kappa_inf=Fraction(2)))
+    ell, _ = greens._log_green(model, 0)
+    assert ell.tobytes() == whole_log_green(model, 0).tobytes()
 
 
 _TAIL_KAPPAS = [(1, 1), (2, 1), (3, 2)]

@@ -22,7 +22,8 @@ from hardy_lab import (
     tree_bottom_of_spectrum,
     tree_weight,
 )
-from hardy_lab.hardy_weights import _ground_pairs
+from hardy_lab import hardy_weights
+from hardy_lab.hardy_weights import _closed_form, _ground_pairs, _pair_defect
 
 
 def test_half_line_weight_values():
@@ -134,6 +135,44 @@ def test_closed_form_matches_the_50_digit_ratio_on_random_models(model, gamma):
     ratio = fitzsimmons_weight(model, gamma, r_max, dps=50)
     scale = (model.k_plus_floats(r_max) + model.k_minus_floats(r_max))
     assert np.all(np.abs(closed - ratio) <= 1e-12 * scale)
+
+
+def whole_closed_form(model, gamma, r_lo, r_hi):
+    """_closed_form with each quantity one array over r_lo..r_hi, no blocks."""
+    kap = model.kappa_floats(r_hi)
+    kp, km = model.exact_degrees(r_hi)
+    n = r_hi - r_lo + 1
+    brackets, floors = np.empty(n), np.full(n, np.nan)
+    applicable = np.zeros(n, dtype=bool)
+    if r_lo == 1:
+        k1 = float(kap[1])
+        brackets[0] = (1.0 + k1 - math.sqrt(2.0 * k1)
+                       - math.sqrt(float(gamma) * float(model.area(1))))
+    lo = max(r_lo, 2)
+    cross = kp[lo:r_hi + 1] * km[lo - 1:r_hi] - kp[lo - 1:r_hi] * km[lo:r_hi + 1]
+    diff = np.asarray(cross / (km[lo:r_hi + 1] * km[lo - 1:r_hi]), dtype=float)
+    sk, sk_prev = np.sqrt(kap[lo:r_hi + 1]), np.sqrt(kap[lo - 1:r_hi])
+    r = np.arange(lo, r_hi + 1, dtype=float)
+    x = 1.0 / r
+    square = (sk - 1.0) ** 2
+    brackets[lo - r_lo:] = square + sk * _pair_defect(x) + diff * np.sqrt(1.0 - x) / (sk + sk_prev)
+    floors[lo - r_lo:] = square + sk / (4.0 * r * r)
+    applicable[lo - r_lo:] = cross >= 0
+    return brackets, floors, applicable
+
+
+@pytest.mark.parametrize("r_lo, r_hi", [(1, 4999), (2, 4999), (1023, 3073), (1025, 1025),
+                                        (2, 1025), (2049, 4999)])
+def test_closed_form_on_object_degrees_in_blocks(r_lo, r_hi):
+    # antitree:poly:3's degree products pass 2**53, so its exact degrees
+    # are Python ints, which the closed form reads in blocks of 1024 radii
+    model = make_antitree(lambda r: (r + 1) ** 3, 5000)
+    assert model.exact_degrees(r_hi)[0].dtype == object
+    assert hardy_weights._OBJECT_BLOCK == 1024
+    gamma = Fraction(1, 7)
+    got = _closed_form(model, gamma, r_lo, r_hi)
+    for a, b in zip(got, whole_closed_form(model, gamma, r_lo, r_hi)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_weight_dominates_floor_where_applicable(tree2, antitree_linear):

@@ -42,13 +42,40 @@ from bisection_passes import counted
 from object_storage import object_storage
 
 
-def test_helper_sum_is_computed_once_per_n():
-    helper_sum.cache_clear()
-    first = check_cutoff_decay()
-    second = check_cutoff_decay()
-    assert first.residuals == second.residuals
-    info = helper_sum.cache_info()
-    assert (info.hits, info.misses) == (2, 2)
+def test_cutoff_decay_reads_helper_sum_as_constants(monkeypatch):
+    # the lemma sums nothing: its two values are literals, each equal to
+    # helper_sum's value bit for bit
+    def unread(*args):
+        raise AssertionError("check_cutoff_decay summed terms")
+
+    monkeypatch.setattr(optimality, "helper_sum", unread)
+    monkeypatch.setattr(optimality, "_pairwise_sums", unread)
+    report = check_cutoff_decay()
+    monkeypatch.undo()
+    for key, n in (("value_small", 10 ** 3), ("value_large", 10 ** 6)):
+        assert report.residuals[key].hex() == helper_sum(n).hex()
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: check_criticality_agreement(m, ()),
+    lambda m: check_criticality_agreement(m, (100, 10)),
+    lambda m: check_criticality_agreement(m, (10, 10)),
+    lambda m: helper_sum(100.5),
+], ids=["no-n-values", "n-values-decreasing", "n-values-repeated", "non-integer-n"])
+def test_criticality_inputs_are_refused(call):
+    with pytest.raises(InvalidParameterError, match="n_values|n must"):
+        call(make_tree(2, 200))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda m: inflation_refutation(m, 0.1, b_values=[]), "b_values"),
+    (lambda m: check_bounded_oscillation(m, 0), "r_max"),
+    (lambda m: check_null_criticality(m, r_max=100.5), "r_max"),
+    (lambda m: closed_form_weight(m, 0, 10.5), "r_max"),
+], ids=["no-annuli", "no-ratios", "non-integer-mass-radius", "non-integer-weight-radius"])
+def test_radius_arguments_are_refused_by_name(call, name):
+    with pytest.raises(InvalidParameterError, match=name):
+        call(make_tree(2, 200))
 
 
 def test_helper_sum_value():
@@ -80,7 +107,7 @@ def test_helper_sum_terms_equal_the_written_out_expression(monkeypatch):
 
     for n in (3, 2 ** 14 + 2, 10 ** 6):
         leaves = spy_on_leaves(monkeypatch, check)
-        helper_sum.__wrapped__(n)
+        helper_sum(n)
         assert sum(leaves) == n - 1
 
 
@@ -297,6 +324,20 @@ def test_null_criticality_fails_with_a_finite_ratio_on_sums_that_stop_growing():
     assert rep.status == "fail"
     assert rep.residuals["increment_ratio"] == 0.0
     assert rep.notes == ("the partial sums do not grow from r_max/4 to r_max/2",)
+
+
+def test_null_criticality_memory_at_depth_1e5():
+    # antitree:poly:2's exact degrees are Python ints, one object a radius:
+    # the closed form holds them in blocks of 1024 radii (2.27 MiB in
+    # blocks of 8192)
+    model = _parse_model_spec("antitree:poly:2:100000")
+    tracemalloc.start()
+    try:
+        check_null_criticality(model, r_max=10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
 
 
 def test_null_criticality_guard(tree2):

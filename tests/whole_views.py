@@ -14,7 +14,6 @@ import operator
 import numpy as np
 
 from hardy_lab import SizeLimitExceededError
-from hardy_lab.greens import _stretch_log
 from hardy_lab.radial_model import _window_blocks
 
 _FLOAT_MAX = 1.7976931348623157e308
@@ -54,10 +53,30 @@ def whole_degrees(model):
     return (*floats, *exact, kappa)
 
 
+def whole_stretch_log(blocks, x):
+    """greens._stretch_log summed over every block it is given: the terms
+    past the block where they vanish are added, as 0, and the closing term
+    is the one at the top."""
+    c = comp = rest = 0.0
+    skip = 1
+    for step in blocks:
+        sums = np.cumsum(np.concatenate(([c], step)))
+        prev, new = sums[:-1], sums[1:]
+        back = new - prev
+        errs = np.cumsum(np.concatenate(([comp], (prev - (new - back)) + (step - back))))
+        terms = np.exp(-prev)
+        terms -= terms * errs[:-1]
+        rest += terms[skip:].sum()
+        skip = 0
+        c, comp = float(new[-1]), float(errs[-1])
+    return math.log1p(rest + math.exp((x - c) - comp))
+
+
 def whole_log_green(model, r_max):
     """l(0..r_max) of greens._log_green, from one array of log kappa over
     the whole depth: the top stretch where no area falls, its sum over the
-    same blocks of radii as the library's, and one step per radius below."""
+    same blocks of radii as the library's and up to the top, and one step
+    per radius below."""
     depth, t = model.depth, model.tail
     if t.kind == "eventually-geometric":
         kap = float(t.kappa_inf)
@@ -69,7 +88,7 @@ def whole_log_green(model, r_max):
     s = r_max + 1 + int(falls[-1]) if falls.size else r_max
     if s < depth - 1:
         # np.sum is pairwise: the block edges are part of the result
-        x = _stretch_log((ell[b0:b1] for b0, b1 in _window_blocks(s, depth - 1)), x)
+        x = whole_stretch_log((ell[b0:b1] for b0, b1 in _window_blocks(s, depth - 1)), x)
     out = np.empty(r_max + 1)
     out[s:] = x
     for r in range(s - 1, -1, -1):
