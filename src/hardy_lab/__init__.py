@@ -59,7 +59,6 @@ from .hardy_weights import (
     closed_form_weight,
     fitzsimmons_weight,
     gamma_intervals,
-    general_closed_form,
     series_expansion,
     sqrt_pair_defect,
     series_remainder_bound,

@@ -15,7 +15,7 @@ routes to w are kept side by side on purpose:
     after the point, and the weight one exact quotient rounded once, so
     that depth never degrades the result (u decays like 1/area and
     underflows doubles on fast-growing models);
-  * ``general_closed_form`` and ``tree_weight`` evaluate the algebraic
+  * ``closed_form_weight`` and ``tree_weight`` evaluate the algebraic
     closed forms, which involve only the degree ratio kappa.
 
 Agreement of the two routes is a test obligation, not an assumption.
@@ -173,17 +173,12 @@ def sqrt_pair_defect(x):
     return float(_pair_defect(float(x)))
 
 
-def _origin_weight(model, gamma):
-    a1 = float(model.area(1))
-    return float(model.k_plus(0)) * (1.0 - 1.0 / math.sqrt(float(gamma) * a1))
-
-
 def _closed_form(model, gamma, r_lo, r_hi):
     """The closed form divided by k_minus(r), and its floor, on r_lo..r_hi.
 
     Needs 1 <= r_lo <= r_hi.  Returns (brackets, floors, applicable), entry
     i belonging to radius r_lo + i: ``brackets`` is w(r) / k_minus(r) in the
-    grouping documented at general_closed_form, ``floors`` is
+    grouping documented at closed_form_weight, ``floors`` is
     (sqrt(kappa(r)) - 1)**2 + sqrt(kappa(r)) / (4 r**2), and ``applicable``
     tells whether kappa(r - 1) <= kappa(r).  Radius 1 has no floor (NaN,
     not applicable).  The kappa difference is the cross product
@@ -246,34 +241,6 @@ def _kappa_longdouble(kp, km):
     return kap
 
 
-def general_closed_form(model, gamma, r):
-    """Closed form of the weight at one radius, for any radial model.
-
-        r = 0:   k_plus(0) (1 - 1 / sqrt(gamma area(1)))          (gamma > 0)
-        r = 1:   k_minus(1) (1 + kappa(1) - sqrt(2 kappa(1))
-                                          - sqrt(gamma area(1)))
-        r >= 2:  k_minus(r) (1 + kappa(r) - sqrt(kappa(r) (1 + 1/r))
-                                          - sqrt(kappa(r-1) (1 - 1/r)))
-
-    The r >= 2 value is evaluated in the equal, cancellation-free grouping
-
-        (sqrt(kappa(r)) - 1)**2 + sqrt(kappa(r)) sqrt_pair_defect(1/r)
-        + (kappa(r) - kappa(r-1)) sqrt(1 - 1/r)
-          / (sqrt(kappa(r)) + sqrt(kappa(r-1)))
-
-    where the kappa difference is taken exactly;
-    for kappa near 1 the naive form would keep only half the digits.
-    closed_form_weight evaluates the same arrays over a whole range.
-    """
-    gamma = _check_gamma(gamma)
-    if r == 0:
-        if not gamma > 0:
-            raise InvalidParameterError("the weight at the origin needs gamma > 0")
-        return _origin_weight(model, gamma)
-    brackets, _, _ = _closed_form(model, gamma, r, r)
-    return float(model.k_minus(r)) * float(brackets[0])
-
-
 def tree_weight(d, gamma, r):
     """Tree weight written around the spectral bottom lambda0 = (sqrt(d)-1)**2.
 
@@ -281,7 +248,7 @@ def tree_weight(d, gamma, r):
         r = 1:   lambda0 + sqrt(d) (2 - sqrt(2) - sqrt(gamma))
         r >= 2:  lambda0 + sqrt(d) (2 - sqrt(1 - 1/r) - sqrt(1 + 1/r))
 
-    Algebraically equal to general_closed_form on the tree model; the tests
+    Algebraically equal to closed_form_weight on the tree model; the tests
     hold both routes to that.
     """
     gamma = _check_gamma(gamma)
@@ -404,14 +371,31 @@ class WeightProfile:
 
 
 def closed_form_weight(model, gamma, r_max):
-    """WeightProfile on radii 0..r_max from the closed forms."""
+    """WeightProfile on radii 0..r_max from the closed forms, for any model:
+
+        r = 0:   k_plus(0) (1 - 1 / sqrt(gamma area(1)))   (gamma > 0, else 0)
+        r = 1:   k_minus(1) (1 + kappa(1) - sqrt(2 kappa(1))
+                                          - sqrt(gamma area(1)))
+        r >= 2:  k_minus(r) (1 + kappa(r) - sqrt(kappa(r) (1 + 1/r))
+                                          - sqrt(kappa(r-1) (1 - 1/r)))
+
+    The r >= 2 value is evaluated in the equal, cancellation-free grouping
+
+        (sqrt(kappa(r)) - 1)**2 + sqrt(kappa(r)) sqrt_pair_defect(1/r)
+        + (kappa(r) - kappa(r-1)) sqrt(1 - 1/r)
+          / (sqrt(kappa(r)) + sqrt(kappa(r-1)))
+
+    where the kappa difference is taken exactly;
+    for kappa near 1 the naive form would keep only half the digits.
+    """
     gamma = _check_gamma(gamma)
     if not isinstance(r_max, (int, np.integer)) or r_max < 2:
         raise InvalidParameterError(f"r_max must be an integer >= 2, got {r_max!r}")
     r_min = 0 if gamma > 0 else 1
     values = np.zeros(r_max + 1)
     if gamma > 0:
-        values[0] = _origin_weight(model, gamma)
+        a1 = float(model.area(1))
+        values[0] = float(model.k_plus(0)) * (1.0 - 1.0 / math.sqrt(float(gamma) * a1))
     brackets, floor_brackets, applicable = _closed_form(model, gamma, 1, r_max)
     km = model.k_minus_floats(r_max)[1:]
     values[1:] = km * brackets

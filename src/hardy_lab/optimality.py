@@ -35,8 +35,10 @@ from .radial_model import _log_of_exact, _window_blocks, expand_vertex_graph
 from .reporting import VerificationReport
 from .spectral_ops import (
     _certified_sweep,
+    _negative_pivots,
     _pivot_sweep,
     _sturm_rows,
+    _whole_form_rows,
     hardy_form_matrix,
     smallest_eigenvalue,
     tree_ball_bottom_eigenvalue,
@@ -146,8 +148,8 @@ def criticality_energy(model, n, gamma=0):
 def check_criticality_agreement(model, n_values=(10, 100, 1000), gamma=0):
     """Report agreement of the two criticality routes and their decay."""
     rtol = 1e-10
-    if not n_values or list(n_values) != sorted(set(n_values)):
-        raise InvalidParameterError(f"n_values must increase, got {n_values!r}")
+    if len(n_values) < 2 or list(n_values) != sorted(set(n_values)):
+        raise InvalidParameterError(f"n_values must be >= 2 increasing scales, got {n_values!r}")
     results = [criticality_energy(model, n, gamma=gamma) for n in n_values]
     max_rel = max(res.rel_diff for res in results)
     values = [res.closed_form for res in results]
@@ -386,21 +388,24 @@ def optimality_probe(model, weight_values, lam, window, r_max, bases=None):
 def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0, b_values=None):
     """Refute the multiplicatively inflated weight (1 + lam) w outside a ball.
 
-    The weight is inflated on all radii >= r_lo and the Dirichlet form is
-    assembled on growing annuli [r_lo, b].  Restriction is one-sided exact:
-    a section eigenvalue below ``threshold`` certifies that the inflated
-    weight fails the Hardy inequality on the infinite annulus, and the
-    status is then pass (the refutation claim is proved).  If no section up
-    to b_max shows negativity the status is inconclusive: positivity of all
-    finite sections never certifies the infinite inequality by itself.
+    The weight is inflated on all radii >= r_lo, and the Dirichlet forms of
+    growing annuli [r_lo, b] are read off one Sturm count of the last one
+    (_negative_pivots).  Restriction is one-sided exact: a section eigenvalue
+    below ``threshold`` certifies that the inflated weight fails the Hardy
+    inequality on the infinite annulus, and the status is then pass (the
+    refutation claim is proved).  If no section up to b_max shows negativity
+    the status is inconclusive: positivity of all finite sections never
+    certifies the infinite inequality by itself.
     """
     if not 0 < lam < math.inf:  # also refuses NaN
         raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
     threshold = -1e-9
-    if r_lo < 1:
-        raise InvalidParameterError("r_lo must be at least 1")
+    if not isinstance(r_lo, (int, np.integer)) or r_lo < 1:
+        raise InvalidParameterError(f"r_lo must be an integer >= 1, got {r_lo!r}")
     if b_max is None:
         b_max = model.depth - 1
+    if not isinstance(b_max, (int, np.integer)):
+        raise InvalidParameterError(f"b_max must be an integer, got {b_max!r}")
     if b_max > model.depth - 1:
         raise NeedsTailError(f"annuli to {b_max} need depth > {b_max}")
     if b_values is None:
@@ -415,25 +420,17 @@ def inflation_refutation(model, lam, r_lo=2, b_max=None, gamma=0, b_values=None)
         raise InvalidParameterError("b_values must be annulus ends above r_lo")
     if b_values[-1] > b_max:
         raise InvalidParameterError("annulus ends must not exceed b_max")
-    w = closed_form_weight(model, gamma, b_max).values
-    inflated = np.array(w)
+    inflated = closed_form_weight(model, gamma, b_max).values  # a fresh array
     inflated[r_lo:] *= 1.0 + lam
-    # the annuli share their left end, so each is a prefix of the last one;
-    # the last one's pivmin is at least a shorter annulus's own, which can
-    # only matter for a positive pivot below max coupling * 2.2e-308
-    diag, coupling, pivmin = _sturm_rows(
-        hardy_form_matrix(model, inflated, r_lo, b_values[-1])
-    )
-    first_refuted, row, q = None, 0, 1.0
-    for checked, b in enumerate(b_values, 1):
-        stop = b - r_lo + 1
-        negative, q = _pivot_sweep(
-            zip(diag[row:stop], coupling[row:stop]), threshold, q, pivmin
-        )
-        row = stop
-        if negative:
-            first_refuted = b
-            break
+    # each annulus is a prefix of the last, refuted iff it reaches the first
+    # negative pivot, at radius r_lo + k - 1 (the shared pivmin is at least an
+    # annulus's own, which only matters for pivots below max coupling * 2.2e-308)
+    form = hardy_form_matrix(model, inflated, r_lo, b_values[-1])
+    count, k = _negative_pivots(_whole_form_rows(form), threshold, 1)
+    first_refuted, checked = None, len(b_values)
+    if count:
+        checked, first_refuted = next(
+            (i, b) for i, b in enumerate(b_values, 1) if b >= r_lo + k - 1)
     refuted = first_refuted is not None
     return VerificationReport(
         check="inflation-refutation",

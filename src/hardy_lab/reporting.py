@@ -35,6 +35,8 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, VerificationReport):
+        return value.to_dict()
     try:
         return _jsonable(float(value))
     except (TypeError, ValueError):
@@ -107,16 +109,7 @@ def json_text(obj):
 
     Rejects NaN and infinity outright; deterministic key order.
     """
-    def convert(x):
-        if isinstance(x, VerificationReport):
-            return x.to_dict()
-        if isinstance(x, (list, tuple)):
-            return [convert(v) for v in x]
-        if isinstance(x, dict):
-            return {str(k): convert(v) for k, v in x.items()}
-        return _jsonable(x)
-
-    return json.dumps(convert(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def format_cell(value):

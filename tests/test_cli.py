@@ -588,7 +588,7 @@ def test_lambda0_on_trees_past_an_ulp_of_tol_exits_0(capsys, monkeypatch):
 # exported only for tests: named oracles and the acceptance helpers
 # (radial_laplacian is the oracle of the radial ground-state identity's array
 # expressions, helper_sum that of the constants check_cutoff_decay reads)
-UNREAD_EXPORTS = {"green_function_exact", "general_closed_form", "tree_weight",
+UNREAD_EXPORTS = {"green_function_exact", "tree_weight",
                   "count_eigenvalues_below", "tree_ball_pivots",
                   "tree_ball_is_positive", "series_expansion",
                   "series_remainder_bound", "ball_form_matrix", "radial_laplacian",

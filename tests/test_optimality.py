@@ -58,10 +58,12 @@ def test_cutoff_decay_reads_helper_sum_as_constants(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda m: check_criticality_agreement(m, ()),
+    lambda m: check_criticality_agreement(m, (100,)),
     lambda m: check_criticality_agreement(m, (100, 10)),
     lambda m: check_criticality_agreement(m, (10, 10)),
     lambda m: helper_sum(100.5),
-], ids=["no-n-values", "n-values-decreasing", "n-values-repeated", "non-integer-n"])
+], ids=["no-n-values", "one-n-value", "n-values-decreasing", "n-values-repeated",
+        "non-integer-n"])
 def test_criticality_inputs_are_refused(call):
     with pytest.raises(InvalidParameterError, match="n_values|n must"):
         call(make_tree(2, 200))
@@ -69,10 +71,13 @@ def test_criticality_inputs_are_refused(call):
 
 @pytest.mark.parametrize("call, name", [
     (lambda m: inflation_refutation(m, 0.1, b_values=[]), "b_values"),
+    (lambda m: inflation_refutation(m, 0.1, r_lo=2.5), "r_lo"),
+    (lambda m: inflation_refutation(m, 0.1, b_max=100.5), "b_max"),
     (lambda m: check_bounded_oscillation(m, 0), "r_max"),
     (lambda m: check_null_criticality(m, r_max=100.5), "r_max"),
     (lambda m: closed_form_weight(m, 0, 10.5), "r_max"),
-], ids=["no-annuli", "no-ratios", "non-integer-mass-radius", "non-integer-weight-radius"])
+], ids=["no-annuli", "non-integer-annulus-start", "non-integer-annulus-end", "no-ratios",
+        "non-integer-mass-radius", "non-integer-weight-radius"])
 def test_radius_arguments_are_refused_by_name(call, name):
     with pytest.raises(InvalidParameterError, match=name):
         call(make_tree(2, 200))

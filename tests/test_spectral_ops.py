@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hardy_lab import (
@@ -268,6 +268,9 @@ def _guesses(threshold, gap):
 
 @given(st.floats(-8.0, 8.0), st.floats(1e-3, 8.0), st.floats(1e-3, 8.0),
        st.floats(1e-16, 1e-2), st.sampled_from([1e-11, 1e-6, 0.0]))
+# the first midpoint, 8.0, lies within 2 ulps of the threshold and is also
+# the upper end the guess is checked at, so it costs no call of its own
+@example(threshold=7.999999999999999, below=1.0, above=1.0, gap=0.0078125, tol=1e-11)
 def test_a_guided_bisection_returns_the_unguided_bottom(threshold, below, above, gap, tol):
     lo, hi = threshold - below, threshold + above
     calls = []
@@ -288,7 +291,9 @@ def test_a_guided_bisection_returns_the_unguided_bottom(threshold, below, above,
         assert len(calls) <= (7 if i == 0 else unguided + 2), guess
     path = []
     spectral_ops._bisect_bottom(lo, hi, tol, lambda x: path.append(x) or x <= threshold)
-    near = sum(abs(x - threshold) < 2 * math.ulp(threshold) for x in path)
+    ends = spectral_ops._guessed_path_ends(lo, hi, tol, threshold)
+    near = sum(ends[0] < x < ends[1] and abs(x - threshold) < 2 * math.ulp(threshold)
+               for x in path)
     calls.clear()
     spectral_ops._bisect_bottom(lo, hi, tol, positive_at, lambda: threshold)
     assert len(calls) == 2 + near

@@ -543,3 +543,18 @@ def test_inflation_matches_per_annulus_counts_on_trees():
 def test_inflation_matches_per_annulus_counts(model, lam, r_lo, b_values):
     assert_inflation_matches(model, lam, r_lo, 70)
     assert_inflation_matches(model, lam, r_lo, 70, b_values=b_values)
+
+
+def test_inflation_annuli_stop_at_the_tail_certificate(monkeypatch):
+    # a tiny inflation of tree:2's critical weight refutes no annulus; the
+    # one count over the last annulus reads its rows as the whole-form
+    # sweeps do and stops at a block start once the tail's floor is real
+    model = make_tree(2, 30_001)
+    sweeps = count_swept_rows(monkeypatch)
+    # optimality holds its own name for the kernel: point it at the spy
+    monkeypatch.setattr(optimality, "_negative_pivots", spectral_ops._negative_pivots)
+    rep = inflation_refutation(model, 1e-12)
+    assert rep.status == "inconclusive" and rep.residuals["sections_checked"] == 13
+    [(x, negative, k, swept)] = sweeps
+    assert (x, negative, k) == (-1e-9, 0, 29_999)
+    assert swept % _SWEEP_BLOCK == 0 and swept < 29_999
